@@ -263,7 +263,7 @@ def _run_covering(params: dict, seed: int) -> dict:
         rng = np.random.default_rng(seed)
         cloud = PointCloud(rng.standard_normal((int(params.get("n", 100)), int(params.get("dim", 2)))),
                            metric=params.get("metric", "euclidean"))
-    size = covering_number(cloud, float(params["eps"]), params.get("mode", "greedy_upper"))
+    size = covering_number(cloud, float(params["eps"]))
     return {
         "experiment": "covering", "d": cloud.points.shape[1],
         "n": cloud.points.shape[0], "mc_mean": float(size),
@@ -502,8 +502,6 @@ def main(argv: list | None = None) -> int:
     p_run.add_argument("config", help="path to the JSON config file")
     p_run.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
                        help="override a dotted config path")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker cap (experiments currently run sequentially)")
     p_run.add_argument("--out", default=None,
                        help="output directory for results files (overrides the config's \"out\")")
     p_suite = sub.add_parser("suite", help="run a named suite")
@@ -528,6 +526,10 @@ def main(argv: list | None = None) -> int:
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as err:
+        # a ValueError subclass, but a failure of the run, not of its config
+        print(f"numerical error: {err}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,17 +1,23 @@
 """Finite symmetry groups and their orthogonal matrix representations.
 
-Groups are stored as dense composition tables over integer element ids
-0..order-1, so every Haar average elsewhere in the package is an exact
-finite sum.  Continuous SO(2) is admitted through an equispaced angular
-quadrature, which is itself an exact cyclic group of rotations; rotation
-blocks of frequency below half the node count integrate exactly.
+Group elements are integer ids 0..order-1, so every Haar average elsewhere
+in the package is an exact finite sum.  A built group composes ids
+arithmetically from the ``structure`` it was built from (index arithmetic
+for cyclic and dihedral groups, lex ranks of composed permutations for
+symmetric groups, factor-wise for products); no dense composition table is
+held unless something reads ``FiniteGroup.table``.  Continuous SO(2) is
+admitted through an equispaced angular quadrature, which is itself an exact
+cyclic group of rotations; rotation blocks of frequency below half the node
+count integrate exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,42 +39,81 @@ HOMOMORPHISM_TOL = 1e-10
 _EXHAUSTIVE_ORDER = 64
 _SAMPLED_CHECKS = 1000
 
+_OPAQUE = ("opaque",)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteGroup:
-    """A group as a dense composition table over element ids 0..order-1.
+    """A finite group over element ids 0..order-1.
 
-    ``table[a, b]`` is the id of a*b, ``inverse[a]`` the id of a^-1.
-    ``weights`` are the Haar averaging weights: uniform 1/|G| for exact
-    finite groups, quadrature weights (also uniform) for discretized
-    continuous groups.  ``exactness`` is "exact" or "quadrature(M)".
-    ``structure`` records how the group was built, e.g. ("cyclic", 4) or
-    ("product", ("cyclic", 2), ("symmetric", 3)), so representation
-    constructors can recover the concrete action behind the opaque ids.
+    ``compose(a, b)`` is the id of a*b, elementwise over broadcast id
+    arrays; ``inverse[a]`` is the id of a^-1.  ``weights`` are the Haar
+    averaging weights: uniform 1/|G| for exact finite groups, quadrature
+    weights (also uniform) for discretized continuous groups.
+    ``exactness`` is "exact" or "quadrature(M)".  ``structure`` records how
+    the group was built, e.g. ("cyclic", 4) or
+    ("product", ("cyclic", 2), ("symmetric", 3)); it defines the
+    composition, and lets representation constructors recover the concrete
+    action behind the ids.
+
+    A group given an explicit ``table`` (``table[a, b]`` the id of a*b)
+    composes by indexing it, and its structure defaults to ("opaque",).
+    A group built from a structure holds no table; ``table`` is then
+    built from ``compose`` on first read.
     """
 
     name: str
-    table: np.ndarray
     inverse: np.ndarray
     identity: int
     weights: np.ndarray
-    exactness: str = "exact"
-    structure: tuple = ("opaque",)
+    order: int
+    exactness: str
+    structure: tuple
 
-    def __post_init__(self) -> None:
-        table = np.ascontiguousarray(self.table, dtype=np.int64)
-        inverse = np.ascontiguousarray(self.inverse, dtype=np.int64)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        for arr in (table, inverse, weights):
-            arr.setflags(write=False)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "weights", weights)
+    def __init__(
+        self,
+        name: str,
+        table: np.ndarray | None = None,
+        *,
+        inverse: np.ndarray,
+        identity: int,
+        weights: np.ndarray,
+        exactness: str = "exact",
+        structure: tuple = _OPAQUE,
+    ) -> None:
+        if table is None:
+            order = _structure_order(structure)
+            compose = _composer(structure)
+        else:
+            table = _read_only(table, np.int64)
+            order = table.shape[0]
+            compose = lambda a, b: table[a, b]
+            # seed the cached property, so reading it returns the given table
+            object.__setattr__(self, "table", table)
+        for key, value in (
+            ("name", name),
+            ("inverse", _read_only(inverse, np.int64)),
+            ("identity", identity),
+            ("weights", _read_only(weights, np.float64)),
+            ("order", order),
+            ("exactness", exactness),
+            ("structure", structure),
+            ("_compose", compose),
+        ):
+            object.__setattr__(self, key, value)
         _validate_group(self)
 
-    @property
-    def order(self) -> int:
-        return self.table.shape[0]
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The dense order x order composition table, built on first read."""
+        m = self.order
+        ids = np.arange(m)
+        table = np.empty((m, m), dtype=np.int64)
+        rows = max(1, (1 << 18) // m)
+        for start in range(0, m, rows):
+            table[start:start + rows] = self.compose(ids[start:start + rows, None], ids)
+        table.setflags(write=False)
+        return table
 
     @property
     def is_exact(self) -> bool:
@@ -77,45 +122,65 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def compose(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    def compose(self, a, b):
+        """Id of a*b, for ids or broadcastable id arrays."""
+        return self._compose(a, b)
 
     def inverse_of(self, a: int) -> int:
         return int(self.inverse[a])
+
+    def same_composition(self, other: FiniteGroup) -> bool:
+        """True when both groups have the same ids composing the same way.
+
+        Built groups compare by structure; only opaque groups, which have
+        nothing else to go by, compare their tables.
+        """
+        if self is other:
+            return True
+        if self.structure != other.structure:
+            return False
+        return self.structure != _OPAQUE or np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    # a copy, so the caller's own array stays writeable
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def _validate_group(group: FiniteGroup) -> None:
-    table = group.table
-    m = table.shape[0]
-    if table.ndim != 2 or table.shape != (m, m) or m == 0:
+    m = group.order
+    stored = group.__dict__.get("table")
+    if m == 0 or (stored is not None and (stored.ndim != 2 or stored.shape != (m, m))):
         raise ValueError(f"{group.name}: composition table must be square and non-empty")
     if m > MAX_GROUP_ORDER:
         raise ValueError(f"{group.name}: order {m} exceeds the cap {MAX_GROUP_ORDER}")
-    if table.min() < 0 or table.max() >= m:
+    # a composition derived from a structure yields ids in range by construction
+    if stored is not None and (stored.min() < 0 or stored.max() >= m):
         raise ValueError(f"{group.name}: table entries must be element ids in [0, {m})")
     if not 0 <= group.identity < m:
         raise ValueError(f"{group.name}: identity id {group.identity} out of range")
+    compose, e = group.compose, group.identity
     ids = np.arange(m)
-    if not (np.array_equal(table[group.identity], ids) and np.array_equal(table[:, group.identity], ids)):
+    if not (np.array_equal(compose(e, ids), ids) and np.array_equal(compose(ids, e), ids)):
         raise ValueError(f"{group.name}: id {group.identity} is not a two-sided identity")
     if group.inverse.shape != (m,):
         raise ValueError(f"{group.name}: inverse table has wrong shape {group.inverse.shape}")
-    if not (
-        np.all(table[group.inverse, ids] == group.identity)
-        and np.all(table[ids, group.inverse] == group.identity)
-    ):
+    if not (np.all(compose(group.inverse, ids) == e) and np.all(compose(ids, group.inverse) == e)):
         raise ValueError(f"{group.name}: inverse table is inconsistent with the composition table")
 
     if m <= _EXHAUSTIVE_ORDER:
         # left[a,b,c] = (a*b)*c, right[a,b,c] = a*(b*c)
+        table = compose(ids[:, None], ids)
         associative = np.array_equal(table[table], table[:, table])
     else:
         rng = np.random.default_rng(0)
         a, b, c = rng.integers(0, m, size=(3, _SAMPLED_CHECKS))
-        associative = np.array_equal(table[table[a, b], c], table[a, table[b, c]])
+        associative = np.array_equal(compose(compose(a, b), c), compose(a, compose(b, c)))
     if not associative:
         raise ValueError(f"{group.name}: composition table is not associative")
 
@@ -132,81 +197,95 @@ def _validate_group(group: FiniteGroup) -> None:
     else:
         rows = np.random.default_rng(1).integers(0, m, size=_EXHAUSTIVE_ORDER)
     for a in rows:
-        if np.max(np.abs(w[table[a]] - w)) > 1e-12:
+        if np.max(np.abs(w[compose(a, ids)] - w)) > 1e-12:
             raise ValueError(f"{group.name}: weights are not invariant under left translation")
 
 
-def _cyclic_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.arange(m)
-    return (ids[:, None] + ids[None, :]) % m, (-ids) % m
+def _lex_permutations(m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """All permutations of 0..m-1 in lexicographic order, and their ranker.
+
+    The ranker maps an (..., m) array of permutations to their row indices.
+    Read as base-m numerals, lex order is numeric order, so a sorted search
+    over the numerals of the rows finds each rank.
+    """
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64).reshape(-1, m)
+    place = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    numerals = perms @ place
+    return perms, lambda p: np.searchsorted(numerals, p @ place)
+
+
+def _composer(structure: tuple) -> Callable:
+    """Vectorised (a, b) -> id of a*b for the group built from ``structure``."""
+    kind = structure[0]
+    if kind in ("cyclic", "so2_quadrature"):
+        m = structure[1]
+        return lambda a, b: (a + b) % m
+    if kind == "dihedral":
+        m = structure[1]
+
+        def dihedral(a, b):
+            # ids 0..m-1 are rotations r^j, ids m..2m-1 are reflections s*r^j;
+            # a reflection on the right reverses the left factor's rotation
+            a, b = np.asarray(a), np.asarray(b)
+            reflect_b = b >= m
+            turn = np.where(reflect_b, -(a % m), a % m) + b % m
+            return m * ((a >= m) != reflect_b) + turn % m
+
+        return dihedral
+    if kind == "symmetric":
+        perms, rank = _lex_permutations(structure[1])
+
+        def symmetric(a, b):
+            a, b = np.broadcast_arrays(a, b)
+            # (sigma*tau)(v) = sigma(tau(v))
+            return rank(np.take_along_axis(perms[a], perms[b], axis=-1))
+
+        return symmetric
+    if kind == "product":
+        left, right = _composer(structure[1]), _composer(structure[2])
+        ob = _structure_order(structure[2])
+        return lambda a, b: left(a // ob, b // ob) * ob + right(a % ob, b % ob)
+    raise ValueError(f"no composition for group structure {structure!r}; pass a table")
+
+
+def _uniform(order: int) -> np.ndarray:
+    return np.full(order, 1.0 / order)
 
 
 def _build_cyclic(m: int) -> FiniteGroup:
-    table, inverse = _cyclic_tables(m)
     return FiniteGroup(
         name=f"cyclic {m}",
-        table=table,
-        inverse=inverse,
+        inverse=(-np.arange(m)) % m,
         identity=0,
-        weights=np.full(m, 1.0 / m),
+        weights=_uniform(m),
         structure=("cyclic", m),
     )
-
-
-def _perm_lex_rank(perms: np.ndarray) -> np.ndarray:
-    """Rank each row among the lexicographically ordered permutations of 0..m-1."""
-    n, m = perms.shape
-    rank = np.zeros(n, dtype=np.int64)
-    for j in range(m - 1):
-        smaller_right = np.zeros(n, dtype=np.int64)
-        for l in range(j + 1, m):
-            smaller_right += perms[:, l] < perms[:, j]
-        rank += smaller_right * math.factorial(m - 1 - j)
-    return rank
 
 
 def _build_symmetric(m: int) -> FiniteGroup:
     order = math.factorial(m)
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"symmetric {m} has {m}! = {order} elements, past the {MAX_GROUP_ORDER} cap")
-    # rows in itertools lexicographic order, so lex rank recovers the id
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64).reshape(order, m)
-    table = np.empty((order, order), dtype=np.int64)
-    block = max(1, (1 << 22) // (order * m))
-    for start in range(0, order, block):
-        sigma = perms[start:start + block]
-        # composed[b, j, v] = sigma[b][perms[j][v]], i.e. (sigma*tau)(v) = sigma(tau(v))
-        composed = sigma[:, perms]
-        table[start:start + block] = _perm_lex_rank(composed.reshape(-1, m)).reshape(sigma.shape[0], order)
-    inverse = _perm_lex_rank(np.argsort(perms, axis=1))
+    perms, rank = _lex_permutations(m)
     return FiniteGroup(
         name=f"symmetric {m}",
-        table=table,
-        inverse=inverse,
+        inverse=rank(np.argsort(perms, axis=1)),
         identity=0,
-        weights=np.full(order, 1.0 / order),
+        weights=_uniform(order),
         structure=("symmetric", m),
     )
 
 
 def _build_dihedral(m: int) -> FiniteGroup:
-    # ids 0..m-1 are rotations r^j, ids m..2m-1 are reflections s*r^j
     order = 2 * m
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"dihedral {m} has {order} elements, past the {MAX_GROUP_ORDER} cap")
     j = np.arange(m)
-    table = np.empty((order, order), dtype=np.int64)
-    table[:m, :m] = (j[:, None] + j[None, :]) % m
-    table[:m, m:] = m + (j[None, :] - j[:, None]) % m
-    table[m:, :m] = m + (j[:, None] + j[None, :]) % m
-    table[m:, m:] = (j[None, :] - j[:, None]) % m
-    inverse = np.concatenate([(-j) % m, m + j])
     return FiniteGroup(
         name=f"dihedral {m}",
-        table=table,
-        inverse=inverse,
+        inverse=np.concatenate([(-j) % m, m + j]),
         identity=0,
-        weights=np.full(order, 1.0 / order),
+        weights=_uniform(order),
         structure=("dihedral", m),
     )
 
@@ -214,13 +293,11 @@ def _build_dihedral(m: int) -> FiniteGroup:
 def _build_so2_quadrature(nodes: int) -> FiniteGroup:
     if nodes < 2:
         raise ValueError(f"so2_quadrature needs at least 2 nodes, got {nodes}")
-    table, inverse = _cyclic_tables(nodes)
     return FiniteGroup(
         name=f"so2_quadrature {nodes}",
-        table=table,
-        inverse=inverse,
+        inverse=(-np.arange(nodes)) % nodes,
         identity=0,
-        weights=np.full(nodes, 1.0 / nodes),
+        weights=_uniform(nodes),
         exactness=f"quadrature({nodes})",
         structure=("so2_quadrature", nodes),
     )
@@ -231,12 +308,10 @@ def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"product of {a.name} and {b.name} has {order} elements, past the cap")
     ob = b.order
-    table = (a.table[:, None, :, None] * ob + b.table[None, :, None, :]).reshape(order, order)
     inverse = (a.inverse[:, None] * ob + b.inverse[None, :]).reshape(order)
     exactness = "exact" if (a.is_exact and b.is_exact) else "quadrature(product)"
     return FiniteGroup(
         name=f"{a.name} * {b.name}",
-        table=table,
         inverse=inverse,
         identity=a.identity * ob + b.identity,
         weights=np.kron(a.weights, b.weights),
@@ -319,7 +394,7 @@ class Representation:
         return self.matrices[g]
 
     def inverse_matrix(self, g: int) -> np.ndarray:
-        # exact via the group table; valid even for non-orthogonal matrices
+        # exact via the group's inverse ids; valid even for non-orthogonal matrices
         return self.matrices[self.group.inverse[g]]
 
     def __repr__(self) -> str:
@@ -340,14 +415,15 @@ def _validate_representation(rep: Representation) -> None:
         raise ValueError("identity element does not map to the identity matrix")
 
     if m <= _EXHAUSTIVE_ORDER:
+        ids = np.arange(m)
         dev = 0.0
         for a in range(m):
             prod = mats[a] @ mats  # broadcasts over all b
-            dev = max(dev, float(np.max(np.abs(prod - mats[group.table[a]]))))
+            dev = max(dev, float(np.max(np.abs(prod - mats[group.compose(a, ids)]))))
     else:
         rng = np.random.default_rng(2)
         a, b = rng.integers(0, m, size=(2, _SAMPLED_CHECKS))
-        dev = float(np.max(np.abs(mats[a] @ mats[b] - mats[group.table[a, b]])))
+        dev = float(np.max(np.abs(mats[a] @ mats[b] - mats[group.compose(a, b)])))
     if dev > HOMOMORPHISM_TOL:
         raise ValueError(f"matrices are not a homomorphism: max deviation {dev:.3e}")
 
@@ -528,7 +604,7 @@ def character_inner(rep1: Representation, rep2: Representation) -> float:
     them; a non-negative near-integer for exact finite groups.
     """
     if rep1.group is not rep2.group and not (
-        np.array_equal(rep1.group.table, rep2.group.table)
+        rep1.group.same_composition(rep2.group)
         and np.array_equal(rep1.group.weights, rep2.group.weights)
     ):
         raise ValueError("representations live on different groups")

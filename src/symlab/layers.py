@@ -65,7 +65,7 @@ class LayerSpec:
         group = reps[0].group
         for rep in reps[1:]:
             if rep.group is not group and not (
-                np.array_equal(rep.group.table, group.table)
+                rep.group.same_composition(group)
                 and np.allclose(rep.group.weights, group.weights)
             ):
                 raise ValueError("all representations must be of the same group")

@@ -320,7 +320,8 @@ def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
     if n < d - 1:
         group = config.phi.group
         chi_phi = character(config.phi)
-        squares = np.diagonal(group.table)
+        ids = np.arange(group.order)
+        squares = group.compose(ids, ids)
         j_mat = np.einsum("g,g,gij->ij", group.weights, chi_phi, config.psi.matrices)
         j_mat = j_mat + np.einsum("g,gij->ij", group.weights, config.psi.matrices[squares])
         theta = config.theta

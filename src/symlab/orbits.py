@@ -338,22 +338,50 @@ class PointCloud:
         return cls(points=pts, metric=metric)
 
     def distances_to(self, centers: np.ndarray) -> np.ndarray:
-        diff = self.points[:, None, :] - centers[None, :, :]
+        """(n, k) distances from every point to each of k centers."""
+        out = np.empty((self.points.shape[0], centers.shape[0]))
+        for rows in _row_blocks(out.shape[0], centers.size):
+            out[rows] = self._distances(self.points[rows], centers)
+        return out
+
+    def medoid(self) -> int:
+        """Index of the point whose distances to all points sum least."""
+        pts = self.points
+        sums = np.empty(pts.shape[0])
+        for rows in _row_blocks(pts.shape[0], pts.size):
+            sums[rows] = self._distances(pts[rows], pts).sum(axis=1)
+        return int(np.argmin(sums))
+
+    def _distances(self, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        diff = points[:, None, :] - centers[None, :, :]
         if self.metric == "sup":
             return np.abs(diff).max(axis=2)
         return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def _farthest_first_size(cloud: PointCloud, eps: float) -> int:
-    """Length of the maximin traversal prefix with all points within eps.
+# float64 entries in one block of per-point differences (8 MB)
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(n_rows: int, row_entries: int) -> list:
+    """Row slices whose (rows, k, d) difference arrays hold about _BLOCK_ENTRIES.
+
+    Each row is reduced on its own, so the blocking leaves every value as
+    an unblocked computation gives it.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _farthest_first_size(cloud: PointCloud, eps: float, start: int) -> int:
+    """Length of the maximin traversal prefix from ``start`` with all points within eps.
 
     The prefix is simultaneously an eps-cover (every point is within eps of
     a chosen center) and an eps-packing (each new center was farther than
     eps from all previous ones).
     """
     pts = cloud.points
-    sums = cloud.distances_to(pts).sum(axis=1)
-    chosen = [int(np.argmin(sums))]  # medoid start
+    chosen = [start]
     mindist = cloud.distances_to(pts[chosen])[:, 0]
     while float(mindist.max()) > eps:
         nxt = int(np.argmax(mindist))
@@ -362,15 +390,14 @@ def _farthest_first_size(cloud: PointCloud, eps: float) -> int:
     return len(chosen)
 
 
-def covering_number(cloud: PointCloud, eps: float, mode: str = "greedy_upper") -> int:
-    """Greedy covering / packing size; the sandwich
+def covering_number(cloud: PointCloud, eps: float) -> int:
+    """Greedy covering / packing size, traversed from the medoid; the sandwich
     packing(2 eps) <= cover(eps) <= packing(eps) is asserted on every call."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    if mode not in ("greedy_upper", "packing_lower"):
-        raise ValueError(f"unknown mode {mode!r}")
-    size = _farthest_first_size(cloud, eps)
-    doubled = _farthest_first_size(cloud, 2.0 * eps)
+    start = cloud.medoid()
+    size = _farthest_first_size(cloud, eps, start)
+    doubled = _farthest_first_size(cloud, 2.0 * eps, start)
     if not doubled <= size:
         raise AssertionError("covering/packing sandwich violated")
     return size
@@ -388,7 +415,7 @@ def sample_complexity_D(
         raise ValueError("L, C_ell, t must all be > 0")
     if not output_clouds:
         raise ValueError("need at least one output cloud")
-    n_in = covering_number(domain, t / (12.0 * L * C_ell), "greedy_upper")
+    n_in = covering_number(domain, t / (12.0 * L * C_ell))
     r_out = t / (12.0 * L ** 2 * C_ell)
-    log_out = max(math.log(covering_number(fc, r_out, "greedy_upper")) for fc in output_clouds)
+    log_out = max(math.log(covering_number(fc, r_out)) for fc in output_clouds)
     return float(n_in * log_out)

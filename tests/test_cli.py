@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from symlab import cli
@@ -102,6 +103,27 @@ def test_failing_verdict_exits_1(tmp_path, monkeypatch):
         {"seed": 5, "experiments": [{"kind": "covering", "eps": 0.5}]},
     )
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_numerical_failure_exits_1_not_as_config_error(tmp_path, monkeypatch, capsys):
+    def singular(params, seed):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+
+    monkeypatch.setitem(cli._RUNNERS, "covering", singular)
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        {"seed": 5, "experiments": [{"kind": "covering", "eps": 0.5}]},
+    )
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical error: matrix is not positive definite" in err
+    assert "config error" not in err
+
+
+def test_threads_flag_is_gone(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", FAST_CONFIG)
+    with pytest.raises(SystemExit):
+        cli.main(["run", cfg, "--threads", "2"])
 
 
 def test_set_override_reaches_experiment(tmp_path):

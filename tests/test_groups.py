@@ -1,7 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from symlab.averaging import build_phi, build_psi
+from symlab.linear_gap import LinearGapConfig, closed_form_gap_equivariant, random_equivariant_target
 
 from symlab.groups import (
     FiniteGroup,
@@ -196,3 +200,98 @@ def test_large_group_sampled_validation():
     assert g.order == 5040
     rep = build_representation(g, "natural_permutation")
     assert character_inner(rep, rep) == pytest.approx(2.0, abs=1e-8)
+
+
+# ---------------------------------------------- composition without a table
+
+
+def _reference_perms(descriptor):
+    """Element-id-ordered permutations of a faithful action, written out by hand."""
+    kind, _, arg = descriptor.partition(" ")
+    m = int(arg)
+    v = np.arange(m)
+    if kind == "cyclic":
+        return [tuple((v + j) % m) for j in range(m)]
+    if kind == "dihedral":
+        return [tuple((v + j) % m) for j in range(m)] + [tuple(-(v + j) % m) for j in range(m)]
+    assert kind == "symmetric"
+    return list(itertools.permutations(range(m)))
+
+
+def _reference_table(descriptor):
+    """Dense table from composing the action's permutations: (a*b)(v) = a(b(v))."""
+    factors = []
+    for part in descriptor.split("*"):
+        perms = _reference_perms(part.strip())
+        index = {p: i for i, p in enumerate(perms)}
+        factors.append(np.array([[index[tuple(np.array(a)[list(b)])] for b in perms] for a in perms]))
+    table = factors[-1]
+    for left in reversed(factors[:-1]):
+        # product ids are a_left * |right| + a_right, composed factor-wise
+        table = (left[:, None, :, None] * len(table) + table[None, :, None, :]).reshape(
+            len(left) * len(table), -1)
+    return table
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic 5", "dihedral 4", "symmetric 4", "cyclic 2 * symmetric 3"])
+def test_vectorised_compose_matches_reference_table(descriptor):
+    g = build_group(descriptor)
+    reference = _reference_table(descriptor)
+    ids = np.arange(g.order)
+    assert np.array_equal(g.compose(ids[:, None], ids[None, :]), reference)
+    assert np.array_equal(g.compose(ids, ids), np.diagonal(reference))
+    assert np.array_equal(reference[g.inverse, ids], np.full(g.order, g.identity))
+    assert "table" not in vars(g)
+    assert np.array_equal(g.table, reference)
+    assert np.array_equal(g.compose(ids, ids), np.diagonal(g.table))
+
+
+def test_explicit_table_group_composes_by_indexing_it():
+    reference = _reference_table("dihedral 3")
+    g = FiniteGroup("d3", table=reference, inverse=[0, 2, 1, 3, 4, 5],
+                    identity=0, weights=np.full(6, 1.0 / 6.0))
+    assert np.array_equal(g.table, reference)
+    assert reference.flags.writeable
+    assert g.compose(1, 3) == reference[1, 3]
+    assert g.same_composition(build_group("dihedral 3")) is False
+    twin = FiniteGroup("twin", table=reference.copy(), inverse=g.inverse, identity=0, weights=g.weights)
+    assert g.same_composition(twin)
+
+
+def test_large_symmetric_group_never_builds_its_table():
+    tracemalloc.start()
+    try:
+        g = build_group("symmetric 7")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    rep = build_representation(g, "natural_permutation")
+    build_phi(rep)
+    assert "table" not in vars(g)
+    # spot-check products against composed permutations
+    perms = np.array(list(itertools.permutations(range(7))))
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, g.order, size=(2, 200))
+    composed = perms[g.compose(a, b)]
+    assert np.array_equal(composed, np.take_along_axis(perms[a], perms[b], axis=1))
+
+
+def _equivariant_config(rep, n):
+    theta = random_equivariant_target(build_psi(rep, rep), np.random.default_rng(14))
+    return LinearGapConfig(phi=rep, psi=rep, theta=theta, n=n, trials=10)
+
+
+def test_equivariant_closed_form_on_product_group_is_unchanged():
+    g = build_group("cyclic 2 * symmetric 3")
+    nat = build_representation(g, "natural_permutation")
+    dense = FiniteGroup("dense", table=_reference_table("cyclic 2 * symmetric 3"),
+                        inverse=g.inverse, identity=g.identity, weights=g.weights)
+    dense_nat = build_representation(dense, "explicit", matrices=nat.matrices)
+    for n in (1, 2, 3, 12):
+        assert closed_form_gap_equivariant(_equivariant_config(nat, n)) == \
+            closed_form_gap_equivariant(_equivariant_config(dense_nat, n))
+    # value from the dense-table implementation, overparameterised regime
+    big = build_representation(build_group("dihedral 6 * cyclic 5"), "natural_permutation")
+    assert closed_form_gap_equivariant(_equivariant_config(big, 4)) == \
+        pytest.approx(11.027289327765768, rel=1e-12)

@@ -197,7 +197,7 @@ def test_equivalence_demo_rejections():
 
 def test_cover_three_points_half_eps():
     cloud = PointCloud(np.array([0.0, 0.5, 1.0]))
-    assert covering_number(cloud, 0.5, "greedy_upper") == 1
+    assert covering_number(cloud, 0.5) == 1
 
 
 def _optimal_interval_cover(xs, eps):
@@ -215,7 +215,7 @@ def test_cover_uniform_hundred_points():
     rng = np.random.default_rng(49)
     xs = rng.uniform(0.0, 1.0, size=100)
     cloud = PointCloud(xs)
-    size = covering_number(cloud, 0.1, "greedy_upper")
+    size = covering_number(cloud, 0.1)
     assert 5 <= size <= 10
     assert size >= _optimal_interval_cover(xs, 0.1)
 
@@ -225,13 +225,13 @@ def test_cover_eps_at_diameter():
     pts = rng.standard_normal((30, 2))
     cloud = PointCloud(pts)
     diam = float(np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2)).max())
-    assert covering_number(cloud, diam, "greedy_upper") == 1
+    assert covering_number(cloud, diam) == 1
 
 
 def test_cover_monotone_in_eps():
     rng = np.random.default_rng(51)
     cloud = PointCloud(rng.standard_normal((60, 3)))
-    sizes = [covering_number(cloud, eps, "greedy_upper") for eps in (2.0, 1.0, 0.5, 0.25)]
+    sizes = [covering_number(cloud, eps) for eps in (2.0, 1.0, 0.5, 0.25)]
     assert sizes == sorted(sizes)
 
 
@@ -239,10 +239,8 @@ def test_packing_sandwich():
     rng = np.random.default_rng(52)
     cloud = PointCloud(rng.standard_normal((80, 2)))
     for eps in (0.3, 0.6, 1.2):
-        cover = covering_number(cloud, eps, "greedy_upper")
-        packing = covering_number(cloud, eps, "packing_lower")
-        packing_2eps = covering_number(cloud, 2.0 * eps, "packing_lower")
-        assert packing_2eps <= cover <= packing
+        # the farthest-first prefix is both the eps-cover and the eps-packing
+        assert covering_number(cloud, 2.0 * eps) <= covering_number(cloud, eps)
 
 
 def test_sup_metric_differs_from_euclidean():
@@ -250,6 +248,17 @@ def test_sup_metric_differs_from_euclidean():
     cloud_euc = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), metric="euclidean")
     assert covering_number(cloud_sup, 1.0) == 1
     assert covering_number(cloud_euc, 1.0) == 2
+
+
+def test_blockwise_distances_match_one_shot_arrays():
+    rng = np.random.default_rng(55)
+    pts = rng.standard_normal((700, 4))  # several row blocks against all 700 centers
+    diff = pts[:, None, :] - pts[None, :, :]
+    for metric, full in (("euclidean", np.sqrt((diff ** 2).sum(axis=2))),
+                         ("sup", np.abs(diff).max(axis=2))):
+        cloud = PointCloud(pts, metric=metric)
+        assert np.array_equal(cloud.distances_to(pts), full)
+        assert cloud.medoid() == int(np.argmin(full.sum(axis=1)))
 
 
 def test_point_cloud_from_file(tmp_path):
@@ -265,8 +274,6 @@ def test_covering_rejections():
     cloud = PointCloud(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         covering_number(cloud, 0.0)
-    with pytest.raises(ValueError):
-        covering_number(cloud, 1.0, mode="exact")
     with pytest.raises(ValueError):
         PointCloud(np.zeros((0, 2)))
     with pytest.raises(ValueError):
