@@ -1,8 +1,10 @@
 """Group-averaging operators.
 
-Exact averaging on linear maps (the projection matrix Phi and the
-4-index intertwiner tensor Psi), generic averaging of black-box
-predictors, test-time augmentation, and the empirical Rademacher
+``group_average`` is the one place the operator Q's Haar-weighted sum
+sum_g w(g) F(g) is taken, over the whole group or a seeded draw from
+``haar_sample``.  Beside it: exact averaging on linear maps (the projection
+matrix Phi and the 4-index intertwiner tensor Psi), black-box predictor
+averaging, test-time augmentation, and the empirical Rademacher
 complexity used by the sandwich check.
 
 Conventions: a batched predictor maps an (m, d_in) array of row vectors
@@ -25,6 +27,8 @@ __all__ = [
     "ProjectionMatrix",
     "IntertwinerTensor",
     "DecomposedPredictor",
+    "group_average",
+    "haar_sample",
     "build_phi",
     "build_psi",
     "apply_Q",
@@ -37,6 +41,30 @@ __all__ = [
 MAX_TENSOR_SIDE = 1000
 
 _PROJECTION_TOL = 1e-9
+
+
+def group_average(fn: Callable, group, elements=None, weights=None):
+    """sum_k weights[k] * fn(elements[k]), accumulated from the first term
+    in element order; by default over the whole group with its Haar weights."""
+    if weights is None:
+        weights = group.weights if elements is None else group.weights[elements]
+    elements = group.elements() if elements is None else elements
+    acc = None
+    for g, w in zip(elements, weights):
+        term = w * fn(g)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def haar_sample(group, n: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, weights) for group_average: every id with its Haar weight when n
+    is None, else n ids drawn from the Haar weights by default_rng(seed), each 1/n."""
+    if n is None:
+        return np.arange(group.order), group.weights
+    if n < 1:
+        raise ValueError(f"sampled averaging needs n >= 1 group elements, got {n}")
+    draw = np.random.default_rng(seed).choice(group.order, size=n, p=group.weights)
+    return draw, np.full(n, 1.0 / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,48 +192,34 @@ class DecomposedPredictor:
     mode: str = "exact_sum"  # or "monte_carlo"
     n_samples: int = 10_000
     seed: int = 0
-    _sampled: np.ndarray | None = field(default=None, repr=False)
+    _draw: tuple | None = field(default=None, repr=False)
+    _flat: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rep_in.group is not self.rep_out.group:
             raise ValueError("input and output representations live on different groups")
         if self.mode not in ("exact_sum", "monte_carlo"):
             raise ValueError(f"unknown averaging mode {self.mode!r}")
-        if self.mode == "monte_carlo":
-            if self.n_samples < 1:
-                raise ValueError("monte_carlo averaging needs n_samples >= 1")
-            rng = np.random.default_rng(self.seed)
-            group = self.rep_in.group
-            draw = rng.choice(group.order, size=self.n_samples, p=group.weights)
-            object.__setattr__(self, "_sampled", draw)
+        n = self.n_samples if self.mode == "monte_carlo" else None
+        object.__setattr__(self, "_draw", haar_sample(self.rep_in.group, n, self.seed))
         probe = np.zeros((2, self.rep_in.dim))
         out = np.asarray(self.base(probe))
         if out.shape not in ((2, self.rep_out.dim), (2,)):
             raise ValueError(
                 f"predictor output shape {out.shape} incompatible with output dim {self.rep_out.dim}"
             )
+        object.__setattr__(self, "_flat", out.ndim == 1)
 
     def _average(self, X: np.ndarray) -> np.ndarray:
-        group = self.rep_in.group
         phi = self.rep_in.matrices
-        psi_inv = self.rep_out.matrices[group.inverse]
-        if self.mode == "exact_sum":
-            elements = np.arange(group.order)
-            weights = group.weights
-        else:
-            elements = self._sampled
-            weights = np.full(len(elements), 1.0 / len(elements))
-        acc = None
-        for g, w in zip(elements, weights):
+        psi_inv = self.rep_out.matrices[self.rep_in.group.inverse]
+
+        def term(g):
             vals = np.asarray(self.base(X @ phi[g].T), dtype=np.float64)
-            flat = vals.ndim == 1
-            if flat:
-                vals = vals[:, None]
-            term = w * (vals @ psi_inv[g].T)
-            acc = term if acc is None else acc + term
-        if flat and self.rep_out.dim == 1:
-            return acc[:, 0]
-        return acc
+            return vals.reshape(len(X), -1) @ psi_inv[g].T
+
+        acc = group_average(term, self.rep_in.group, *self._draw)
+        return acc[:, 0] if self._flat and self.rep_out.dim == 1 else acc
 
     def symmetric_part(self, x: np.ndarray) -> np.ndarray:
         X, single = _as_batch(x, self.rep_in.dim)
@@ -245,26 +259,17 @@ def tta_average(
     n group elements i.i.d. from the Haar weights once and reuses them on
     every call; "exact" sums over the whole group and ignores n.
     """
-    group = rep_in.group
-    if mode == "exact":
-        elements = np.arange(group.order)
-        weights = group.weights
-    elif mode == "monte_carlo":
-        if n < 1:
-            raise ValueError("tta_average needs n >= 1")
-        rng = np.random.default_rng(seed)
-        elements = rng.choice(group.order, size=n, p=group.weights)
-        weights = np.full(n, 1.0 / n)
-    else:
+    if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown tta mode {mode!r}")
+    elements, weights = haar_sample(rep_in.group, n if mode == "monte_carlo" else None, seed)
     phi = rep_in.matrices
 
     def averaged(x: np.ndarray) -> np.ndarray:
         X, single = _as_batch(x, rep_in.dim)
-        acc = None
-        for g, w in zip(elements, weights):
-            term = w * np.asarray(pred(X @ phi[g].T), dtype=np.float64)
-            acc = term if acc is None else acc + term
+        acc = group_average(
+            lambda g: np.asarray(pred(X @ phi[g].T), dtype=np.float64),
+            rep_in.group, elements, weights,
+        )
         return acc[0] if single else acc
 
     return averaged

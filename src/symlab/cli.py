@@ -47,14 +47,6 @@ CSV_COLUMNS = (
     "config_hash", "seed",
 )
 
-EXPERIMENT_KINDS = (
-    "gap-linear", "gap-equivariant", "gap-kernel",
-    "verify-wishart", "verify-projection-tensor", "verify-operators",
-    "orbit-equivalence", "covering", "layer-project", "vc-bound",
-    "regularisation-bound",
-)
-
-
 class ConfigError(Exception):
     """Schema or descriptor problem; maps to exit code 2."""
 
@@ -334,6 +326,27 @@ def _run_regularisation_bound(params: dict, seed: int) -> dict:
     }
 
 
+# the keys each kind's runner reads; "kind" and "seed" are allowed on every experiment
+_PARAMS = {
+    "gap-linear": {"group", "rep", "theta", "n", "sigma_x", "sigma_xi", "trials"},
+    "gap-equivariant": {
+        "group", "rep_in", "rep_out", "theta_norm", "n", "sigma_x", "sigma_xi", "trials",
+    },
+    "gap-kernel": {
+        "group", "rep", "mu", "kernel", "theta", "n", "sigma", "rho", "trials",
+        "n_test", "n_pairs", "bias_trials",
+    },
+    "verify-wishart": {"n", "d", "trials"},
+    "verify-projection-tensor": {"n", "d", "trials"},
+    "verify-operators": {"group", "rep", "rep_out", "n_samples"},
+    "orbit-equivalence": {"cross_section", "dim", "learner", "n", "trials", "sigma"},
+    "covering": {"points_file", "points", "metric", "n", "dim", "eps"},
+    "layer-project": {"group", "reps", "weights_files", "activation", "n_samples"},
+    "vc-bound": {"group", "reps"},
+    "regularisation-bound": {"group", "rep_in", "rep_out", "activation", "sigma", "samples"},
+}
+EXPERIMENT_KINDS = tuple(_PARAMS)
+
 _RUNNERS = {
     "gap-linear": _run_gap_linear,
     "gap-equivariant": _run_gap_equivariant,
@@ -399,6 +412,12 @@ def _validate_config(config: dict) -> None:
         if exp["kind"] not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"config error: experiments[{i}].kind {exp['kind']!r} is not one of {EXPERIMENT_KINDS}"
+            )
+        unknown = sorted(set(exp) - {"kind", "seed"} - _PARAMS[exp["kind"]])
+        if unknown:
+            raise ConfigError(
+                f"config error: experiments[{i}] ({exp['kind']}) has unknown key {unknown[0]!r}; "
+                f"accepted: {sorted(_PARAMS[exp['kind']])}"
             )
 
 

@@ -385,9 +385,7 @@ class Representation:
     is_orthogonal: bool = True
 
     def __post_init__(self) -> None:
-        mats = np.ascontiguousarray(self.matrices, dtype=np.float64)
-        mats.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "matrices", _read_only(self.matrices, np.float64))
         _validate_representation(self)
 
     def matrix(self, g: int) -> np.ndarray:

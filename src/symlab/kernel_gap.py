@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .averaging import build_phi
+from .averaging import build_phi, group_average
 from .groups import Representation
 from .linear_gap import GapReport
 from .sampling import Distribution
@@ -139,12 +139,8 @@ def check_switch_condition(
     group = kernel.action.group
     mats = kernel.action.matrices
     X, Y = rng.standard_normal((2, n_pairs, kernel.dim))
-    lhs = np.zeros(n_pairs)
-    rhs = np.zeros(n_pairs)
-    for g in group.elements():
-        w = group.weights[g]
-        lhs += w * _pair_values(kernel.gram, X @ mats[g].T, Y)
-        rhs += w * _pair_values(kernel.gram, X, Y @ mats[g].T)
+    lhs = group_average(lambda g: _pair_values(kernel.gram, X @ mats[g].T, Y), group)
+    rhs = group_average(lambda g: _pair_values(kernel.gram, X, Y @ mats[g].T), group)
     violation = float(np.max(np.abs(lhs - rhs)))
     if violation <= SWITCH_VERIFY_TOL:
         return "verified", violation
@@ -162,13 +158,8 @@ class AveragedKernel:
     switch_violation: float
 
     def gram_bar(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        group = self.parent.action.group
-        mats = self.parent.action.matrices
-        out = None
-        for g in group.elements():
-            term = group.weights[g] * self.parent.gram(A, B @ mats[g].T)
-            out = term if out is None else out + term
-        return out
+        action, gram = self.parent.action, self.parent.gram
+        return group_average(lambda g: gram(A, B @ action.matrices[g].T), action.group)
 
     def gram_perp(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return self.parent.gram(A, B) - self.gram_bar(A, B)
@@ -298,6 +289,14 @@ class KrrGapConfig:
                 raise ValueError(f"f_star is not invariant under the action: deviation {dev:.3e}")
 
 
+def _perp_sq(config: KrrGapConfig, averaged: AveragedKernel, X, y, rng) -> float:
+    """Fit KRR on (X, y); mean square of its anti-symmetric part on fresh points."""
+    model = fit_krr(config.kernel, X, y, config.rho)
+    X_test = config.mu.sample(config.n_test, rng)
+    perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
+    return float((perp ** 2).mean())
+
+
 def estimate_bias_term(config: KrrGapConfig, averaged: AveragedKernel | None = None) -> tuple[float, float]:
     """Noiseless sub-procedure: fit KRR on f_star(X_i) and Monte-Carlo the
     squared anti-symmetric part of the fit on fresh points."""
@@ -307,10 +306,8 @@ def estimate_bias_term(config: KrrGapConfig, averaged: AveragedKernel | None = N
     per_trial = np.empty(config.bias_trials)
     for t in range(config.bias_trials):
         X = config.mu.sample(config.n, rng)
-        model = fit_krr(config.kernel, X, np.asarray(config.f_star(X)).reshape(-1), config.rho)
-        X_test = config.mu.sample(config.n_test, rng)
-        perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
-        per_trial[t] = float((perp ** 2).mean())
+        y = np.asarray(config.f_star(X)).reshape(-1)
+        per_trial[t] = _perp_sq(config, averaged, X, y, rng)
     se = float(per_trial.std(ddof=1) / math.sqrt(config.bias_trials)) if config.bias_trials > 1 else math.inf
     return float(per_trial.mean()), se
 
@@ -324,10 +321,7 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     for t in range(config.trials):
         X = config.mu.sample(config.n, rng)
         y = np.asarray(config.f_star(X)).reshape(-1) + config.sigma * rng.standard_normal(config.n)
-        model = fit_krr(config.kernel, X, y, config.rho)
-        X_test = config.mu.sample(config.n_test, rng)
-        perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
-        gaps[t] = float((perp ** 2).mean())
+        gaps[t] = _perp_sq(config, averaged, X, y, rng)
     mean = float(gaps.mean())
     se = float(gaps.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else math.inf
 

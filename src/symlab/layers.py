@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averaging import group_average
 from .groups import Representation, character_inner
 
 __all__ = [
@@ -197,9 +198,7 @@ def check_regularisation_bound(
     X = rng.standard_normal((samples, d)) @ sqrt_cov
     out_inv = psi_out.matrices[group.inverse]
     f = act(X @ W.T)
-    qf = np.zeros_like(f)
-    for g in group.elements():
-        qf += group.weights[g] * act(X @ psi_in.matrices[g].T @ W.T) @ out_inv[g].T
+    qf = group_average(lambda g: act(X @ psi_in.matrices[g].T @ W.T) @ out_inv[g].T, group)
     sq = ((f - qf) ** 2).sum(axis=1)
     lhs = float(sq.mean())
     lhs_se = float(sq.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf

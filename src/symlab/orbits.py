@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .averaging import build_phi
+from .averaging import build_phi, group_average
 from .groups import Representation, build_group, build_representation
 from .kernel_gap import build_averaged_kernel, fit_krr, gaussian_kernel
 from .sampling import gaussian
@@ -147,9 +147,8 @@ def averaged_loss(
     mats = rep.matrices
 
     def lbar(y: np.ndarray, y_prime: np.ndarray) -> float:
-        return float(
-            sum(weights[g] * loss(mats[g] @ y, mats[g] @ y_prime) for g in group.elements())
-        )
+        pair_loss = lambda g: loss(mats[g] @ y, mats[g] @ y_prime)
+        return float(group_average(pair_loss, group, weights=weights))
 
     return lbar
 
@@ -214,7 +213,7 @@ def default_invariant_target(action: Representation) -> Callable[[np.ndarray], n
     c = np.arange(1, action.dim + 1, dtype=np.float64) / action.dim
 
     def f_star(X: np.ndarray) -> np.ndarray:
-        return sum(group.weights[g] * np.tanh(X @ (mats[g].T @ c)) for g in group.elements())
+        return group_average(lambda g: np.tanh(X @ (mats[g].T @ c)), group)
 
     return f_star
 

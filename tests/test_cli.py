@@ -74,6 +74,35 @@ def test_unknown_kind_exits_2(tmp_path, capsys):
     assert "warp-drive" in capsys.readouterr().err
 
 
+def test_misspelt_key_exits_2_before_any_experiment_runs(tmp_path, capsys):
+    # "trails" used to be dropped, so the run silently used the default 20000 trials
+    payload = {"seed": 1, "experiments": [
+        {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
+        {"kind": "verify-wishart", "n": 12, "d": 3, "trails": 5},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "experiments[1]" in captured.err and "'trails'" in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
+    payload = {"seed": 1, "experiments": [
+        {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5, "mode": "greedy_upper"},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "experiments[0]" in err and "'mode'" in err
+
+
+@pytest.mark.parametrize("name", ["quick", "full"])
+def test_suites_use_only_accepted_keys(name):
+    cli._validate_config(cli.suite_config(name))
+
+
 def test_non_integer_seed_exits_2(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", {"seed": "abc", "experiments": [{"kind": "covering"}]})
     assert cli.main(["run", cfg]) == 2

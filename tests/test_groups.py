@@ -159,6 +159,22 @@ def test_explicit_reflection_rep():
     assert np.allclose(character(rep), [3.0, 1.0])
 
 
+def test_explicit_rep_leaves_the_callers_array_writeable():
+    g = build_group("cyclic 2")
+    mats = np.stack([np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+    rep = build_representation(g, "explicit", matrices=mats)
+    assert mats.flags.writeable
+    assert not rep.matrices.flags.writeable
+
+
+def test_explicit_rep_does_not_follow_later_writes_to_the_callers_array():
+    g = build_group("cyclic 2")
+    mats = np.stack([np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+    rep = build_representation(g, "explicit", matrices=mats)
+    mats[1] = np.eye(3)
+    assert np.array_equal(rep.matrices[1], np.diag([-1.0, 1.0, 1.0]))
+
+
 def test_explicit_non_homomorphism_rejected():
     g = build_group("cyclic 2")
     mats = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 1.0]])])
