@@ -51,8 +51,12 @@ def group_average(fn: Callable, group, elements=None, weights=None):
     elements = group.elements() if elements is None else elements
     acc = None
     for g, w in zip(elements, weights):
+        # each term is a fresh product, so adding in place mutates nothing fn returned
         term = w * fn(g)
-        acc = term if acc is None else acc + term
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     return acc
 
 

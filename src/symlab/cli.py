@@ -346,6 +346,8 @@ _PARAMS = {
     "regularisation-bound": {"group", "rep_in", "rep_out", "activation", "sigma", "samples"},
 }
 EXPERIMENT_KINDS = tuple(_PARAMS)
+# the keys _kernel_from and _mu_from read from the nested objects
+_NESTED_PARAMS = {"kernel": {"type", "bandwidth"}, "mu": {"kind", "scale", "radius"}}
 
 _RUNNERS = {
     "gap-linear": _run_gap_linear,
@@ -419,6 +421,16 @@ def _validate_config(config: dict) -> None:
                 f"config error: experiments[{i}] ({exp['kind']}) has unknown key {unknown[0]!r}; "
                 f"accepted: {sorted(_PARAMS[exp['kind']])}"
             )
+        for key in sorted(_NESTED_PARAMS.keys() & exp.keys()):
+            accepted = _NESTED_PARAMS[key]
+            if not isinstance(exp[key], dict):
+                raise ConfigError(f"config error: experiments[{i}].{key} must be a JSON object")
+            unknown = sorted(set(exp[key]) - accepted)
+            if unknown:
+                raise ConfigError(
+                    f"config error: experiments[{i}].{key} has unknown key {unknown[0]!r}; "
+                    f"accepted: {sorted(accepted)}"
+                )
 
 
 def _write_results(rows: list, out_dir: Path) -> None:

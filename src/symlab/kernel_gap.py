@@ -9,7 +9,10 @@ Kernels are evaluated through Gram callables gram(A, B)[i, j] = k(a_i, b_j).
 The averaged kernel transforms the second argument,
 kbar(x, y) = sum_g w(g) k(x, phi(g) y), so for a fitted KRR model the
 averaged predictor sum_i alpha_i kbar(x_i, .) is exactly the group
-average of the fitted function.
+average of the fitted function.  Where the base Gram and the averaged Gram
+are needed on the same points (each gap trial, and the remainder kernel
+k - kbar), the base Gram is computed once and is also the identity
+element's term of the averaged Gram.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "KrrGapConfig",
     "linear_kernel",
     "gaussian_kernel",
-    "inner_product_kernel",
     "explicit_bilinear_kernel",
     "check_switch_condition",
     "build_averaged_kernel",
@@ -87,22 +89,21 @@ def gaussian_kernel(action: Representation, bandwidth: float, Mk: float = 1.0) -
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
 
+    minus_two_h2 = -2.0 * bandwidth ** 2
+
     def gram(A, B):
-        sq = (
-            (A ** 2).sum(axis=1)[:, None]
-            + (B ** 2).sum(axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth ** 2))
+        # exp(-max((|a|^2 + |b|^2) - 2ab, 0) / 2h^2) in two buffers, with the
+        # one-line expression's operations in its order; x / -c is -x / c bit
+        # for bit, since rounding to nearest is symmetric in sign
+        ab = A @ B.T
+        ab *= 2.0
+        sq = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :]
+        np.subtract(sq, ab, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        np.divide(sq, minus_two_h2, out=sq)
+        return np.exp(sq, out=sq)
 
     return _validate_kernel(KernelSpec(f"gaussian({bandwidth!r})", action, gram, Mk))
-
-
-def inner_product_kernel(
-    action: Representation, profile: Callable[[np.ndarray], np.ndarray], Mk: float | None = None,
-    name: str = "inner_product",
-) -> KernelSpec:
-    return _validate_kernel(KernelSpec(name, action, lambda A, B: profile(A @ B.T), Mk))
 
 
 def explicit_bilinear_kernel(
@@ -114,8 +115,9 @@ def explicit_bilinear_kernel(
     return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ Y.T, Mk))
 
 
-def _pair_values(gram, X: np.ndarray, Y: np.ndarray, block: int = 256) -> np.ndarray:
-    """k(x_i, y_i) for aligned rows, computed blockwise off the Gram diagonal."""
+def _pair_values(gram, X: np.ndarray, Y: np.ndarray, block: int = 64) -> np.ndarray:
+    """k(x_i, y_i) for aligned rows, computed blockwise off the Gram diagonal;
+    only the diagonal is kept, so small blocks waste less of each Gram."""
     n = X.shape[0]
     out = np.empty(n)
     for start in range(0, n, block):
@@ -156,13 +158,34 @@ class AveragedKernel:
     parent: KernelSpec
     switch_ok: str
     switch_violation: float
+    _identity_is_eye: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        action = self.parent.action
+        object.__setattr__(self, "_identity_is_eye", bool(np.array_equal(
+            action.matrices[action.group.identity], np.eye(action.dim)
+        )))
 
     def gram_bar(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         action, gram = self.parent.action, self.parent.gram
         return group_average(lambda g: gram(A, B @ action.matrices[g].T), action.group)
 
     def gram_perp(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.parent.gram(A, B) - self.gram_bar(A, B)
+        K, Kbar = self._gram_and_bar(A, B)
+        return K - Kbar
+
+    def _gram_and_bar(self, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gram(A, B), gram_bar(A, B)) with one Gram fewer: when phi(identity)
+        is exactly I, B @ I.T is B bit for bit, so K is the identity's term."""
+        K = self.parent.gram(A, B)
+        if not self._identity_is_eye:
+            return K, self.gram_bar(A, B)
+        action, gram = self.parent.action, self.parent.gram
+        e = action.group.identity
+        Kbar = group_average(
+            lambda g: K if g == e else gram(A, B @ action.matrices[g].T), action.group
+        )
+        return K, Kbar
 
 
 def build_averaged_kernel(kernel: KernelSpec, n_pairs: int = 64, seed: int = 0) -> AveragedKernel:
@@ -228,12 +251,13 @@ def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> Krr
     Y = np.asarray(Y, dtype=np.float64)
     n = X.shape[0]
     K = kernel.gram(X, X)
-    base = K + rho * np.eye(n)
+    eye = np.eye(n)
+    base = K + rho * eye
     jitter = 1e-12 * float(np.trace(K)) / n
     alpha = None
     for attempt in range(4):
         try:
-            factor = cho_factor(base + attempt * jitter * np.eye(n), lower=True)
+            factor = cho_factor(base if attempt == 0 else base + attempt * jitter * eye, lower=True)
             alpha = cho_solve(factor, Y)
             break
         except np.linalg.LinAlgError:
@@ -293,7 +317,9 @@ def _perp_sq(config: KrrGapConfig, averaged: AveragedKernel, X, y, rng) -> float
     """Fit KRR on (X, y); mean square of its anti-symmetric part on fresh points."""
     model = fit_krr(config.kernel, X, y, config.rho)
     X_test = config.mu.sample(config.n_test, rng)
-    perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
+    # model.predict(X_test) - model.predict_averaged(X_test, averaged), sharing the base Gram
+    K, Kbar = averaged._gram_and_bar(model.X, X_test)
+    perp = K.T @ model.alpha - Kbar.T @ model.alpha
     return float((perp ** 2).mean())
 
 

@@ -98,9 +98,31 @@ def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
     assert "experiments[0]" in err and "'mode'" in err
 
 
+@pytest.mark.parametrize("nested,value,bad", [
+    # each typo used to fall back to a default: a Gaussian kernel, Gaussian inputs
+    ("kernel", {"tpye": "linear"}, "'tpye'"),
+    ("mu", {"knid": "sphere"}, "'knid'"),
+    ("mu", "sphere", "must be a JSON object"),
+])
+def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys, nested, value, bad):
+    payload = {"seed": 1, "experiments": [
+        {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
+        {"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
+         "n": 8, "rho": 1.0, "trials": 2, nested: value},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"experiments[1].{nested}" in captured.err and bad in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["quick", "full"])
 def test_suites_use_only_accepted_keys(name):
-    cli._validate_config(cli.suite_config(name))
+    config = cli.suite_config(name)
+    assert any("kernel" in exp and "mu" in exp for exp in config["experiments"])
+    cli._validate_config(config)
 
 
 def test_non_integer_seed_exits_2(tmp_path):

@@ -1,26 +1,34 @@
-"""group_average against the hand-written Haar sums it replaced.
+"""group_average and the KRR trial path against the expressions they replaced.
 
-Each ``_reference_*`` function below is the loop its caller used before the
-sums were folded into ``group_average``; the folded callers must return the
-same bits, not merely close values.  The one exception is the layer bound
-on a non-permutation output rep, whose weight now scales after the
-output-rep product instead of before it.
+Each ``_reference_*`` function below is the loop or expression its caller
+used before the sums were folded into ``group_average`` and before the
+kernel trial path shared its base Gram and built Gaussian Grams in place;
+the new code must return the same bits, not merely close values.  The one
+exception is the layer bound on a non-permutation output rep, whose weight
+now scales after the output-rep product instead of before it.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from symlab.averaging import apply_Q, group_average, haar_sample, tta_average
 from symlab.groups import build_group, build_representation
 from symlab.kernel_gap import (
     SWITCH_REFUTE_TOL,
     SWITCH_VERIFY_TOL,
+    KrrGapConfig,
     _pair_values,
+    _perp_sq,
     build_averaged_kernel,
     check_switch_condition,
+    fit_krr,
     gaussian_kernel,
     linear_kernel,
 )
+from symlab.sampling import sphere
 from symlab.layers import ACTIVATIONS, check_regularisation_bound
 from symlab.orbits import averaged_loss, default_invariant_target
 
@@ -228,3 +236,136 @@ def test_sampled_averaging_still_rejects_fewer_than_one_element():
         tta_average(lambda X: X[:, 0], rep, n=0, seed=0)
     with pytest.raises(ValueError, match="n >= 1"):
         haar_sample(rep.group, -3)
+
+
+# ------------------------------------------------------ KRR trial path
+
+
+def _reference_gaussian_gram(A, B, bandwidth):
+    sq = (
+        (A ** 2).sum(axis=1)[:, None]
+        + (B ** 2).sum(axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth ** 2))
+
+
+def _reference_fit_alpha(kernel, X, Y, rho):
+    n = X.shape[0]
+    K = kernel.gram(X, X)
+    base = K + rho * np.eye(n)
+    jitter = 1e-12 * float(np.trace(K)) / n
+    for attempt in range(4):
+        try:
+            return cho_solve(cho_factor(base + attempt * jitter * np.eye(n), lower=True), Y)
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError("reference factorization failed")
+
+
+def _reference_perp_sq(config, averaged, X, y, rng):
+    model = fit_krr(config.kernel, X, y, config.rho)
+    X_test = config.mu.sample(config.n_test, rng)
+    perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
+    return float((perp ** 2).mean())
+
+
+def _gap_config(d, ktype):
+    rep = _rep(f"cyclic {d}")
+    kernel = (
+        linear_kernel(rep, Mk=float(d)) if ktype == "linear"
+        else gaussian_kernel(rep, bandwidth=math.sqrt(d))
+    )
+    theta = np.ones(d) / math.sqrt(d)
+    return KrrGapConfig(
+        kernel=kernel, f_star=lambda X: X @ theta, mu=sphere(d),
+        n=16, sigma=1.0, rho=0.1, trials=1, seed=3, n_test=256,
+    )
+
+
+@pytest.mark.parametrize("shape_a,shape_b,same", [
+    ((64, 8), (256, 8), False),
+    ((30, 4), (30, 4), True),
+    ((1, 8), (256, 8), False),
+    ((64, 8), (1, 8), False),
+    ((1, 3), (1, 3), True),
+])
+def test_gaussian_gram_is_bitwise_the_one_line_expression(shape_a, shape_b, same):
+    d = shape_a[1]
+    bandwidth = math.sqrt(d)
+    gram = gaussian_kernel(_rep(f"cyclic {d}"), bandwidth=bandwidth).gram
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal(shape_a)
+    B = A if same else rng.standard_normal(shape_b)
+    assert np.array_equal(gram(A, B), _reference_gaussian_gram(A, B, bandwidth))
+
+
+@pytest.mark.parametrize("ktype", ["linear", "gaussian"])
+def test_pair_values_is_bitwise_the_one_shot_diagonal(ktype):
+    rep = _rep("cyclic 8")
+    spec = linear_kernel(rep) if ktype == "linear" else gaussian_kernel(rep, bandwidth=math.sqrt(8))
+    rng = np.random.default_rng(22)
+    # 1000 rows: fifteen full 64-row blocks and a ragged one
+    X, Y = rng.standard_normal((2, 1000, 8))
+    assert np.array_equal(_pair_values(spec.gram, X, Y), np.diagonal(spec.gram(X, Y)))
+    assert np.array_equal(_pair_values(spec.gram, X, X), np.diagonal(spec.gram(X, X)))
+    gram_perp = build_averaged_kernel(spec).gram_perp
+    assert np.array_equal(_pair_values(gram_perp, X, Y), np.diagonal(gram_perp(X, Y)))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("ktype", ["linear", "gaussian"])
+def test_shared_identity_trial_is_bitwise_the_predict_difference(d, ktype):
+    config = _gap_config(d, ktype)
+    averaged = build_averaged_kernel(config.kernel)
+    assert averaged._identity_is_eye
+    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(3):
+        X = config.mu.sample(config.n, rng)
+        y = config.f_star(X) + rng.standard_normal(config.n)
+        X_ref = config.mu.sample(config.n, ref_rng)
+        y_ref = config.f_star(X_ref) + ref_rng.standard_normal(config.n)
+        assert np.array_equal(fit_krr(config.kernel, X, y, config.rho).alpha,
+                              _reference_fit_alpha(config.kernel, X_ref, y_ref, config.rho))
+        assert _perp_sq(config, averaged, X, y, rng) == \
+            _reference_perp_sq(config, averaged, X_ref, y_ref, ref_rng)
+    A, B = rng.standard_normal((2, 40, d))
+    expected = config.kernel.gram(A, B) - _reference_gram_bar(config.kernel, A, B)
+    assert np.array_equal(averaged.gram_perp(A, B), expected)
+
+
+def test_identity_not_exactly_eye_falls_back_to_the_full_sum():
+    base = _rep("cyclic 4", "rotation_block 1")
+    mats = base.matrices.copy()
+    # within the homomorphism tolerance, but not bit for bit the identity
+    mats[base.group.identity, 0, 0] = np.nextafter(1.0, 0.0)
+    rep = build_representation(base.group, "explicit", matrices=mats)
+    spec = gaussian_kernel(rep, bandwidth=0.9)
+    averaged = build_averaged_kernel(spec)
+    assert not averaged._identity_is_eye
+    A, B = np.random.default_rng(24).standard_normal((2, 64, 2))
+    K, Kbar = averaged._gram_and_bar(A, B)
+    assert np.array_equal(K, spec.gram(A, B))
+    assert np.array_equal(Kbar, _reference_gram_bar(spec, A, B))
+    # the shortcut would have moved bits here
+    e = rep.group.identity
+    shared = group_average(lambda g: K if g == e else spec.gram(A, B @ mats[g].T), rep.group)
+    assert not np.array_equal(shared, Kbar)
+
+
+def test_identity_term_is_not_mutated_by_the_sum():
+    group = build_group("cyclic 4")
+    rng = np.random.default_rng(25)
+    terms = rng.standard_normal((4, 5, 6))
+    before = terms.copy()
+    group_average(lambda g: terms[g], group)
+    assert np.array_equal(terms, before)
+    # the single-term sum is fresh too, not the caller's array
+    single = group_average(lambda g: terms[g], group, [0], [1.0])
+    single += 1.0
+    assert np.array_equal(terms, before)
+
+    spec = gaussian_kernel(_rep("cyclic 8"), bandwidth=math.sqrt(8))
+    A, B = rng.standard_normal((2, 16, 8))
+    K, _ = build_averaged_kernel(spec)._gram_and_bar(A, B)
+    assert np.array_equal(K, spec.gram(A, B))
