@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -61,15 +62,9 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _rep_pair(params: dict):
-    group = build_group(params["group"])
-    rep = build_representation(group, params["rep"])
-    return group, rep
-
-
-def _invariant_theta(rep, params: dict) -> np.ndarray:
-    if "theta" in params:
-        return np.asarray(params["theta"], dtype=np.float64)
+def _invariant_theta(rep, theta) -> np.ndarray:
+    if theta is not None:
+        return np.asarray(theta, dtype=np.float64)
     phi = build_phi(rep).matrix
     theta = phi @ np.ones(rep.dim)
     norm = float(np.linalg.norm(theta))
@@ -80,192 +75,149 @@ def _invariant_theta(rep, params: dict) -> np.ndarray:
     return theta / norm
 
 
-def _mu_from(params: dict, dim: int):
-    spec = params.get("mu", {"kind": "gaussian"})
-    kind = spec.get("kind", "gaussian")
-    if kind == "gaussian":
-        return gaussian(dim, scale=float(spec.get("scale", 1.0)))
-    if kind == "sphere":
-        radius = spec.get("radius")
-        return sphere(dim, radius=None if radius is None else float(radius))
-    raise ConfigError(f"unknown mu kind {kind!r}")
+# each nested object's keys with their defaults: a None bandwidth is sqrt(d),
+# a None radius the sampler's own; "type" and "kind" take only the listed values
+_NESTED = {
+    "kernel": {"type": "gaussian", "bandwidth": None},
+    "mu": {"kind": "gaussian", "scale": 1.0, "radius": None},
+}
+_CHOICES = {"type": ("linear", "gaussian"), "kind": ("gaussian", "sphere")}
 
 
-def _kernel_from(params: dict, rep, mu):
-    spec = params.get("kernel", {"type": "gaussian"})
-    ktype = spec.get("type", "gaussian")
-    if ktype == "linear":
+def _mu_from(spec: dict, dim: int):
+    if spec["kind"] == "sphere":
+        return sphere(dim, radius=spec["radius"])
+    return gaussian(dim, scale=spec["scale"])
+
+
+def _kernel_from(spec: dict, rep, mu):
+    if spec["type"] == "linear":
         # sup k(x,x) on the support: radius^2 on a sphere, estimated otherwise
-        mk = None
-        if mu.kind == "sphere":
-            mk = float(mu.scale) ** 2
-        return linear_kernel(rep, Mk=mk)
-    if ktype == "gaussian":
-        bandwidth = float(spec.get("bandwidth", math.sqrt(rep.dim)))
-        return gaussian_kernel(rep, bandwidth=bandwidth)
-    raise ConfigError(f"unknown kernel type {ktype!r}")
+        return linear_kernel(rep, Mk=float(mu.scale) ** 2 if mu.kind == "sphere" else None)
+    bandwidth = spec["bandwidth"]
+    return gaussian_kernel(rep, bandwidth=math.sqrt(rep.dim) if bandwidth is None else bandwidth)
 
 
-def _run_gap_linear(params: dict, seed: int) -> dict:
-    _, rep = _rep_pair(params)
-    theta = _invariant_theta(rep, params)
+def _gap_row(report, rep, k: int, n: int, trials: int, **cells) -> dict:
+    """The cells every gap runner reports, from its GapReport and its input representation."""
+    return {
+        "d": rep.dim, "k": k, "n": n, "group": rep.group.name, "dim_A": report.dim_A,
+        "trials": trials, "mc_mean": report.mc_gap_mean, "mc_se": report.mc_gap_se,
+        "closed_form": report.closed_form, "verdict": report.verdict, **cells,
+    }
+
+
+# Each runner's keyword-only parameters are its kind's config keys; see _runner_kwargs.
+def _run_gap_linear(
+    seed: int, *, group, rep, n: int, theta=None,
+    sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
+) -> dict:
+    rep = build_representation(build_group(group), rep)
     config = invariant_config(
-        rep, theta, int(params["n"]),
-        sigma_x=float(params.get("sigma_x", 1.0)),
-        sigma_xi=float(params.get("sigma_xi", 1.0)),
-        trials=int(params.get("trials", 10_000)),
-        seed=seed,
+        rep, _invariant_theta(rep, theta), n,
+        sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
     report = monte_carlo_gap(config, experiment="gap-linear")
-    return {
-        "experiment": "gap-linear", "d": rep.dim, "k": 1, "n": config.n,
-        "group": rep.group.name, "dim_A": report.dim_A,
-        "sigma_x": config.sigma_x, "sigma_xi": config.sigma_xi,
-        "trials": config.trials, "mc_mean": report.mc_gap_mean,
-        "mc_se": report.mc_gap_se, "closed_form": report.closed_form,
-        "verdict": report.verdict,
-    }
+    return _gap_row(report, rep, 1, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
 
 
-def _run_gap_equivariant(params: dict, seed: int) -> dict:
-    group = build_group(params["group"])
-    rep_in = build_representation(group, params["rep_in"])
-    rep_out = build_representation(group, params["rep_out"])
-    tensor = build_psi(rep_in, rep_out)
+def _run_gap_equivariant(
+    seed: int, *, group, rep_in, rep_out, n: int, theta_norm: float = 1.0,
+    sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
+) -> dict:
+    group = build_group(group)
+    rep_in = build_representation(group, rep_in)
+    rep_out = build_representation(group, rep_out)
     theta = random_equivariant_target(
-        tensor, np.random.default_rng((seed, 13)),
-        fro_norm=float(params.get("theta_norm", 1.0)),
+        build_psi(rep_in, rep_out), np.random.default_rng((seed, 13)), fro_norm=theta_norm,
     )
     config = LinearGapConfig(
-        phi=rep_in, psi=rep_out, theta=theta, n=int(params["n"]),
-        sigma_x=float(params.get("sigma_x", 1.0)),
-        sigma_xi=float(params.get("sigma_xi", 1.0)),
-        trials=int(params.get("trials", 10_000)),
-        seed=seed,
+        phi=rep_in, psi=rep_out, theta=theta, n=n,
+        sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
     report = monte_carlo_gap(config, experiment="gap-equivariant")
-    return {
-        "experiment": "gap-equivariant", "d": rep_in.dim, "k": rep_out.dim,
-        "n": config.n, "group": group.name, "dim_A": report.dim_A,
-        "sigma_x": config.sigma_x, "sigma_xi": config.sigma_xi,
-        "trials": config.trials, "mc_mean": report.mc_gap_mean,
-        "mc_se": report.mc_gap_se, "closed_form": report.closed_form,
-        "verdict": report.verdict,
-    }
+    return _gap_row(report, rep_in, rep_out.dim, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
 
 
-def _run_gap_kernel(params: dict, seed: int) -> dict:
-    _, rep = _rep_pair(params)
-    mu = _mu_from(params, rep.dim)
-    kernel = _kernel_from(params, rep, mu)
-    theta = _invariant_theta(rep, params)
+def _run_gap_kernel(
+    seed: int, *, group, rep, n: int, rho: float, mu: dict = _NESTED["mu"],
+    kernel: dict = _NESTED["kernel"], theta=None, sigma: float = 1.0, trials: int = 2000,
+    n_test: int = 256, n_pairs: int = 4000, bias_trials: int = 200,
+) -> dict:
+    rep = build_representation(build_group(group), rep)
+    mu = _mu_from(mu, rep.dim)
+    kernel = _kernel_from(kernel, rep, mu)
+    theta = _invariant_theta(rep, theta)
     config = KrrGapConfig(
-        kernel=kernel,
-        f_star=lambda X: X @ theta,
-        mu=mu,
-        n=int(params["n"]),
-        sigma=float(params.get("sigma", 1.0)),
-        rho=float(params["rho"]),
-        trials=int(params.get("trials", 2000)),
-        seed=seed,
-        n_test=int(params.get("n_test", 256)),
-        n_pairs=int(params.get("n_pairs", 4000)),
-        bias_trials=int(params.get("bias_trials", 200)),
+        kernel=kernel, f_star=lambda X: X @ theta, mu=mu, n=n, sigma=sigma, rho=rho,
+        trials=trials, seed=seed, n_test=n_test, n_pairs=n_pairs, bias_trials=bias_trials,
     )
     report = krr_gap_experiment(config)
     meta = report.metadata
-    return {
-        "experiment": "gap-kernel", "d": rep.dim, "k": 1, "n": config.n,
-        "group": rep.group.name, "dim_A": report.dim_A,
-        "sigma_xi": config.sigma, "trials": config.trials,
-        "mc_mean": report.mc_gap_mean, "mc_se": report.mc_gap_se,
-        "closed_form": report.closed_form, "verdict": report.verdict,
-        "rho": meta["rho"], "Mk": meta["Mk"], "N_kperp": meta["N_kperp"],
-        "bound_bias": meta["bound_bias"], "bound_variance": meta["bound_variance"],
-    }
+    bound = {key: meta[key] for key in ("rho", "Mk", "N_kperp", "bound_bias", "bound_variance")}
+    return _gap_row(report, rep, 1, n, trials, sigma_xi=sigma, **bound)
 
 
-def _run_verify_wishart(params: dict, seed: int) -> dict:
-    n, d = int(params["n"]), int(params["d"])
-    trials = int(params.get("trials", 20_000))
+def _run_verify_wishart(seed: int, *, n: int, d: int, trials: int = 20_000) -> dict:
     report = verify_wishart(n, d, trials, seed)
-    diag_mean = float(np.trace(report.entry_mean) / d)
-    diag_se = float(np.mean(np.diagonal(report.entry_se)))
     return {
-        "experiment": "verify-wishart", "d": d, "n": n, "trials": trials,
-        "mc_mean": diag_mean, "mc_se": diag_se,
+        "d": d, "n": n, "trials": trials,
+        "mc_mean": float(np.trace(report.entry_mean) / d),
+        "mc_se": float(np.mean(np.diagonal(report.entry_se))),
         "closed_form": report.coefficient, "verdict": report.verdict,
     }
 
 
-def _run_verify_projection_tensor(params: dict, seed: int) -> dict:
-    n, d = int(params["n"]), int(params["d"])
-    trials = int(params.get("trials", 20_000))
+def _run_verify_projection_tensor(seed: int, *, n: int, d: int, trials: int = 20_000) -> dict:
     report = verify_projection_tensor(n, d, trials, seed)
     return {
-        "experiment": "verify-projection-tensor", "d": d, "n": n,
-        "trials": trials, "mc_mean": report.alpha_hat, "mc_se": report.alpha_se,
+        "d": d, "n": n, "trials": trials, "mc_mean": report.alpha_hat, "mc_se": report.alpha_se,
         "closed_form": report.alpha, "verdict": report.verdict,
     }
 
 
-def _run_verify_operators(params: dict, seed: int) -> dict:
-    group = build_group(params["group"])
-    rep_in = build_representation(group, params["rep"])
-    rep_out = None
-    if "rep_out" in params:
-        rep_out = build_representation(group, params["rep_out"])
-    out = verify_operator_identities(
-        rep_in, rep_out=rep_out, n_samples=int(params.get("n_samples", 100_000)), seed=seed
-    )
+def _run_verify_operators(seed: int, *, group, rep, rep_out=None, n_samples: int = 100_000) -> dict:
+    group = build_group(group)
+    rep = build_representation(group, rep)
+    if rep_out is not None:
+        rep_out = build_representation(group, rep_out)
+    out = verify_operator_identities(rep, rep_out=rep_out, n_samples=n_samples, seed=seed)
     return {
-        "experiment": "verify-operators", "d": rep_in.dim,
-        "k": rep_out.dim if rep_out is not None else 1,
-        "group": group.name, "trials": int(params.get("n_samples", 100_000)),
+        "d": rep.dim, "k": rep_out.dim if rep_out is not None else 1,
+        "group": group.name, "trials": n_samples,
         "mc_mean": out["inner_mean"], "mc_se": out["inner_se"],
         "closed_form": 0.0, "verdict": out["verdict"],
     }
 
 
-def _run_orbit_equivalence(params: dict, seed: int) -> dict:
-    cs = build_cross_section(params["cross_section"], dim=params.get("dim"))
-    report = equivalence_demo(
-        params["learner"], cs,
-        n=int(params.get("n", 64)),
-        trials=int(params.get("trials", 4)),
-        sigma=float(params.get("sigma", 0.1)),
-        seed=seed,
-    )
+def _run_orbit_equivalence(
+    seed: int, *, cross_section, learner, dim=None, n: int = 64, trials: int = 4,
+    sigma: float = 0.1,
+) -> dict:
+    cs = build_cross_section(cross_section, dim=dim)
+    report = equivalence_demo(learner, cs, n=n, trials=trials, sigma=sigma, seed=seed)
     return {
-        "experiment": "orbit-equivalence", "d": cs.dim,
-        "n": int(params.get("n", 64)), "group": cs.action.group.name,
-        "trials": int(params.get("trials", 4)),
+        "d": cs.dim, "n": n, "group": cs.action.group.name, "trials": trials,
         "mc_mean": report.risk_original, "mc_se": report.risk_deviation,
         "closed_form": report.risk_projected, "verdict": report.verdict,
     }
 
 
-def _run_covering(params: dict, seed: int) -> dict:
-    if "points_file" in params:
-        cloud = PointCloud.from_file(params["points_file"], metric=params.get("metric", "euclidean"))
-    elif "points" in params:
-        cloud = PointCloud(np.asarray(params["points"], dtype=np.float64),
-                           metric=params.get("metric", "euclidean"))
+def _run_covering(
+    seed: int, *, eps: float, points_file=None, points=None, metric="euclidean",
+    n: int = 100, dim: int = 2,
+) -> dict:
+    if points_file is not None:
+        cloud = PointCloud.from_file(points_file, metric=metric)
+    elif points is not None:
+        cloud = PointCloud(np.asarray(points, dtype=np.float64), metric=metric)
     else:
-        rng = np.random.default_rng(seed)
-        cloud = PointCloud(rng.standard_normal((int(params.get("n", 100)), int(params.get("dim", 2)))),
-                           metric=params.get("metric", "euclidean"))
-    size = covering_number(cloud, float(params["eps"]))
+        cloud = PointCloud(np.random.default_rng(seed).standard_normal((n, dim)), metric=metric)
+    size = covering_number(cloud, eps)
     return {
-        "experiment": "covering", "d": cloud.points.shape[1],
-        "n": cloud.points.shape[0], "mc_mean": float(size),
+        "d": cloud.points.shape[1], "n": cloud.points.shape[0], "mc_mean": float(size),
         "verdict": "pass",
     }
-
-
-def _layer_reps(params: dict):
-    group = build_group(params["group"])
-    return group, tuple(build_representation(group, r) for r in params["reps"])
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -275,79 +227,55 @@ def _load_matrix(path: str) -> np.ndarray:
         return np.atleast_2d(np.loadtxt(path, delimiter=","))
 
 
-def _run_layer_project(params: dict, seed: int) -> dict:
-    group, reps = _layer_reps(params)
-    if "weights_files" in params:
-        weights = tuple(_load_matrix(p) for p in params["weights_files"])
+def _run_layer_project(
+    seed: int, *, group, reps, weights_files=None, activation="relu", n_samples: int = 1000
+) -> dict:
+    group = build_group(group)
+    reps = tuple(build_representation(group, r) for r in reps)
+    if weights_files is not None:
+        weights = tuple(_load_matrix(p) for p in weights_files)
     else:
         rng = np.random.default_rng(seed)
         weights = tuple(
             rng.standard_normal((reps[i + 1].dim, reps[i].dim)) for i in range(len(reps) - 1)
         )
-    spec = LayerSpec(reps=reps, weights=weights, activation=params.get("activation", "relu"))
-    tied = project_spec(spec)
-    report = equivariance_report(tied, n_samples=int(params.get("n_samples", 1000)), seed=seed)
+    tied = project_spec(LayerSpec(reps=reps, weights=weights, activation=activation))
+    report = equivariance_report(tied, n_samples=n_samples, seed=seed)
     verdict = "pass" if report.violation <= 1e-8 else "fail"
     return {
-        "experiment": "layer-project", "d": reps[0].dim, "k": reps[-1].dim,
+        "d": reps[0].dim, "k": reps[-1].dim,
         "group": group.name, "trials": report.samples,
         "mc_mean": report.violation, "closed_form": 0.0, "verdict": verdict,
     }
 
 
-def _run_vc_bound(params: dict, seed: int) -> dict:
-    group, reps = _layer_reps(params)
-    bound = vc_bound(reps)
+def _run_vc_bound(seed: int, *, group, reps) -> dict:
+    group = build_group(group)
+    reps = tuple(build_representation(group, r) for r in reps)
     return {
-        "experiment": "vc-bound", "d": reps[0].dim, "k": reps[-1].dim,
-        "group": group.name, "mc_mean": bound, "verdict": "pass",
+        "d": reps[0].dim, "k": reps[-1].dim,
+        "group": group.name, "mc_mean": vc_bound(reps), "verdict": "pass",
     }
 
 
-def _run_regularisation_bound(params: dict, seed: int) -> dict:
-    group = build_group(params["group"])
-    rep_in = build_representation(group, params["rep_in"])
-    rep_out = build_representation(group, params["rep_out"])
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((rep_out.dim, rep_in.dim))
+def _run_regularisation_bound(
+    seed: int, *, group, rep_in, rep_out, activation="relu", sigma: float = 1.0,
+    samples: int = 10_000,
+) -> dict:
+    group = build_group(group)
+    rep_in = build_representation(group, rep_in)
+    rep_out = build_representation(group, rep_out)
+    W = np.random.default_rng(seed).standard_normal((rep_out.dim, rep_in.dim))
     out = check_regularisation_bound(
-        W, rep_in, rep_out,
-        activation=params.get("activation", "relu"),
-        sigma=float(params.get("sigma", 1.0)),
-        samples=int(params.get("samples", 10_000)),
-        seed=seed,
+        W, rep_in, rep_out, activation=activation, sigma=sigma, samples=samples, seed=seed,
     )
     return {
-        "experiment": "regularisation-bound", "d": rep_in.dim, "k": rep_out.dim,
-        "group": group.name, "sigma_x": float(params.get("sigma", 1.0)),
-        "trials": int(params.get("samples", 10_000)),
+        "d": rep_in.dim, "k": rep_out.dim,
+        "group": group.name, "sigma_x": sigma, "trials": samples,
         "mc_mean": out["lhs_mean"], "mc_se": out["lhs_se"],
         "closed_form": out["middle_bound"], "verdict": out["verdict"],
     }
 
-
-# the keys each kind's runner reads; "kind" and "seed" are allowed on every experiment
-_PARAMS = {
-    "gap-linear": {"group", "rep", "theta", "n", "sigma_x", "sigma_xi", "trials"},
-    "gap-equivariant": {
-        "group", "rep_in", "rep_out", "theta_norm", "n", "sigma_x", "sigma_xi", "trials",
-    },
-    "gap-kernel": {
-        "group", "rep", "mu", "kernel", "theta", "n", "sigma", "rho", "trials",
-        "n_test", "n_pairs", "bias_trials",
-    },
-    "verify-wishart": {"n", "d", "trials"},
-    "verify-projection-tensor": {"n", "d", "trials"},
-    "verify-operators": {"group", "rep", "rep_out", "n_samples"},
-    "orbit-equivalence": {"cross_section", "dim", "learner", "n", "trials", "sigma"},
-    "covering": {"points_file", "points", "metric", "n", "dim", "eps"},
-    "layer-project": {"group", "reps", "weights_files", "activation", "n_samples"},
-    "vc-bound": {"group", "reps"},
-    "regularisation-bound": {"group", "rep_in", "rep_out", "activation", "sigma", "samples"},
-}
-EXPERIMENT_KINDS = tuple(_PARAMS)
-# the keys _kernel_from and _mu_from read from the nested objects
-_NESTED_PARAMS = {"kernel": {"type", "bandwidth"}, "mu": {"kind", "scale", "radius"}}
 
 _RUNNERS = {
     "gap-linear": _run_gap_linear,
@@ -362,6 +290,74 @@ _RUNNERS = {
     "vc-bound": _run_vc_bound,
     "regularisation-bound": _run_regularisation_bound,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
+
+def _cast(where: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        message = f"config error: {where} is {value!r}, not a valid {cast.__name__}"
+        raise ConfigError(message) from None
+
+
+def _reject_unknown(where: str, given: dict, accepted) -> None:
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"config error: {where} has unknown key {unknown[0]!r}; accepted: {sorted(accepted)}"
+        )
+
+
+def _nested(where: str, spec, schema: dict) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config error: {where} must be a JSON object")
+    _reject_unknown(where, spec, schema)
+    resolved = {}
+    for key, default in schema.items():
+        value = spec.get(key, default)
+        if key in _CHOICES:
+            if value not in _CHOICES[key]:
+                raise ConfigError(
+                    f"config error: {where}.{key} is {value!r}, not one of {_CHOICES[key]}"
+                )
+        elif value is not None or default is not None:
+            value = _cast(f"{where}.{key}", value, float)
+        resolved[key] = value
+    return resolved
+
+
+def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
+    """Check ``params`` against the kind's runner signature and return its keyword arguments.
+
+    A parameter without a default is a required key; an ``int``/``float``
+    annotation casts the value; a ``dict`` one is a nested object whose
+    default, an ``_NESTED`` entry, lists its keys.  Absent keys keep the
+    runner's defaults.
+    """
+    accepted = {
+        name: param
+        for name, param in inspect.signature(_RUNNERS[kind], eval_str=True).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    }
+    _reject_unknown(f"{where} ({kind})", params, accepted)
+    kwargs = {}
+    for name, param in accepted.items():
+        key = f"{where}.{name}"
+        if name not in params:
+            if param.default is param.empty:
+                raise ConfigError(f"config error: {key} is missing; {kind} requires it")
+        elif param.annotation is dict:
+            kwargs[name] = _nested(key, params[name], param.default)
+        elif param.annotation in (int, float):
+            kwargs[name] = _cast(key, params[name], param.annotation)
+        else:
+            kwargs[name] = params[name]
+    return kwargs
+
+
+def _experiment_params(exp: dict) -> dict:
+    return {key: val for key, val in exp.items() if key not in ("kind", "seed")}
 
 
 def _config_hash(kind: str, params: dict, seed: int) -> str:
@@ -373,9 +369,9 @@ def run_experiment(kind: str, params: dict, seed: int) -> dict:
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
     row = {key: "" for key in CSV_COLUMNS}
-    row.update(_RUNNERS[kind](params, seed))
-    row["config_hash"] = _config_hash(kind, params, seed)
-    row["seed"] = seed
+    row.update(_RUNNERS[kind](seed, **_runner_kwargs(kind, params, "params")))
+    # the params as written, so that filling in a default never moves a hash
+    row.update(experiment=kind, config_hash=_config_hash(kind, params, seed), seed=seed)
     return row
 
 
@@ -389,13 +385,17 @@ def _apply_override(config: dict, assignment: str) -> None:
         value = raw
     keys = path.split(".")
     node = config
-    for key in keys[:-1]:
-        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    try:
+        for key in keys[:-1]:
+            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+        last = keys[-1]
+        if isinstance(node, list):
+            node[int(last)] = value
+        else:
+            node[last] = value
+    except (AttributeError, IndexError, TypeError, ValueError):
+        # a list index that is out of range or not an integer, or a key under a scalar
+        raise ConfigError(f"config error: override path {path!r} does not fit the config") from None
 
 
 def _validate_config(config: dict) -> None:
@@ -415,22 +415,10 @@ def _validate_config(config: dict) -> None:
             raise ConfigError(
                 f"config error: experiments[{i}].kind {exp['kind']!r} is not one of {EXPERIMENT_KINDS}"
             )
-        unknown = sorted(set(exp) - {"kind", "seed"} - _PARAMS[exp["kind"]])
-        if unknown:
-            raise ConfigError(
-                f"config error: experiments[{i}] ({exp['kind']}) has unknown key {unknown[0]!r}; "
-                f"accepted: {sorted(_PARAMS[exp['kind']])}"
-            )
-        for key in sorted(_NESTED_PARAMS.keys() & exp.keys()):
-            accepted = _NESTED_PARAMS[key]
-            if not isinstance(exp[key], dict):
-                raise ConfigError(f"config error: experiments[{i}].{key} must be a JSON object")
-            unknown = sorted(set(exp[key]) - accepted)
-            if unknown:
-                raise ConfigError(
-                    f"config error: experiments[{i}].{key} has unknown key {unknown[0]!r}; "
-                    f"accepted: {sorted(accepted)}"
-                )
+        seed = exp.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"config error: experiments[{i}].seed must be an integer")
+        _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
 
 
 def _write_results(rows: list, out_dir: Path) -> None:
@@ -448,10 +436,9 @@ def run_config(config: dict, out_dir: Path) -> int:
     rows = []
     all_pass = True
     for idx, exp in enumerate(config["experiments"]):
-        params = {key: val for key, val in exp.items() if key not in ("kind", "seed")}
         seed = exp.get("seed", base_seed + idx)
         start = time.perf_counter()
-        row = run_experiment(exp["kind"], params, seed)
+        row = run_experiment(exp["kind"], _experiment_params(exp), seed)
         elapsed = time.perf_counter() - start
         rows.append(row)
         all_pass &= row["verdict"] == "pass"

@@ -1,6 +1,8 @@
 """Harness behaviour: config validation, determinism, exit codes, output files."""
 
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,13 @@ def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
     ("kernel", {"tpye": "linear"}, "'tpye'"),
     ("mu", {"knid": "sphere"}, "'knid'"),
     ("mu", "sphere", "must be a JSON object"),
+    # each bad value used to fail only when its experiment ran, after the ones before it
+    ("kernel", {"type": "poly"}, "kernel.type is 'poly'"),
+    ("kernel", {"bandwidth": "wide"}, "kernel.bandwidth is 'wide'"),
+    ("mu", {"kind": "cube"}, "mu.kind is 'cube'"),
+    ("mu", {"scale": None}, "mu.scale is None"),
+    ("n", "ten", "n is 'ten'"),
+    ("seed", "x", "seed must be an integer"),  # used to raise TypeError in numpy
 ])
 def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys, nested, value, bad):
     payload = {"seed": 1, "experiments": [
@@ -114,6 +123,20 @@ def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys,
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert f"experiments[1].{nested}" in captured.err and bad in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_required_key_exits_2_before_any_experiment_runs(tmp_path, capsys):
+    # used to surface as "config error: 'n'" once the experiments before it had run
+    payload = {"seed": 1, "experiments": [
+        {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
+        {"kind": "gap-linear", "group": "symmetric 2", "rep": "trivial 1"},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "experiments[1].n is missing" in captured.err
     assert "verdict" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -145,7 +168,7 @@ def test_unknown_suite_exits_2(tmp_path):
 
 
 def test_failing_verdict_exits_1(tmp_path, monkeypatch):
-    def rigged(params, seed):
+    def rigged(seed, *, eps):
         return {"experiment": "covering", "verdict": "fail"}
 
     monkeypatch.setitem(cli._RUNNERS, "covering", rigged)
@@ -157,7 +180,7 @@ def test_failing_verdict_exits_1(tmp_path, monkeypatch):
 
 
 def test_numerical_failure_exits_1_not_as_config_error(tmp_path, monkeypatch, capsys):
-    def singular(params, seed):
+    def singular(seed, *, eps):
         raise np.linalg.LinAlgError("matrix is not positive definite")
 
     monkeypatch.setitem(cli._RUNNERS, "covering", singular)
@@ -200,6 +223,18 @@ def test_malformed_override_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", FAST_CONFIG)
     assert cli.main(["run", cfg, "--set", "no_equals_sign"]) == 2
     assert "no_equals_sign" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", [
+    "experiments.9.n=5",  # used to raise IndexError
+    "seed.x=5",  # used to raise TypeError
+])
+def test_override_path_outside_config_exits_2(tmp_path, capsys, assignment):
+    cfg = _write_config(tmp_path / "cfg.json", FAST_CONFIG)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out"), "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: override path {assignment.split('=')[0]!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_seed_field_wins(tmp_path):
@@ -262,3 +297,95 @@ def test_suite_config_covers_every_kind():
     q = next(e for e in config["experiments"] if e["kind"] == "verify-wishart")
     f = next(e for e in full["experiments"] if e["kind"] == "verify-wishart")
     assert f["trials"] == 10 * q["trials"]
+
+
+# one experiment of each kind, several leaving keys to their defaults
+ROW_CONFIG = {"seed": 3, "experiments": [
+    {"kind": "gap-linear", "group": "symmetric 2", "rep": "direct_sum trivial 3 + sign",
+     "n": 10, "trials": 300},
+    {"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
+     "rep_out": "natural_permutation", "n": 12, "sigma_x": 2, "trials": 300},
+    {"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
+     "mu": {"kind": "sphere", "radius": 2}, "n": 8, "rho": 1, "trials": 20, "n_test": 16,
+     "n_pairs": 1000, "bias_trials": 10},
+    {"kind": "verify-wishart", "n": 12, "d": 3, "trials": 1000},
+    {"kind": "verify-projection-tensor", "n": 2, "d": 3, "trials": 1000},
+    {"kind": "verify-operators", "group": "cyclic 4", "rep": "rotation_block 1",
+     "rep_out": "natural_permutation", "n_samples": 500},
+    {"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate", "dim": 2,
+     "learner": "invariant_least_squares", "n": 16, "trials": 2},
+    {"kind": "covering", "n": 40, "dim": 2, "eps": 1},
+    {"kind": "layer-project", "group": "symmetric 3",
+     "reps": ["natural_permutation"] * 3, "n_samples": 50},
+    {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 2},
+    {"kind": "regularisation-bound", "group": "symmetric 3", "rep_in": "natural_permutation",
+     "rep_out": "natural_permutation", "samples": 1000},
+]}
+# ROW_CONFIG's results.csv rows; the statistics' last bits depend on the BLAS build
+ROW_EXPECTED = [
+    "gap-linear,4,1,10,symmetric 2,1.0,1.0,1.0,300,0.22150685575257248,0.02676241932210699,0.2,"
+    "pass,,,,,,6581f66b83e8,3",
+    "gap-equivariant,3,3,12,symmetric 3,7.0,2.0,1.0,300,0.8209128450954241,0.033485882452420644,"
+    "0.875,pass,,,,,,d1ffb2952da9,4",
+    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.08611189415783042,0.014673948473756457,"
+    "0.0284689573322112,pass,1.0,1.0,0.05456819361372526,0.02307950611110253,"
+    "0.005389451221108668,9d53a806db68,5",
+    "verify-wishart,3,,12,,,,,1000,0.12563210603648753,0.002251526189879003,0.125,"
+    "pass,,,,,,381d78f89897,6",
+    "verify-projection-tensor,3,,2,,,,,1000,0.4003250057374755,0.0009549625133634349,"
+    "0.39999999999999997,pass,,,,,,430f2a77ea28,7",
+    "verify-operators,2,4,,cyclic 4,,,,500,0.008125552003186398,0.01294522104638557,0.0,"
+    "pass,,,,,,0f1c5ae2447a,8",
+    "orbit-equivalence,2,,16,cyclic 2,,,,2,0.02232800539513579,0.0,0.02232800539513579,"
+    "pass,,,,,,26abaa2957ec,9",
+    "covering,2,,40,,,,,,8.0,,,pass,,,,,,71ef571c0353,10",
+    "layer-project,3,3,,symmetric 3,,,,50,2.220446049250313e-16,,0.0,pass,,,,,,99d71359a00d,11",
+    "vc-bound,3,3,,symmetric 3,,,,,15.075197125170574,,,pass,,,,,,806af7c6a44c,12",
+    "regularisation-bound,3,3,,symmetric 3,,1.0,,1000,6.057069143933699,0.30615415073911934,"
+    "33.838015937207224,pass,,,,,,a97decb22b56,13",
+]
+STATISTICS = {"mc_mean", "mc_se", "closed_form", "Mk", "N_kperp", "bound_bias", "bound_variance"}
+
+
+def test_each_kind_writes_its_row_format(tmp_path):
+    # pins the hash of the keys as written and each cell's int/float type
+    assert [exp["kind"] for exp in ROW_CONFIG["experiments"]] == list(cli.EXPERIMENT_KINDS)
+    cfg = _write_config(tmp_path / "cfg.json", ROW_CONFIG)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "results.csv").read_text().splitlines()[2:]
+    assert len(lines) == len(ROW_EXPECTED)
+    for line, expected in zip(lines, ROW_EXPECTED):
+        cells = line.split(",")
+        assert len(cells) == len(cli.CSV_COLUMNS)
+        for column, got, want in zip(cli.CSV_COLUMNS, cells, expected.split(",")):
+            if column in STATISTICS and want:
+                assert got == repr(float(got)), (column, line)
+                assert float(got) == pytest.approx(float(want)), (column, line)
+            else:
+                assert got == want, (column, line)
+
+
+def _readme_kind_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[0].strip("`") in cli.EXPERIMENT_KINDS:
+            rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+def test_readme_lists_each_kinds_keys_and_defaults():
+    rows = _readme_kind_rows()
+    assert set(rows) == set(cli.EXPERIMENT_KINDS)
+    for kind, runner in cli._RUNNERS.items():
+        required, optional = rows[kind]
+        for param in inspect.signature(runner).parameters.values():
+            if param.kind is not param.KEYWORD_ONLY:
+                continue
+            if param.default is param.empty:
+                assert f"`{param.name}`" in required, (kind, param.name)
+            elif param.default is None or isinstance(param.default, dict):
+                assert f"`{param.name}` (" in optional, (kind, param.name)
+            else:
+                assert f"`{param.name}` ({json.dumps(param.default)})" in optional, (kind, param.name)
