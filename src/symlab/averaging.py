@@ -133,7 +133,8 @@ class IntertwinerTensor:
         return W - self.apply(W)
 
     def complement_batch(self, Ws: np.ndarray) -> np.ndarray:
-        return Ws - self.apply_batch(Ws)
+        out = self.apply_batch(Ws)
+        return np.subtract(Ws, out, out=out)
 
 
 def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTensor:

@@ -294,7 +294,11 @@ EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def _cast(where: str, value, cast):
+    """``cast(value)``, refusing a bool, and for an int key a float with a fractional part."""
+    truncated = cast is int and isinstance(value, float) and not value.is_integer()
     try:
+        if isinstance(value, bool) or truncated:
+            raise ValueError  # int() would take either without a word
         return cast(value)
     except (TypeError, ValueError):
         message = f"config error: {where} is {value!r}, not a valid {cast.__name__}"

@@ -2,13 +2,18 @@
 random-design least squares with invariant and equivariant targets,
 plus the random-matrix facts the formulas rest on.
 
-Trials run sequentially in fixed-size chunks in trial-index order, so
-results are deterministic for a given seed.
+Trials run in fixed-size chunks.  Every chunk is drawn on the calling
+thread in trial-index order, so the random stream is the serial one.  Two
+chunks are computed at once, one on a single helper thread and one on the
+caller, and their results are reduced in trial-index order.  A chunk is
+never split, so every sum runs over the same operands in the same order as
+a one-thread loop, and results are byte-identical for a given seed.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,28 @@ __all__ = [
 ]
 
 _CHUNK = 512
+
+
+def _chunked(trials: int, draw, work):
+    """Yield ``(start, work(*draw(b)))`` for each chunk of ``b <= _CHUNK`` trials, in order.
+
+    ``draw`` runs on the calling thread, one chunk after another.  Chunks
+    are paired: the first of a pair is computed on one helper thread while
+    the caller computes the second, so at most two chunks are in flight.
+    An unpaired last chunk runs on the caller.  An exception ``work``
+    raises reaches the caller.  ``work`` must call no function that
+    perfbench/probes.py wraps: its tracer records spans from one thread.
+    """
+    with ThreadPoolExecutor(1) as helper:
+        for start in range(0, trials, 2 * _CHUNK):
+            first = draw(min(_CHUNK, trials - start))
+            if start + _CHUNK >= trials:
+                yield start, work(*first)
+                break
+            future = helper.submit(work, *first)
+            second = work(*draw(min(_CHUNK, trials - start - _CHUNK)))
+            yield start, future.result()
+            yield start + _CHUNK, second
 
 
 @dataclass(frozen=True)
@@ -158,15 +185,15 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     rcond = np.finfo(float).eps * max(n, d)
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
-    done = 0
-    while done < trials:
-        b = min(_CHUNK, trials - done)
-        X = rng.standard_normal((b, n, d))
+
+    def work(X):
         P = np.linalg.pinv(X, rcond=rcond)
         G = P @ P.transpose(0, 2, 1)
-        total += G.sum(axis=0)
-        total_sq += (G ** 2).sum(axis=0)
-        done += b
+        return G.sum(axis=0), np.square(G, out=G).sum(axis=0)
+
+    for _, (g_sum, g_sq_sum) in _chunked(trials, lambda b: (rng.standard_normal((b, n, d)),), work):
+        total += g_sum
+        total_sq += g_sq_sum
     mean = total / trials
     var = np.maximum(total_sq - trials * mean ** 2, 0.0) / (trials - 1)
     se = np.sqrt(var / trials)
@@ -222,25 +249,23 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     trptp_t = np.empty(trials)
     trp2_t = np.empty(trials)
     off = d * (d - 1)
-    done = 0
-    while done < trials:
-        b = min(_CHUNK, trials - done)
-        Z = rng.standard_normal((b, d, n))
+
+    def work(Z):
         Q = np.linalg.qr(Z)[0]
         P = Q @ Q.transpose(0, 2, 1)
         diag = np.einsum("tii->ti", P)
         s1 = diag.sum(axis=1)
         s2 = (diag ** 2).sum(axis=1)
-        sl = slice(done, done + b)
-        a_t[sl] = (s1 ** 2 - s2) / off
-        frob = (P ** 2).sum(axis=(1, 2))
-        b_t[sl] = (frob - s2) / off
         cross = np.einsum("tij,tji->t", P, P)
-        g_t[sl] = (cross - s2) / off
-        tr2_t[sl] = s1 ** 2
-        trptp_t[sl] = frob
-        trp2_t[sl] = cross
-        done += b
+        frob = np.square(P, out=P).sum(axis=(1, 2))  # diag is a view of P: read it first
+        return (
+            (s1 ** 2 - s2) / off, (frob - s2) / off, (cross - s2) / off, s1 ** 2, frob, cross
+        )
+
+    columns = (a_t, b_t, g_t, tr2_t, trptp_t, trp2_t)
+    for start, values in _chunked(trials, lambda b: (rng.standard_normal((b, d, n)),), work):
+        for column, value in zip(columns, values):
+            column[start:start + len(value)] = value
 
     beta = n * (d - n) / (d * (d - 1) * (d + 2))
     alpha = beta + n * (n - 1) / (d * (d - 1))
@@ -352,26 +377,33 @@ def monte_carlo_gap(config: LinearGapConfig, experiment: str | None = None) -> G
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
     failed = 0
-    done = 0
-    while done < config.trials:
-        b = min(_CHUNK, config.trials - done)
+
+    def draw(b):
         X = config.sigma_x * rng.standard_normal((b, n, d))
-        xi = config.sigma_xi * rng.standard_normal((b, n, k))
-        Y = X @ config.theta + xi
+        return X, config.sigma_xi * rng.standard_normal((b, n, k))
+
+    def work(X, xi):
+        """(per-trial gaps, NaN where dropped; number of dropped trials) of one chunk."""
+        Y = X @ config.theta
+        Y += xi
         try:
-            W = np.linalg.pinv(X, rcond=rcond) @ Y
-            W_perp = config.tensor.complement_batch(W)
-            gaps[done:done + b] = config.sigma_x ** 2 * (W_perp ** 2).sum(axis=(1, 2))
+            W_perp = config.tensor.complement_batch(np.linalg.pinv(X, rcond=rcond) @ Y)
+            return config.sigma_x ** 2 * np.square(W_perp, out=W_perp).sum(axis=(1, 2)), 0
         except np.linalg.LinAlgError:
             # rare SVD non-convergence: redo one by one, drop failing trials
-            for t in range(b):
+            chunk_gaps = np.full(len(X), np.nan)
+            dropped = 0
+            for t in range(len(X)):
                 try:
-                    W = np.linalg.pinv(X[t], rcond=rcond) @ Y[t]
-                    w_perp = config.tensor.complement(W)
-                    gaps[done + t] = config.sigma_x ** 2 * float((w_perp ** 2).sum())
+                    w_perp = config.tensor.complement(np.linalg.pinv(X[t], rcond=rcond) @ Y[t])
+                    chunk_gaps[t] = config.sigma_x ** 2 * float((w_perp ** 2).sum())
                 except np.linalg.LinAlgError:
-                    failed += 1
-        done += b
+                    dropped += 1
+            return chunk_gaps, dropped
+
+    for start, (chunk_gaps, dropped) in _chunked(config.trials, draw, work):
+        gaps[start:start + len(chunk_gaps)] = chunk_gaps
+        failed += dropped
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
     se = float(valid.std(ddof=1) / math.sqrt(len(valid))) if len(valid) > 1 else math.inf

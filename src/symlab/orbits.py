@@ -355,11 +355,11 @@ class PointCloud:
         diff = points[:, None, :] - centers[None, :, :]
         if self.metric == "sup":
             return np.abs(diff).max(axis=2)
-        return np.sqrt((diff ** 2).sum(axis=2))
+        return np.sqrt(np.square(diff, out=diff).sum(axis=2))
 
 
-# float64 entries in one block of per-point differences (8 MB)
-_BLOCK_ENTRIES = 1 << 20
+# float64 entries in one block of per-point differences (2 MB)
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _row_blocks(n_rows: int, row_entries: int) -> list:

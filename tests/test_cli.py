@@ -112,6 +112,10 @@ def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
     ("mu", {"scale": None}, "mu.scale is None"),
     ("n", "ten", "n is 'ten'"),
     ("seed", "x", "seed must be an integer"),  # used to raise TypeError in numpy
+    # each used to be truncated by int() without a word: n=8.5 ran as 8, true as 1
+    ("n", 8.5, "n is 8.5, not a valid int"),
+    ("trials", True, "trials is True, not a valid int"),
+    ("rho", False, "rho is False, not a valid float"),
 ])
 def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys, nested, value, bad):
     payload = {"seed": 1, "experiments": [
@@ -125,6 +129,12 @@ def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys,
     assert f"experiments[1].{nested}" in captured.err and bad in captured.err
     assert "verdict" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_and_numeric_strings_still_cast():
+    kwargs = cli._runner_kwargs("verify-wishart", {"n": 12.0, "d": "3", "trials": 2000.0}, "params")
+    assert kwargs == {"n": 12, "d": 3, "trials": 2000}
+    assert all(type(value) is int for value in kwargs.values())
 
 
 def test_missing_required_key_exits_2_before_any_experiment_runs(tmp_path, capsys):

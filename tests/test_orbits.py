@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symlab import orbits
 from symlab.groups import build_group, build_representation
 from symlab.orbits import (
     PointCloud,
@@ -250,15 +251,19 @@ def test_sup_metric_differs_from_euclidean():
     assert covering_number(cloud_euc, 1.0) == 2
 
 
-def test_blockwise_distances_match_one_shot_arrays():
+def test_blockwise_distances_match_one_shot_arrays(monkeypatch):
     rng = np.random.default_rng(55)
     pts = rng.standard_normal((700, 4))  # several row blocks against all 700 centers
     diff = pts[:, None, :] - pts[None, :, :]
-    for metric, full in (("euclidean", np.sqrt((diff ** 2).sum(axis=2))),
-                         ("sup", np.abs(diff).max(axis=2))):
-        cloud = PointCloud(pts, metric=metric)
-        assert np.array_equal(cloud.distances_to(pts), full)
-        assert cloud.medoid() == int(np.argmin(full.sum(axis=1)))
+    # 64 entries: one-row blocks against all centers, ragged 3-row blocks against five
+    for block_entries in (orbits._BLOCK_ENTRIES, 64):
+        monkeypatch.setattr(orbits, "_BLOCK_ENTRIES", block_entries)
+        for metric, full in (("euclidean", np.sqrt((diff ** 2).sum(axis=2))),
+                             ("sup", np.abs(diff).max(axis=2))):
+            cloud = PointCloud(pts, metric=metric)
+            assert np.array_equal(cloud.distances_to(pts), full)
+            assert np.array_equal(cloud.distances_to(pts[:5]), full[:, :5])
+            assert cloud.medoid() == int(np.argmin(full.sum(axis=1)))
 
 
 def test_point_cloud_from_file(tmp_path):
