@@ -360,6 +360,31 @@ def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
     return kwargs
 
 
+def _built(where: str, build, *args):
+    """``build(*args)``, its last argument a descriptor; a rejected one is a config error."""
+    if not isinstance(args[-1], str):
+        raise ConfigError(f"config error: {where}: {args[-1]!r} is not a descriptor string")
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ConfigError(f"config error: {where}: {err}") from None
+
+
+def _check_descriptors(kwargs: dict, where: str) -> None:
+    """Build the experiment's group and representations as its runner will."""
+    if "group" not in kwargs:
+        return
+    group = _built(f"{where}.group", build_group, kwargs["group"])
+    for key in ("rep", "rep_in", "rep_out"):
+        if kwargs.get(key) is not None:
+            _built(f"{where}.{key}", build_representation, group, kwargs[key])
+    reps = kwargs.get("reps", ())
+    if not isinstance(reps, (list, tuple)):
+        raise ConfigError(f"config error: {where}.reps: {reps!r} is not a list of descriptor strings")
+    for j, rep in enumerate(reps):
+        _built(f"{where}.reps[{j}]", build_representation, group, rep)
+
+
 def _experiment_params(exp: dict) -> dict:
     return {key: val for key, val in exp.items() if key not in ("kind", "seed")}
 
@@ -422,7 +447,8 @@ def _validate_config(config: dict) -> None:
         seed = exp.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"config error: experiments[{i}].seed must be an integer")
-        _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
+        where = f"experiments[{i}]"
+        _check_descriptors(_runner_kwargs(exp["kind"], _experiment_params(exp), where), where)
 
 
 def _write_results(rows: list, out_dir: Path) -> None:

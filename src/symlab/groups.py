@@ -9,6 +9,18 @@ held unless something reads ``FiniteGroup.table``.  Continuous SO(2) is
 admitted through an equispaced angular quadrature, which is itself an exact
 cyclic group of rotations; rotation blocks of frequency below half the node
 count integrate exactly.
+
+Every "for each g in G" check (left-invariant weights, the homomorphism
+property of a representation, and the intertwining and invariance checks
+elsewhere in the package) runs over ``FiniteGroup.generators`` only: a
+property closed under composition that holds for each generator holds for
+the whole group.  Built groups take their generators from ``structure``
+(1 for cyclic groups, a rotation and a reflection for dihedral ones, a
+transposition and an m-cycle for symmetric ones, each factor's for
+products); a group given a table takes them greedily from it, and its
+associativity is checked by Light's test over them.  A built group's
+composition comes from its structure, not from input, so its associativity
+is pinned by the tests rather than checked on every build.
 """
 
 from __future__ import annotations
@@ -34,10 +46,6 @@ __all__ = [
 
 MAX_GROUP_ORDER = 5040
 HOMOMORPHISM_TOL = 1e-10
-
-# exhaustive pair/triple validation up to this order, random sampling above
-_EXHAUSTIVE_ORDER = 64
-_SAMPLED_CHECKS = 1000
 
 _OPAQUE = ("opaque",)
 
@@ -115,6 +123,24 @@ class FiniteGroup:
         table.setflags(write=False)
         return table
 
+    @functools.cached_property
+    def generators(self) -> tuple:
+        """Non-identity ids generating the group; a property closed under composition
+        holds for every element once it holds for each.  A table-given group takes,
+        in id order, each id the ones before it do not reach: at most log2(order)."""
+        if self.structure != _OPAQUE:
+            return _structure_generators(self.structure)
+        gens, reached = [], np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        for a in range(self.order):
+            if not reached[a]:
+                gens.append(a)
+                size = 0
+                while size < reached.sum():  # close under right multiplication by gens
+                    size = reached.sum()
+                    reached[self.compose(np.flatnonzero(reached)[:, None], gens)] = True
+        return tuple(gens)
+
     @property
     def is_exact(self) -> bool:
         return self.exactness == "exact"
@@ -173,15 +199,9 @@ def _validate_group(group: FiniteGroup) -> None:
     if not (np.all(compose(group.inverse, ids) == e) and np.all(compose(ids, group.inverse) == e)):
         raise ValueError(f"{group.name}: inverse table is inconsistent with the composition table")
 
-    if m <= _EXHAUSTIVE_ORDER:
-        # left[a,b,c] = (a*b)*c, right[a,b,c] = a*(b*c)
-        table = compose(ids[:, None], ids)
-        associative = np.array_equal(table[table], table[:, table])
-    else:
-        rng = np.random.default_rng(0)
-        a, b, c = rng.integers(0, m, size=(3, _SAMPLED_CHECKS))
-        associative = np.array_equal(compose(compose(a, b), c), compose(a, compose(b, c)))
-    if not associative:
+    # Light's test: (x*s)*y == x*(s*y) for each generator s makes a given table associative
+    T = stored
+    if T is not None and not all(np.array_equal(T[T[:, s]], T[:, T[s]]) for s in group.generators):
         raise ValueError(f"{group.name}: composition table is not associative")
 
     w = group.weights
@@ -192,12 +212,8 @@ def _validate_group(group: FiniteGroup) -> None:
     total = float(w.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"{group.name}: weights sum to {total!r}, not 1")
-    if m <= _EXHAUSTIVE_ORDER:
-        rows = ids
-    else:
-        rows = np.random.default_rng(1).integers(0, m, size=_EXHAUSTIVE_ORDER)
-    for a in rows:
-        if np.max(np.abs(w[compose(a, ids)] - w)) > 1e-12:
+    for s in group.generators:
+        if np.max(np.abs(w[compose(s, ids)] - w)) > 1e-12:
             raise ValueError(f"{group.name}: weights are not invariant under left translation")
 
 
@@ -246,6 +262,23 @@ def _composer(structure: tuple) -> Callable:
         ob = _structure_order(structure[2])
         return lambda a, b: left(a // ob, b // ob) * ob + right(a % ob, b % ob)
     raise ValueError(f"no composition for group structure {structure!r}; pass a table")
+
+
+def _structure_generators(structure: tuple) -> tuple:
+    """Generators of the group built from ``structure``, as ids of that group."""
+    kind, arg = structure[0], structure[1]
+    if kind == "product":
+        ob = _structure_order(structure[2])
+        return tuple(s * ob for s in _structure_generators(arg)) + _structure_generators(structure[2])
+    if kind == "dihedral":
+        ids = (1 % arg, arg)  # the rotation r and the reflection s
+    elif kind == "symmetric":
+        # lex ranks of the transposition (0 1) and the cycle v -> v+1 mod m
+        ids = (math.factorial(arg - 1), sum(math.factorial(j) for j in range(1, arg)))
+    else:  # cyclic and so2_quadrature
+        ids = (1,)
+    order = _structure_order(structure)
+    return tuple(dict.fromkeys(s % order for s in ids if s % order))
 
 
 def _uniform(order: int) -> np.ndarray:
@@ -338,16 +371,16 @@ def _build_atom(text: str) -> FiniteGroup:
             "'dihedral m' or 'so2_quadrature M'"
         )
     kind, arg = tokens
+    builders = {
+        "cyclic": _build_cyclic, "symmetric": _build_symmetric,
+        "dihedral": _build_dihedral, "so2_quadrature": _build_so2_quadrature,
+    }
+    if kind not in builders:
+        raise ValueError(f"unknown group kind {kind!r}")
     m = _parse_positive_int(arg, f"{kind} size")
-    if kind == "cyclic":
-        return _build_cyclic(m)
-    if kind == "symmetric":
-        return _build_symmetric(m)
-    if kind == "dihedral":
-        return _build_dihedral(m)
-    if kind == "so2_quadrature":
-        return _build_so2_quadrature(m)
-    raise ValueError(f"unknown group kind {kind!r}")
+    if m > MAX_GROUP_ORDER:  # refused before m! or an m-long array is computed
+        raise ValueError(f"{kind} {m} has at least {m} elements, past the {MAX_GROUP_ORDER} cap")
+    return builders[kind](m)
 
 
 def build_group(descriptor: str) -> FiniteGroup:
@@ -381,7 +414,6 @@ class Representation:
     dim: int
     matrices: np.ndarray
     name: str = "explicit"
-    orthogonality_tol: float = HOMOMORPHISM_TOL
     is_orthogonal: bool = True
 
     def __post_init__(self) -> None:
@@ -412,22 +444,16 @@ def _validate_representation(rep: Representation) -> None:
     if np.max(np.abs(mats[group.identity] - eye)) > HOMOMORPHISM_TOL:
         raise ValueError("identity element does not map to the identity matrix")
 
-    if m <= _EXHAUSTIVE_ORDER:
-        ids = np.arange(m)
-        dev = 0.0
-        for a in range(m):
-            prod = mats[a] @ mats  # broadcasts over all b
-            dev = max(dev, float(np.max(np.abs(prod - mats[group.compose(a, ids)]))))
-    else:
-        rng = np.random.default_rng(2)
-        a, b = rng.integers(0, m, size=(2, _SAMPLED_CHECKS))
-        dev = float(np.max(np.abs(mats[a] @ mats[b] - mats[group.compose(a, b)])))
+    # with rho(e) = I, rho(s*g) = rho(s) rho(g) for each generator s gives it for all of G
+    ids = np.arange(m)
+    dev = max((float(np.max(np.abs(mats[s] @ mats - mats[group.compose(s, ids)])))
+               for s in group.generators), default=0.0)
     if dev > HOMOMORPHISM_TOL:
         raise ValueError(f"matrices are not a homomorphism: max deviation {dev:.3e}")
 
     gram = np.matmul(mats, mats.transpose(0, 2, 1))
     orth_dev = float(np.max(np.abs(gram - eye)))
-    actually_orthogonal = orth_dev <= rep.orthogonality_tol
+    actually_orthogonal = orth_dev <= HOMOMORPHISM_TOL
     if rep.is_orthogonal and not actually_orthogonal:
         raise ValueError(
             f"representation is not orthogonal: max |psi psi^T - I| = {orth_dev:.3e}; "

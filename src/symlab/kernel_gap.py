@@ -197,7 +197,7 @@ def build_averaged_kernel(kernel: KernelSpec, n_pairs: int = 64, seed: int = 0) 
     # invariance in the second argument holds by construction
     mats = kernel.action.matrices
     base = ak.gram_bar(X, Y)
-    for g in kernel.action.group.elements():
+    for g in kernel.action.group.generators:
         if np.max(np.abs(ak.gram_bar(X, Y @ mats[g].T) - base)) > 1e-10:
             raise ValueError("averaged kernel is not invariant in its second argument")
     if status == "verified":
@@ -300,14 +300,8 @@ class KrrGapConfig:
         rng = np.random.default_rng((self.seed, 101))
         X = self.mu.sample(32, rng)
         vals = np.asarray(self.f_star(X)).reshape(-1)
-        group = self.kernel.action.group
         mats = self.kernel.action.matrices
-        ids = (
-            np.arange(group.order)
-            if group.order <= 16
-            else rng.integers(0, group.order, size=16)
-        )
-        for g in ids:
+        for g in self.kernel.action.group.generators:
             dev = np.max(np.abs(np.asarray(self.f_star(X @ mats[g].T)).reshape(-1) - vals))
             if dev > 1e-9:
                 raise ValueError(f"f_star is not invariant under the action: deviation {dev:.3e}")

@@ -88,7 +88,7 @@ class LayerSpec:
                         f"representations; {rep.name!r} is not"
                     )
                 V = rng.standard_normal((8, rep.dim))
-                for g in rep.group.elements():
+                for g in rep.group.generators:
                     M = rep.matrices[g]
                     if np.max(np.abs(act(V @ M.T) - act(V) @ M.T)) > 1e-9:
                         raise ValueError("activation does not commute with an intermediate rep")
@@ -125,8 +125,7 @@ def project_layer(W: np.ndarray, psi_in: Representation, psi_out: Representation
     W_bar = np.einsum(
         "g,gik,kl,glj->ij", group.weights, out_inv, W, psi_in.matrices, optimize=True
     )
-    ids = group.elements() if group.order <= 64 else np.random.default_rng(61).integers(0, group.order, 64)
-    for g in ids:
+    for g in group.generators:
         dev = np.max(np.abs(W_bar @ psi_in.matrices[g] - psi_out.matrices[g] @ W_bar))
         if dev > 1e-9:
             raise AssertionError(f"projected layer fails to intertwine: deviation {dev:.3e}")
@@ -186,7 +185,7 @@ def check_regularisation_bound(
             raise ValueError("sigma must be a scalar or a symmetric (d, d) covariance")
     sqrt_cov = _sqrt_psd(cov)
     group = psi_in.group
-    for g in group.elements():
+    for g in group.generators:
         M = psi_in.matrices[g]
         if np.max(np.abs(M @ cov @ M.T - cov)) > 1e-9:
             raise ValueError("covariance is not invariant under the input representation")

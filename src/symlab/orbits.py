@@ -81,7 +81,7 @@ def _spot_check_cross_section(cs: CrossSection) -> CrossSection:
     if np.max(np.abs(cs.project_batch(P) - P)) > 1e-12:
         raise AssertionError(f"cross-section {cs.kind} is not idempotent")
     group, mats = cs.action.group, cs.action.matrices
-    for g in group.elements():
+    for g in group.generators:
         if np.max(np.abs(cs.project_batch(X @ mats[g].T) - P)) > 1e-10:
             raise AssertionError(f"cross-section {cs.kind} is not constant on orbits")
     # membership: some group element maps the representative back to x

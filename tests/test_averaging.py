@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from symlab import averaging
 from symlab.averaging import (
     apply_Q,
     build_phi,
     build_psi,
     empirical_rademacher,
+    haar_sample,
     tta_average,
+    verify_operator_identities,
 )
 from symlab.groups import build_group, build_representation, character_inner
 
@@ -313,3 +316,30 @@ def test_rademacher_rejects_bad_input():
         empirical_rademacher([lambda X: X[:, 0]], np.zeros((0, 1)))
     with pytest.raises(ValueError):
         empirical_rademacher([lambda X: X[:, 0]], np.zeros((21, 1)), mode="enumerate")
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic 1", "symmetric 7"])
+def test_operator_identities_pass_on_the_smallest_and_largest_groups(descriptor):
+    # cyclic 1 has no generators; on S7 the Q o Q check makes 3 * 5040 predictor
+    # calls, where composing Q with itself took 5040^2
+    group = build_group(descriptor)
+    out = verify_operator_identities(build_representation(group, "natural_permutation"), n_samples=2000)
+    assert out["verdict"] == "pass", out
+    assert out["dev_q_idempotent"] <= 1e-9
+
+
+def test_q_that_is_no_projection_fails_on_q_idempotence_alone(monkeypatch):
+    # three Monte-Carlo draws that all land on the identity make Q the identity
+    # map: f_perp is 0, so the orthogonality estimate passes, but Qf = f is not
+    # equivariant, and only the Q o Q = Q check sees it
+    rep = _s3_natural()
+    draws, _ = haar_sample(rep.group, 3, seed=113)
+    assert np.all(draws == rep.group.identity)
+    monkeypatch.setattr(averaging, "apply_Q", lambda pred, rep_in, rep_out: apply_Q(
+        pred, rep_in, rep_out, mode="monte_carlo", n_samples=3, seed=113))
+    out = verify_operator_identities(rep, n_samples=2000, seed=4)
+    assert out["verdict"] == "fail"
+    assert out["dev_q_idempotent"] > 0.1
+    others = [v for k, v in out.items() if k.startswith("dev_") and k != "dev_q_idempotent"]
+    assert max(others) <= 1e-9
+    assert abs(out["inner_mean"]) <= 3.0 * max(out["inner_se"], 1e-15)

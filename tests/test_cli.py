@@ -116,6 +116,13 @@ def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
     ("n", 8.5, "n is 8.5, not a valid int"),
     ("trials", True, "trials is True, not a valid int"),
     ("rho", False, "rho is False, not a valid float"),
+    # each group or representation the library rejects used to fail only when
+    # its experiment ran; a non-string one raised AttributeError
+    ("group", "frobnicate 3", "group: unknown group kind 'frobnicate'"),
+    ("group", "symmetric 8", "past the 5040 cap"),
+    ("group", 5, "group: 5 is not a descriptor string"),
+    ("rep", "sign", "rep: sign representation requires a symmetric group"),
+    ("rep", ["trivial 1"], "is not a descriptor string"),
 ])
 def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys, nested, value, bad):
     payload = {"seed": 1, "experiments": [
@@ -129,6 +136,38 @@ def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys,
     assert f"experiments[1].{nested}" in captured.err and bad in captured.err
     assert "verdict" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exp,key", [
+    ({"kind": "gap-equivariant", "rep_in": "rotation_block 1", "rep_out": "natural_permutation",
+      "n": 4}, "rep_in"),
+    ({"kind": "regularisation-bound", "rep_in": "natural_permutation",
+      "rep_out": "rotation_block 1"}, "rep_out"),
+    ({"kind": "verify-operators", "rep": "natural_permutation", "rep_out": "rotation_block 1"},
+     "rep_out"),
+    ({"kind": "layer-project", "reps": ["natural_permutation", "rotation_block 1"]}, "reps[1]"),
+    ({"kind": "vc-bound", "reps": ["natural_permutation", "rotation_block 1"]}, "reps[1]"),
+])
+def test_representation_that_does_not_fit_its_group_exits_2_up_front(tmp_path, capsys, exp, key):
+    payload = {"seed": 1, "experiments": [
+        {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
+        {"group": "symmetric 3", **exp},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: experiments[1].{key}: rotation_block requires a cyclic" in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_reps_given_as_one_string_exits_2_up_front(tmp_path, capsys):
+    payload = {"seed": 1, "experiments": [
+        {"kind": "vc-bound", "group": "symmetric 3", "reps": "natural_permutation"},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "experiments[0].reps: 'natural_permutation' is not a list" in capsys.readouterr().err
 
 
 def test_integral_floats_and_numeric_strings_still_cast():

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -311,3 +312,119 @@ def test_equivariant_closed_form_on_product_group_is_unchanged():
     big = build_representation(build_group("dihedral 6 * cyclic 5"), "natural_permutation")
     assert closed_form_gap_equivariant(_equivariant_config(big, 4)) == \
         pytest.approx(11.027289327765768, rel=1e-12)
+
+
+def _closes_to_whole_group(g):
+    """Close {identity} under right multiplication by the generators."""
+    reached = np.zeros(g.order, dtype=bool)
+    reached[g.identity] = True
+    gens = np.array(g.generators, dtype=np.int64)
+    size = 0
+    while size < reached.sum():
+        size = reached.sum()
+        reached[g.compose(np.flatnonzero(reached)[:, None], gens)] = True
+    return bool(reached.all())
+
+
+def _d3_table_group(**overrides):
+    kwargs = dict(table=_reference_table("dihedral 3"), inverse=[0, 2, 1, 3, 4, 5],
+                  identity=0, weights=np.full(6, 1.0 / 6.0))
+    kwargs.update(overrides)
+    return FiniteGroup("d3", **kwargs)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "cyclic 1", "cyclic 12", "symmetric 1", "symmetric 2", "symmetric 5",
+    "dihedral 1", "dihedral 2", "dihedral 6", "so2_quadrature 2",
+    "cyclic 2 * symmetric 3", "dihedral 6 * cyclic 5",
+])
+def test_generators_generate_built_groups(descriptor):
+    g = build_group(descriptor)
+    assert g.identity not in g.generators
+    assert len(set(g.generators)) == len(g.generators)
+    assert _closes_to_whole_group(g)
+    assert (g.generators == ()) == (g.order == 1)
+
+
+def test_table_group_takes_greedy_generators():
+    g = _d3_table_group()
+    # 1 generates the rotations {0, 1, 2}; 3 is the first id they miss
+    assert g.generators == (1, 3)
+    assert _closes_to_whole_group(g)
+    assert len(g.generators) <= np.log2(g.order)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "cyclic 1", "cyclic 12", "so2_quadrature 8", "dihedral 1", "dihedral 6",
+    "symmetric 2", "symmetric 6", "cyclic 2 * symmetric 3", "dihedral 6 * cyclic 5",
+])
+def test_light_associativity_test_holds_on_built_groups(descriptor):
+    # a built group composes from its structure and is not checked for
+    # associativity when built; Light's test over its generators pins it here
+    g = build_group(descriptor)
+    T = g.table
+    for s in g.generators:
+        assert np.array_equal(T[T[:, s]], T[:, T[s]])
+
+
+def _corrupt_one_matrix(descriptor, bad=None):
+    """Natural-permutation matrices with one non-generator id given another element's matrix."""
+    g = build_group(descriptor)
+    mats = build_representation(g, "natural_permutation").matrices.copy()
+    if bad is None:
+        bad = next(a for a in g.elements() if a != g.identity and a not in g.generators)
+    assert bad != g.identity and bad not in g.generators
+    mats[bad] = mats[g.compose(bad, bad)]  # still orthogonal, no longer a homomorphism
+    return g, mats
+
+
+def _untouched_by_sampled_pairs(g, seed, pairs):
+    """The smallest non-generator id that no product a*b of ``pairs`` random pairs reads or yields."""
+    a, b = np.random.default_rng(seed).integers(0, g.order, size=(2, pairs))
+    touched = set(a) | set(b) | set(g.compose(a, b)) | set(g.generators) | {g.identity}
+    return next(x for x in g.elements() if x not in touched)
+
+
+@pytest.mark.parametrize("descriptor", ["symmetric 4", "dihedral 6 * cyclic 5", "symmetric 7"])
+def test_one_corrupted_matrix_off_the_generators_is_rejected(descriptor):
+    bad = None
+    if descriptor == "symmetric 7":
+        # a check of 1000 random pairs drawn with default_rng(2) never reads this id
+        bad = _untouched_by_sampled_pairs(build_group(descriptor), 2, 1000)
+    g, mats = _corrupt_one_matrix(descriptor, bad)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        build_representation(g, "explicit", matrices=mats)
+
+
+def test_table_group_weights_perturbed_off_the_generators_are_rejected():
+    assert _d3_table_group().generators == (1, 3)
+    weights = np.full(6, 1.0 / 6.0)
+    weights[[2, 4]] += [0.01, -0.01]  # still non-negative and summing to 1
+    with pytest.raises(ValueError, match="not invariant under left translation"):
+        _d3_table_group(weights=weights)
+
+
+def test_non_associative_loop_table_is_rejected():
+    # a Latin square with two-sided identity 0 in which every element is its
+    # own inverse; a group of order 5 has no element of order 2, so it is not one
+    loop = np.array([
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ])
+    ids = np.arange(5)
+    # every row and every column holds each id once
+    assert all((np.sort(loop, axis=k) == np.expand_dims(ids, 1 - k)).all() for k in (0, 1))
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup("loop", table=loop, inverse=ids, identity=0, weights=np.full(5, 0.2))
+
+
+def test_huge_atom_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    # symmetric m used to compute m! first, and cyclic m an m-long inverse table
+    for descriptor in ("symmetric 1000000", "cyclic 10000000", "so2_quadrature 5041"):
+        with pytest.raises(ValueError, match="past the 5040 cap"):
+            build_group(descriptor)
+    assert time.perf_counter() - start < 1.0
