@@ -10,6 +10,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -17,27 +18,26 @@ import math
 import sys
 import time
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
 from .averaging import build_phi, build_psi, verify_operator_identities
-from .groups import build_group, build_representation
-from .kernel_gap import (
-    KrrGapConfig,
-    gaussian_kernel,
-    krr_gap_experiment,
-    linear_kernel,
+from .groups import FiniteGroup, Representation, build_group, build_representation
+from .kernel_gap import KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
+from .layers import (
+    ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, check_regularisation_bound, equivariance_report,
+    project_spec, vc_bound,
 )
-from .layers import LayerSpec, check_regularisation_bound, equivariance_report, project_spec, vc_bound
 from .linear_gap import (
-    LinearGapConfig,
-    invariant_config,
-    monte_carlo_gap,
-    random_equivariant_target,
-    verify_projection_tensor,
-    verify_wishart,
+    LinearGapConfig, invariant_config, monte_carlo_gap, random_equivariant_target,
+    verify_projection_tensor, verify_wishart,
 )
-from .orbits import PointCloud, build_cross_section, covering_number, equivalence_demo
+from .orbits import (
+    LEARNER_NAMES, METRICS, CrossSection, PointCloud, build_cross_section, covering_number,
+    equivalence_demo,
+)
 from .sampling import gaussian, sphere
 
 CSV_VERSION = "# symlab-csv v1"
@@ -107,12 +107,12 @@ def _gap_row(report, rep, k: int, n: int, trials: int, **cells) -> dict:
     }
 
 
-# Each runner's keyword-only parameters are its kind's config keys; see _runner_kwargs.
+# Each runner's keyword-only parameters are its kind's config keys, and their annotations
+# say how _runner_kwargs turns each value into the argument; no runner builds anything.
 def _run_gap_linear(
-    seed: int, *, group, rep, n: int, theta=None,
+    seed: int, *, group: FiniteGroup, rep: Representation, n: int, theta=None,
     sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
 ) -> dict:
-    rep = build_representation(build_group(group), rep)
     config = invariant_config(
         rep, _invariant_theta(rep, theta), n,
         sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
@@ -122,12 +122,9 @@ def _run_gap_linear(
 
 
 def _run_gap_equivariant(
-    seed: int, *, group, rep_in, rep_out, n: int, theta_norm: float = 1.0,
-    sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
+    seed: int, *, group: FiniteGroup, rep_in: Representation, rep_out: Representation, n: int,
+    theta_norm: float = 1.0, sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
 ) -> dict:
-    group = build_group(group)
-    rep_in = build_representation(group, rep_in)
-    rep_out = build_representation(group, rep_out)
     theta = random_equivariant_target(
         build_psi(rep_in, rep_out), np.random.default_rng((seed, 13)), fro_norm=theta_norm,
     )
@@ -140,11 +137,10 @@ def _run_gap_equivariant(
 
 
 def _run_gap_kernel(
-    seed: int, *, group, rep, n: int, rho: float, mu: dict = _NESTED["mu"],
-    kernel: dict = _NESTED["kernel"], theta=None, sigma: float = 1.0, trials: int = 2000,
-    n_test: int = 256, n_pairs: int = 4000, bias_trials: int = 200,
+    seed: int, *, group: FiniteGroup, rep: Representation, n: int, rho: float,
+    mu: dict = _NESTED["mu"], kernel: dict = _NESTED["kernel"], theta=None, sigma: float = 1.0,
+    trials: int = 2000, n_test: int = 256, n_pairs: int = 4000, bias_trials: int = 200,
 ) -> dict:
-    rep = build_representation(build_group(group), rep)
     mu = _mu_from(mu, rep.dim)
     kernel = _kernel_from(kernel, rep, mu)
     theta = _invariant_theta(rep, theta)
@@ -176,11 +172,10 @@ def _run_verify_projection_tensor(seed: int, *, n: int, d: int, trials: int = 20
     }
 
 
-def _run_verify_operators(seed: int, *, group, rep, rep_out=None, n_samples: int = 100_000) -> dict:
-    group = build_group(group)
-    rep = build_representation(group, rep)
-    if rep_out is not None:
-        rep_out = build_representation(group, rep_out)
+def _run_verify_operators(
+    seed: int, *, group: FiniteGroup, rep: Representation, rep_out: Representation | None = None,
+    n_samples: int = 100_000,
+) -> dict:
     out = verify_operator_identities(rep, rep_out=rep_out, n_samples=n_samples, seed=seed)
     return {
         "d": rep.dim, "k": rep_out.dim if rep_out is not None else 1,
@@ -190,22 +185,22 @@ def _run_verify_operators(seed: int, *, group, rep, rep_out=None, n_samples: int
     }
 
 
+# dim is read only to build cross_section, so it comes first
 def _run_orbit_equivalence(
-    seed: int, *, cross_section, learner, dim=None, n: int = 64, trials: int = 4,
-    sigma: float = 0.1,
+    seed: int, *, dim: int | None = None, cross_section: CrossSection,
+    learner: Literal[LEARNER_NAMES], n: int = 64, trials: int = 4, sigma: float = 0.1,
 ) -> dict:
-    cs = build_cross_section(cross_section, dim=dim)
-    report = equivalence_demo(learner, cs, n=n, trials=trials, sigma=sigma, seed=seed)
+    report = equivalence_demo(learner, cross_section, n=n, trials=trials, sigma=sigma, seed=seed)
     return {
-        "d": cs.dim, "n": n, "group": cs.action.group.name, "trials": trials,
+        "d": cross_section.dim, "n": n, "group": cross_section.action.group.name, "trials": trials,
         "mc_mean": report.risk_original, "mc_se": report.risk_deviation,
         "closed_form": report.risk_projected, "verdict": report.verdict,
     }
 
 
 def _run_covering(
-    seed: int, *, eps: float, points_file=None, points=None, metric="euclidean",
-    n: int = 100, dim: int = 2,
+    seed: int, *, eps: float, points_file: Path | None = None, points=None,
+    metric: Literal[METRICS] = "euclidean", n: int = 100, dim: int = 2,
 ) -> dict:
     if points_file is not None:
         cloud = PointCloud.from_file(points_file, metric=metric)
@@ -220,7 +215,7 @@ def _run_covering(
     }
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: Path) -> np.ndarray:
     try:
         return np.atleast_2d(np.loadtxt(path))
     except ValueError:
@@ -228,10 +223,10 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _run_layer_project(
-    seed: int, *, group, reps, weights_files=None, activation="relu", n_samples: int = 1000
+    seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...],
+    weights_files: tuple[Path, ...] | None = None, activation: Literal[tuple(ACTIVATIONS)] = "relu",
+    n_samples: int = 1000,
 ) -> dict:
-    group = build_group(group)
-    reps = tuple(build_representation(group, r) for r in reps)
     if weights_files is not None:
         weights = tuple(_load_matrix(p) for p in weights_files)
     else:
@@ -249,9 +244,7 @@ def _run_layer_project(
     }
 
 
-def _run_vc_bound(seed: int, *, group, reps) -> dict:
-    group = build_group(group)
-    reps = tuple(build_representation(group, r) for r in reps)
+def _run_vc_bound(seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...]) -> dict:
     return {
         "d": reps[0].dim, "k": reps[-1].dim,
         "group": group.name, "mc_mean": vc_bound(reps), "verdict": "pass",
@@ -259,12 +252,9 @@ def _run_vc_bound(seed: int, *, group, reps) -> dict:
 
 
 def _run_regularisation_bound(
-    seed: int, *, group, rep_in, rep_out, activation="relu", sigma: float = 1.0,
-    samples: int = 10_000,
+    seed: int, *, group: FiniteGroup, rep_in: Representation, rep_out: Representation,
+    activation: Literal[BOUND_ACTIVATIONS] = "relu", sigma: float = 1.0, samples: int = 10_000,
 ) -> dict:
-    group = build_group(group)
-    rep_in = build_representation(group, rep_in)
-    rep_out = build_representation(group, rep_out)
     W = np.random.default_rng(seed).standard_normal((rep_out.dim, rep_in.dim))
     out = check_regularisation_bound(
         W, rep_in, rep_out, activation=activation, sigma=sigma, samples=samples, seed=seed,
@@ -313,6 +303,12 @@ def _reject_unknown(where: str, given: dict, accepted) -> None:
         )
 
 
+def _choice(where: str, value, choices: tuple):
+    if value not in choices:
+        raise ConfigError(f"config error: {where} is {value!r}, not one of {choices}")
+    return value
+
+
 def _nested(where: str, spec, schema: dict) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError(f"config error: {where} must be a JSON object")
@@ -321,23 +317,54 @@ def _nested(where: str, spec, schema: dict) -> dict:
     for key, default in schema.items():
         value = spec.get(key, default)
         if key in _CHOICES:
-            if value not in _CHOICES[key]:
-                raise ConfigError(
-                    f"config error: {where}.{key} is {value!r}, not one of {_CHOICES[key]}"
-                )
+            value = _choice(f"{where}.{key}", value, _CHOICES[key])
         elif value is not None or default is not None:
             value = _cast(f"{where}.{key}", value, float)
         resolved[key] = value
     return resolved
 
 
-def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
-    """Check ``params`` against the kind's runner signature and return its keyword arguments.
+def _resolved(key: str, annotation, value, builders: dict):
+    """The runner argument for the config ``value`` at ``key``; see _runner_kwargs."""
+    if get_origin(annotation) is UnionType:  # T | None
+        if value is None:
+            return None
+        annotation = get_args(annotation)[0]
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is tuple:  # tuple[T, ...]
+        if not isinstance(value, (list, tuple)):
+            noun = "file paths" if args[0] is Path else "descriptor strings"
+            raise ConfigError(f"config error: {key}: {value!r} is not a list of {noun}")
+        return tuple(_resolved(f"{key}[{j}]", args[0], v, builders) for j, v in enumerate(value))
+    if origin is Literal:
+        return _choice(key, value, args)
+    if annotation in (int, float):
+        return _cast(key, value, annotation)
+    if annotation is Path:
+        if not (isinstance(value, str) and Path(value).is_file()):
+            raise ConfigError(f"config error: {key}: {value!r} is not an existing file")
+        return Path(value)
+    if annotation not in builders:
+        return value
+    if not isinstance(value, str):
+        raise ConfigError(f"config error: {key}: {value!r} is not a descriptor string")
+    try:
+        return builders[annotation](value)
+    except ValueError as err:  # the library rejects the descriptor
+        raise ConfigError(f"config error: {key}: {err}") from None
 
-    A parameter without a default is a required key; an ``int``/``float``
-    annotation casts the value; a ``dict`` one is a nested object whose
-    default, an ``_NESTED`` entry, lists its keys.  Absent keys keep the
-    runner's defaults.
+
+def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
+    """The runner's keyword arguments for ``params``, checked against its signature.
+
+    A parameter without a default is a required key; absent keys keep their
+    defaults.  By annotation, ``int``/``float`` cast, a ``Literal`` lists the
+    allowed values, a ``dict`` is a nested object whose ``_NESTED`` default
+    lists its keys, a ``Path`` names an existing file, ``tuple[T, ...]`` is a
+    list of T, ``T | None`` also takes null, and ``FiniteGroup``,
+    ``CrossSection`` (at ``dim``) and ``Representation`` (on ``group``) are
+    built, each distinct descriptor once.  Validation calls this too and drops
+    what it built: holding it until the run would hold every experiment's.
     """
     accepted = {
         name: param
@@ -345,7 +372,12 @@ def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
         if param.kind is param.KEYWORD_ONLY
     }
     _reject_unknown(f"{where} ({kind})", params, accepted)
-    kwargs = {}
+    kwargs: dict = {}
+    builders = {
+        FiniteGroup: build_group,
+        CrossSection: lambda name: build_cross_section(name, dim=kwargs.get("dim")),
+        Representation: functools.cache(lambda rep: build_representation(kwargs["group"], rep)),
+    }
     for name, param in accepted.items():
         key = f"{where}.{name}"
         if name not in params:
@@ -353,36 +385,9 @@ def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
                 raise ConfigError(f"config error: {key} is missing; {kind} requires it")
         elif param.annotation is dict:
             kwargs[name] = _nested(key, params[name], param.default)
-        elif param.annotation in (int, float):
-            kwargs[name] = _cast(key, params[name], param.annotation)
         else:
-            kwargs[name] = params[name]
+            kwargs[name] = _resolved(key, param.annotation, params[name], builders)
     return kwargs
-
-
-def _built(where: str, build, *args):
-    """``build(*args)``, its last argument a descriptor; a rejected one is a config error."""
-    if not isinstance(args[-1], str):
-        raise ConfigError(f"config error: {where}: {args[-1]!r} is not a descriptor string")
-    try:
-        return build(*args)
-    except ValueError as err:
-        raise ConfigError(f"config error: {where}: {err}") from None
-
-
-def _check_descriptors(kwargs: dict, where: str) -> None:
-    """Build the experiment's group and representations as its runner will."""
-    if "group" not in kwargs:
-        return
-    group = _built(f"{where}.group", build_group, kwargs["group"])
-    for key in ("rep", "rep_in", "rep_out"):
-        if kwargs.get(key) is not None:
-            _built(f"{where}.{key}", build_representation, group, kwargs[key])
-    reps = kwargs.get("reps", ())
-    if not isinstance(reps, (list, tuple)):
-        raise ConfigError(f"config error: {where}.reps: {reps!r} is not a list of descriptor strings")
-    for j, rep in enumerate(reps):
-        _built(f"{where}.reps[{j}]", build_representation, group, rep)
 
 
 def _experiment_params(exp: dict) -> dict:
@@ -417,11 +422,7 @@ def _apply_override(config: dict, assignment: str) -> None:
     try:
         for key in keys[:-1]:
             node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
-        last = keys[-1]
-        if isinstance(node, list):
-            node[int(last)] = value
-        else:
-            node[last] = value
+        node[int(keys[-1]) if isinstance(node, list) else keys[-1]] = value
     except (AttributeError, IndexError, TypeError, ValueError):
         # a list index that is out of range or not an integer, or a key under a scalar
         raise ConfigError(f"config error: override path {path!r} does not fit the config") from None
@@ -440,15 +441,11 @@ def _validate_config(config: dict) -> None:
     for i, exp in enumerate(experiments):
         if not isinstance(exp, dict) or "kind" not in exp:
             raise ConfigError(f"config error: experiments[{i}] missing required field 'kind'")
-        if exp["kind"] not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"config error: experiments[{i}].kind {exp['kind']!r} is not one of {EXPERIMENT_KINDS}"
-            )
+        _choice(f"experiments[{i}].kind", exp["kind"], EXPERIMENT_KINDS)
         seed = exp.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"config error: experiments[{i}].seed must be an integer")
-        where = f"experiments[{i}]"
-        _check_descriptors(_runner_kwargs(exp["kind"], _experiment_params(exp), where), where)
+        _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
 
 
 def _write_results(rows: list, out_dir: Path) -> None:

@@ -35,6 +35,8 @@ ACTIVATIONS = {
     "identity": lambda h: h,
     "tanh": np.tanh,
 }
+# the activations whose Lipschitz constant C = 1 the regularisation bound assumes
+BOUND_ACTIVATIONS = ("relu", "identity")
 
 
 def _is_permutation_type(rep: Representation) -> bool:
@@ -171,7 +173,7 @@ def check_regularisation_bound(
 
     with S the covariance square root and C = 1 for relu/identity.  The
     cross terms vanish because the group average of W_perp is zero."""
-    if activation not in ("relu", "identity"):
+    if activation not in BOUND_ACTIVATIONS:
         raise ValueError("the bound is checked for relu or identity activations")
     if not (psi_in.is_orthogonal and psi_out.is_orthogonal):
         raise ValueError("the closeness bound assumes orthogonal representations")

@@ -32,6 +32,7 @@ __all__ = [
     "covering_number",
     "sample_complexity_D",
     "LEARNER_NAMES",
+    "METRICS",
 ]
 
 CROSS_SECTION_KINDS = ("sort_descending", "abs_first_coordinate", "polar_fold", "quadrant_fold")
@@ -313,6 +314,9 @@ def equivalence_demo(
 # ---------------------------------------------------------------- covering
 
 
+METRICS = ("euclidean", "sup")
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     points: np.ndarray
@@ -324,7 +328,7 @@ class PointCloud:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or not np.all(np.isfinite(pts)):
             raise ValueError("points must be a non-empty finite (n, d) array")
-        if self.metric not in ("euclidean", "sup"):
+        if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         object.__setattr__(self, "points", pts)
 

@@ -343,3 +343,35 @@ def test_q_that_is_no_projection_fails_on_q_idempotence_alone(monkeypatch):
     others = [v for k, v in out.items() if k.startswith("dev_") and k != "dev_q_idempotent"]
     assert max(others) <= 1e-9
     assert abs(out["inner_mean"]) <= 3.0 * max(out["inner_se"], 1e-15)
+
+
+@pytest.mark.parametrize("group,rep_in,rep_out", [
+    ("cyclic 4", "rotation_block 1", None),
+    ("symmetric 3", "natural_permutation", "natural_permutation"),
+])
+def test_operator_identities_average_every_point_once(monkeypatch, group, rep_in, rep_out):
+    # the orthogonality split used to average all n_samples points twice, once
+    # more for antisym_part; f - Qf gives the same bits from the one average
+    group = build_group(group)
+    rep_in = build_representation(group, rep_in)
+    rep_out = build_representation(group, rep_out) if rep_out else None
+    n = 5000
+    averaged = []
+    average = averaging.DecomposedPredictor._average
+
+    def counted(self, X):
+        averaged.append((self, X))
+        return average(self, X)
+
+    monkeypatch.setattr(averaging.DecomposedPredictor, "_average", counted)
+    out = verify_operator_identities(rep_in, rep_out, n_samples=n, seed=3)
+    full = [(op, X) for op, X in averaged if len(X) == n]
+    assert len(full) == 1
+    # the statistics as computed with the full antisym_part, bit for bit
+    op, X = full[0]
+    f_bar, f_perp = op.symmetric_part(X), op.antisym_part(X)
+    inner = (f_bar.reshape(n, -1) * f_perp.reshape(n, -1)).sum(axis=1)
+    assert out["inner_mean"] == float(inner.mean())
+    assert out["inner_se"] == float(inner.std(ddof=1) / np.sqrt(n))
+    assert out["dev_reconstruction"] == float(np.max(np.abs(op.base(X) - f_bar - f_perp))) == 0.0
+    assert out["verdict"] == "pass"

@@ -1,7 +1,11 @@
 """Harness behaviour: config validation, determinism, exit codes, output files."""
 
+import functools
+import gc
 import inspect
 import json
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +104,22 @@ def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
     assert "experiments[0]" in err and "'mode'" in err
 
 
+# the experiment that a case below sets its key on: by key=value, else by key, else gap-kernel
+KEY_HOSTS = {
+    "gap-kernel": {"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
+                   "n": 8, "rho": 1.0, "trials": 2},
+    "learner": {"kind": "orbit-equivalence", "cross_section": "sort_descending", "dim": 3,
+                "learner": "averaged_krr", "n": 16, "trials": 1},
+    "activation": {"kind": "layer-project", "group": "symmetric 3",
+                   "reps": ["natural_permutation"] * 3},
+    "activation=tanh": {"kind": "regularisation-bound", "group": "symmetric 3",
+                        "rep_in": "natural_permutation", "rep_out": "natural_permutation"},
+    "metric": {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
+}
+KEY_HOSTS.update(cross_section=KEY_HOSTS["learner"], points_file=KEY_HOSTS["metric"],
+                 weights_files=KEY_HOSTS["activation"])
+
+
 @pytest.mark.parametrize("nested,value,bad", [
     # each typo used to fall back to a default: a Gaussian kernel, Gaussian inputs
     ("kernel", {"tpye": "linear"}, "'tpye'"),
@@ -123,12 +143,23 @@ def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):
     ("group", 5, "group: 5 is not a descriptor string"),
     ("rep", "sign", "rep: sign representation requires a symmetric group"),
     ("rep", ["trivial 1"], "is not a descriptor string"),
+    # each used to fail only when its experiment ran, after the ones before it;
+    # these keys are set on the experiments in KEY_HOSTS
+    ("learner", "bogus", "learner is 'bogus', not one of ('averaged_krr', "),
+    ("cross_section", "bogus", "cross_section: unknown cross-section kind 'bogus'"),
+    ("cross_section", "polar_fold", "cross_section: polar_fold acts on the plane"),
+    ("activation", "swish", "activation is 'swish', not one of ('relu', 'identity', 'tanh')"),
+    ("activation", "tanh", "activation is 'tanh', not one of ('relu', 'identity')"),
+    ("metric", "manhattan", "metric is 'manhattan', not one of ('euclidean', 'sup')"),
+    # used to raise a FileNotFoundError traceback and exit 1
+    ("points_file", "/nonexistent/points.txt", "points_file: '/nonexistent/points.txt' is not an"),
+    ("weights_files", ["/nonexistent/w0.txt"], "weights_files[0]: '/nonexistent/w0.txt' is not an"),
 ])
 def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys, nested, value, bad):
+    host = KEY_HOSTS.get(f"{nested}={value}", KEY_HOSTS.get(nested, KEY_HOSTS["gap-kernel"]))
     payload = {"seed": 1, "experiments": [
         {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
-        {"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
-         "n": 8, "rho": 1.0, "trials": 2, nested: value},
+        {**host, nested: value},
     ]}
     cfg = _write_config(tmp_path / "cfg.json", payload)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -168,6 +199,62 @@ def test_reps_given_as_one_string_exits_2_up_front(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", payload)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "experiments[0].reps: 'natural_permutation' is not a list" in capsys.readouterr().err
+
+
+def test_each_distinct_descriptor_is_built_once_per_resolution(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(build):
+        def counting(*args):
+            calls[build.__name__, args[-1]] += 1
+            return build(*args)
+        return counting
+
+    monkeypatch.setattr(cli, "build_group", counted(cli.build_group))
+    monkeypatch.setattr(cli, "build_representation", counted(cli.build_representation))
+    received = {}
+
+    def spied(kind):
+        runner = cli._RUNNERS[kind]
+
+        @functools.wraps(runner)
+        def spy(seed, **kwargs):
+            before = sum(calls.values())
+            received[kind] = kwargs
+            row = runner(seed, **kwargs)
+            assert sum(calls.values()) == before, f"{kind}'s runner built a descriptor"
+            return row
+        return spy
+
+    for kind in ("vc-bound", "gap-equivariant"):
+        monkeypatch.setitem(cli._RUNNERS, kind, spied(kind))
+    payload = {"seed": 1, "experiments": [
+        {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 3},
+        {"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
+         "rep_out": "natural_permutation", "n": 12, "trials": 1000},
+    ]}
+    assert cli.run_config(payload, tmp_path / "out") == 0
+    # two resolutions of each experiment, one to validate the config and one to run it
+    assert calls == {("build_group", "symmetric 3"): 4,
+                     ("build_representation", "natural_permutation"): 4}
+    reps = received["vc-bound"]["reps"]
+    assert reps[0] is reps[1] is reps[2]
+    assert received["gap-equivariant"]["rep_in"] is received["gap-equivariant"]["rep_out"]
+
+
+def test_validation_frees_what_it_built_without_the_cycle_collector():
+    # a reference cycle through the resolver would keep every validated
+    # experiment's group and representations alive until a gc pass
+    gc.disable()
+    try:
+        kwargs = cli._runner_kwargs(
+            "vc-bound", {"group": "symmetric 5", "reps": ["natural_permutation"] * 3}, "params"
+        )
+        built = [weakref.ref(kwargs["group"]), weakref.ref(kwargs["reps"][0])]
+        del kwargs
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
 
 
 def test_integral_floats_and_numeric_strings_still_cast():
