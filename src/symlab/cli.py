@@ -217,9 +217,9 @@ def _run_covering(
 
 def _load_matrix(path: Path) -> np.ndarray:
     try:
-        return np.atleast_2d(np.loadtxt(path))
+        return np.loadtxt(path, ndmin=2)
     except ValueError:
-        return np.atleast_2d(np.loadtxt(path, delimiter=","))
+        return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _run_layer_project(

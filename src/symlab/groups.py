@@ -152,9 +152,6 @@ class FiniteGroup:
         """Id of a*b, for ids or broadcastable id arrays."""
         return self._compose(a, b)
 
-    def inverse_of(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def same_composition(self, other: FiniteGroup) -> bool:
         """True when both groups have the same ids composing the same way.
 

@@ -13,6 +13,11 @@ average of the fitted function.  Where the base Gram and the averaged Gram
 are needed on the same points (each gap trial, and the remainder kernel
 k - kbar), the base Gram is computed once and is also the identity
 element's term of the averaged Gram.
+
+fit_krr factors and solves through LAPACK's dpotrf/dpotrs directly, the
+calls scipy's cho_factor/cho_solve make, without their argument checks.
+A non-finite Gram therefore fails the factorization and raises
+np.linalg.LinAlgError, where scipy's finiteness check raised ValueError.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .averaging import build_phi, group_average
 from .groups import Representation
@@ -97,7 +102,9 @@ def gaussian_kernel(action: Representation, bandwidth: float, Mk: float = 1.0) -
         # for bit, since rounding to nearest is symmetric in sign
         ab = A @ B.T
         ab *= 2.0
-        sq = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :]
+        a2 = (A ** 2).sum(axis=1)
+        b2 = a2 if B is A else (B ** 2).sum(axis=1)
+        sq = a2[:, None] + b2[None, :]
         np.subtract(sq, ab, out=sq)
         np.maximum(sq, 0.0, out=sq)
         np.divide(sq, minus_two_h2, out=sq)
@@ -243,31 +250,55 @@ class KrrModel:
         return averaged.gram_bar(self.X, X_new).T @ self.alpha
 
 
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a by LAPACK dpotrf, as scipy's
+    cho_factor(a, lower=True) computes it; a itself is left unchanged and
+    the upper triangle of the result is not zeroed."""
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed: info={info}")
+    return c
+
+
 def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> KrrModel:
-    """Solve (K + rho I) alpha = Y by Cholesky with jitter escalation."""
+    """Solve (K + rho I) alpha = Y by Cholesky with jitter escalation.
+
+    The factor comes from cho_factor (LAPACK dpotrf) and the solve from
+    dpotrs, bit for bit what scipy's cho_factor/cho_solve return.  A failed
+    factorization is retried with the diagonal raised by 1, 2 and 3 times
+    1e-12 * trace(K) / n.  A NaN in X or Y raises np.linalg.LinAlgError,
+    from the factorization or from the residual check.
+    """
     if rho <= 0:
         raise ValueError("rho must be > 0")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     n = X.shape[0]
     K = kernel.gram(X, X)
-    eye = np.eye(n)
-    base = K + rho * eye
-    jitter = 1e-12 * float(np.trace(K)) / n
+    # K + rho * I: equal values, but only the diagonal is touched
+    base = K.copy()
+    base.flat[::n + 1] += rho
     alpha = None
     for attempt in range(4):
+        shifted = base
+        if attempt:
+            shifted = base.copy()
+            shifted.flat[::n + 1] += attempt * (1e-12 * float(np.trace(K)) / n)
         try:
-            factor = cho_factor(base if attempt == 0 else base + attempt * jitter * eye, lower=True)
-            alpha = cho_solve(factor, Y)
-            break
+            factor = cho_factor(shifted)
         except np.linalg.LinAlgError:
             continue
+        alpha, info = dpotrs(factor, Y, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpotrs failed: info={info}")
+        break
     if alpha is None:
         raise np.linalg.LinAlgError(
             f"Gram factorization failed; condition estimate {np.linalg.cond(base):.3e}"
         )
     residual = np.linalg.norm(base @ alpha - Y)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(Y)):
+    # written so that a NaN residual fails
+    if not residual <= 1e-8 * max(1.0, np.linalg.norm(Y)):
         raise np.linalg.LinAlgError(f"KRR solve residual too large: {residual:.3e}")
     return KrrModel(kernel=kernel, X=X, alpha=alpha, rho=rho)
 

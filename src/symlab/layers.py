@@ -99,10 +99,6 @@ class LayerSpec:
     def widths(self) -> tuple:
         return tuple(rep.dim for rep in self.reps)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
     def forward(self, X: np.ndarray) -> np.ndarray:
         act = ACTIVATIONS[self.activation]
         h = np.asarray(X, dtype=np.float64)

@@ -26,7 +26,9 @@ class Distribution:
             return self.scale * rng.standard_normal((n, self.dim))
         if self.kind == "sphere":
             z = rng.standard_normal((n, self.dim))
-            return self.scale * z / np.linalg.norm(z, axis=1, keepdims=True)
+            # scale * z / np.linalg.norm(z, axis=1, keepdims=True), in z's buffer
+            norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+            return np.divide(np.multiply(self.scale, z, out=z), norm, out=z)
         if self.kind == "points":
             idx = rng.integers(0, self.points.shape[0], size=n)
             return self.points[idx]

@@ -407,6 +407,18 @@ def test_layer_project_loads_weights_from_matrix_files(tmp_path):
     assert row["verdict"] == "pass"
 
 
+def test_layer_project_reads_a_one_column_weights_file_as_a_column(tmp_path):
+    # three lines of one number each: the (3, 1) map from natural_permutation to trivial 1
+    (tmp_path / "w0.txt").write_text("1.0\n1.0\n1.0\n")
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 0, "experiments": [
+        {"kind": "layer-project", "group": "symmetric 3",
+         "reps": ["trivial 1", "natural_permutation"],
+         "weights_files": [str(tmp_path / "w0.txt")]},
+    ]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert ",pass," in (tmp_path / "out" / "results.csv").read_text()
+
+
 def test_run_experiment_rejects_unknown_kind():
     with pytest.raises(cli.ConfigError, match="unknown experiment kind"):
         cli.run_experiment("nonsense", {}, seed=0)

@@ -2,7 +2,8 @@
 
 Each ``_reference_*`` function below is the loop or expression its caller
 used before the sums were folded into ``group_average`` and before the
-kernel trial path shared its base Gram and built Gaussian Grams in place;
+kernel trial path shared its base Gram, built Gaussian Grams in place,
+called LAPACK without scipy's wrappers and normalised sphere draws inline;
 the new code must return the same bits, not merely close values.  The one
 exception is the layer bound on a non-permutation output rep, whose weight
 now scales after the output-rep product instead of before it.
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from symlab import kernel_gap
 from symlab.averaging import apply_Q, group_average, haar_sample, tta_average
 from symlab.groups import build_group, build_representation
 from symlab.kernel_gap import (
@@ -263,14 +265,19 @@ def _reference_fit_alpha(kernel, X, Y, rho):
     raise np.linalg.LinAlgError("reference factorization failed")
 
 
+def _reference_sphere_sample(mu, n, rng):
+    z = rng.standard_normal((n, mu.dim))
+    return mu.scale * z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def _reference_perp_sq(config, averaged, X, y, rng):
     model = fit_krr(config.kernel, X, y, config.rho)
-    X_test = config.mu.sample(config.n_test, rng)
+    X_test = _reference_sphere_sample(config.mu, config.n_test, rng)
     perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
     return float((perp ** 2).mean())
 
 
-def _gap_config(d, ktype):
+def _gap_config(d, ktype, n=16, rho=0.1):
     rep = _rep(f"cyclic {d}")
     kernel = (
         linear_kernel(rep, Mk=float(d)) if ktype == "linear"
@@ -279,7 +286,7 @@ def _gap_config(d, ktype):
     theta = np.ones(d) / math.sqrt(d)
     return KrrGapConfig(
         kernel=kernel, f_star=lambda X: X @ theta, mu=sphere(d),
-        n=16, sigma=1.0, rho=0.1, trials=1, seed=3, n_test=256,
+        n=n, sigma=1.0, rho=rho, trials=1, seed=3, n_test=256,
     )
 
 
@@ -316,22 +323,52 @@ def test_pair_values_is_bitwise_the_one_shot_diagonal(ktype):
 @pytest.mark.parametrize("d", [4, 8])
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])
 def test_shared_identity_trial_is_bitwise_the_predict_difference(d, ktype):
-    config = _gap_config(d, ktype)
-    averaged = build_averaged_kernel(config.kernel)
-    assert averaged._identity_is_eye
-    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
-    for _ in range(3):
-        X = config.mu.sample(config.n, rng)
-        y = config.f_star(X) + rng.standard_normal(config.n)
-        X_ref = config.mu.sample(config.n, ref_rng)
-        y_ref = config.f_star(X_ref) + ref_rng.standard_normal(config.n)
-        assert np.array_equal(fit_krr(config.kernel, X, y, config.rho).alpha,
-                              _reference_fit_alpha(config.kernel, X_ref, y_ref, config.rho))
-        assert _perp_sq(config, averaged, X, y, rng) == \
-            _reference_perp_sq(config, averaged, X_ref, y_ref, ref_rng)
+    # every (n, rho) of the quick suite's gap-kernel grid
+    for n, rho in ((16, 0.1), (16, 1.0), (64, 0.1), (64, 1.0)):
+        config = _gap_config(d, ktype, n=n, rho=rho)
+        averaged = build_averaged_kernel(config.kernel)
+        assert averaged._identity_is_eye
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        for _ in range(3):
+            X = config.mu.sample(config.n, rng)
+            y = config.f_star(X) + rng.standard_normal(config.n)
+            X_ref = _reference_sphere_sample(config.mu, config.n, ref_rng)
+            y_ref = config.f_star(X_ref) + ref_rng.standard_normal(config.n)
+            assert np.array_equal(X, X_ref)
+            assert np.array_equal(fit_krr(config.kernel, X, y, config.rho).alpha,
+                                  _reference_fit_alpha(config.kernel, X_ref, y_ref, config.rho))
+            assert _perp_sq(config, averaged, X, y, rng) == \
+                _reference_perp_sq(config, averaged, X_ref, y_ref, ref_rng)
     A, B = rng.standard_normal((2, 40, d))
     expected = config.kernel.gram(A, B) - _reference_gram_bar(config.kernel, A, B)
     assert np.array_equal(averaged.gram_perp(A, B), expected)
+
+
+@pytest.mark.parametrize("ktype", ["linear", "gaussian"])
+def test_fit_krr_retry_is_bitwise_scipy_on_the_jittered_matrix(monkeypatch, ktype):
+    config = _gap_config(8, ktype, n=64, rho=0.1)
+    rng = np.random.default_rng(24)
+    X = config.mu.sample(config.n, rng)
+    y = config.f_star(X) + rng.standard_normal(config.n)
+    calls = []
+    factor = kernel_gap.cho_factor
+
+    def first_call_fails(a):
+        calls.append(a.copy())
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("planted failure")
+        return factor(a)
+
+    monkeypatch.setattr(kernel_gap, "cho_factor", first_call_fails)
+    alpha = fit_krr(config.kernel, X, y, config.rho).alpha
+    assert len(calls) == 2
+    n = config.n
+    K = config.kernel.gram(X, X)
+    base = K + config.rho * np.eye(n)
+    jitter = 1e-12 * float(np.trace(K)) / n
+    assert np.array_equal(calls[0], base)
+    assert np.array_equal(calls[1], base + jitter * np.eye(n))
+    assert np.array_equal(alpha, cho_solve(cho_factor(base + jitter * np.eye(n), lower=True), y))
 
 
 def test_identity_not_exactly_eye_falls_back_to_the_full_sum():

@@ -25,7 +25,7 @@ from symlab.kernel_gap import (
     linear_kernel,
     linear_kernel_bound,
 )
-from symlab.sampling import gaussian
+from symlab.sampling import gaussian, sphere
 
 
 def _perm_rep(descriptor, d=None):
@@ -219,6 +219,28 @@ def test_fit_krr_requires_positive_rho():
         fit_krr(linear_kernel(rep), np.array([[1.0]]), np.array([1.0]), rho=0.0)
 
 
+@pytest.mark.parametrize("where", ["X", "Y"])
+def test_fit_krr_nan_input_raises_linalg_error(where):
+    rep = _perm_rep("cyclic 4")
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((16, 4))
+    y = rng.standard_normal(16)
+    (X if where == "X" else y)[5] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        fit_krr(gaussian_kernel(rep, bandwidth=2.0), X, y, rho=0.1)
+
+
+def test_fit_krr_leaves_inputs_unchanged():
+    rep = _perm_rep("cyclic 4")
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((16, 4))
+    y = rng.standard_normal(16)
+    X0, y0 = X.copy(), y.copy()
+    model = fit_krr(gaussian_kernel(rep, bandwidth=2.0), X, y, rho=0.1)
+    assert np.array_equal(X, X0) and np.array_equal(y, y0)
+    assert np.array_equal(model.X, X0)
+
+
 # ---------------------------------------------------------- gap experiment
 
 
@@ -288,6 +310,25 @@ def test_gap_equals_risk_difference():
     samples = (f_hat - truth) ** 2 - (f_bar - truth) ** 2 - (f_hat - f_bar) ** 2
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean()) <= 4.0 * max(se, 1e-12)
+
+
+def test_repeated_gap_runs_in_one_process_agree():
+    # a result must not depend on what was allocated and freed before the run
+    rep = _perm_rep("cyclic 4")
+    theta = np.ones(4) / 2.0
+    config = KrrGapConfig(
+        kernel=gaussian_kernel(rep, bandwidth=2.0), f_star=lambda X: X @ theta, mu=sphere(4),
+        n=16, sigma=1.0, rho=0.1, trials=40, seed=27, n_test=64, n_pairs=1000, bias_trials=10,
+    )
+    first = krr_gap_experiment(config)
+    rng = np.random.default_rng(28)
+    for _ in range(50):
+        scratch = [rng.standard_normal(shape) for shape in ((16, 4), (16, 16), (16,), (64, 4), (16, 64))]
+        del scratch
+    second = krr_gap_experiment(config)
+    assert (second.mc_gap_mean, second.mc_gap_se) == (first.mc_gap_mean, first.mc_gap_se)
+    assert second.closed_form == first.closed_form
+    assert second.metadata == first.metadata
 
 
 def test_f_star_invariance_enforced():
