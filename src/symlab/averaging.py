@@ -5,7 +5,9 @@ sum_g w(g) F(g) is taken, over the whole group or a seeded draw from
 ``haar_sample``.  Beside it: exact averaging on linear maps (the projection
 matrix Phi and the 4-index intertwiner tensor Psi), black-box predictor
 averaging, test-time augmentation, and the empirical Rademacher
-complexity used by the sandwich check.
+complexity used by the sandwich check.  Q on a black-box predictor has one
+implementation, ``DecomposedPredictor``; test-time augmentation is its
+symmetric part with a trivial output representation.
 
 Conventions: a batched predictor maps an (m, d_in) array of row vectors
 to an (m, d_out) array.  For a linear predictor f_W(x) = W^T x with
@@ -41,6 +43,9 @@ __all__ = [
 MAX_TENSOR_SIDE = 1000
 
 _PROJECTION_TOL = 1e-9
+
+# tta_average's mode names and the DecomposedPredictor modes they select
+_TTA_MODES = {"exact": "exact_sum", "monte_carlo": "monte_carlo"}
 
 
 def group_average(fn: Callable, group, elements=None, weights=None):
@@ -98,8 +103,9 @@ def build_phi(rep: Representation) -> ProjectionMatrix:
         raise ValueError("averaged matrix is not idempotent")
     if rep.is_orthogonal and np.max(np.abs(mat - mat.T)) > _PROJECTION_TOL:
         raise ValueError("averaged matrix of an orthogonal representation must be symmetric")
-    if np.max(np.abs(np.matmul(mat, rep.matrices) - mat)) > _PROJECTION_TOL:
-        raise ValueError("averaged matrix is not left-invariant")
+    for s in rep.group.generators:
+        if np.max(np.abs(mat @ rep.matrices[s] - mat)) > _PROJECTION_TOL:
+            raise ValueError("averaged matrix is not left-invariant")
     return ProjectionMatrix(rep=rep, matrix=mat)
 
 
@@ -157,10 +163,10 @@ def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTen
         W_bar = op.apply(W)
         if np.linalg.norm(op.apply(W_bar) - W_bar) > _PROJECTION_TOL:
             raise ValueError("intertwiner tensor is not idempotent")
-        fixed = np.einsum("gac,ce,geb->gab", rep_in.matrices, W_bar,
-                          rep_out.matrices[group.inverse])
-        if np.max(np.abs(fixed - W_bar)) > _PROJECTION_TOL:
-            raise ValueError("averaged matrix does not intertwine the representations")
+        for s in group.generators:
+            fixed = rep_in.matrices[s] @ W_bar @ rep_out.matrices[group.inverse[s]]
+            if np.max(np.abs(fixed - W_bar)) > _PROJECTION_TOL:
+                raise ValueError("averaged matrix does not intertwine the representations")
     expected_trace = character_inner(rep_out, rep_in)
     if abs(op.trace - expected_trace) > 1e-8:
         raise ValueError(
@@ -260,24 +266,16 @@ def tta_average(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Test-time augmentation: average predictions over group transforms.
 
-    Invariance case only (no output representation).  "monte_carlo" draws
-    n group elements i.i.d. from the Haar weights once and reuses them on
-    every call; "exact" sums over the whole group and ignores n.
+    Invariance case only: Q with the trivial output representation of the
+    predictor's output width.  "monte_carlo" draws n group elements i.i.d.
+    from the Haar weights once and reuses them on every call; "exact" sums
+    over the whole group and ignores n.
     """
-    if mode not in ("exact", "monte_carlo"):
+    if mode not in _TTA_MODES:
         raise ValueError(f"unknown tta mode {mode!r}")
-    elements, weights = haar_sample(rep_in.group, n if mode == "monte_carlo" else None, seed)
-    phi = rep_in.matrices
-
-    def averaged(x: np.ndarray) -> np.ndarray:
-        X, single = _as_batch(x, rep_in.dim)
-        acc = group_average(
-            lambda g: np.asarray(pred(X @ phi[g].T), dtype=np.float64),
-            rep_in.group, elements, weights,
-        )
-        return acc[0] if single else acc
-
-    return averaged
+    width = np.asarray(pred(np.zeros((2, rep_in.dim)))).reshape(2, -1).shape[1]
+    trivial = build_representation(rep_in.group, f"trivial {width}")
+    return apply_Q(pred, rep_in, trivial, mode=_TTA_MODES[mode], n_samples=n, seed=seed).symmetric_part
 
 
 def empirical_rademacher(

@@ -117,7 +117,7 @@ def _run_gap_linear(
         rep, _invariant_theta(rep, theta), n,
         sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
-    report = monte_carlo_gap(config, experiment="gap-linear")
+    report = monte_carlo_gap(config)
     return _gap_row(report, rep, 1, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
 
 
@@ -132,7 +132,7 @@ def _run_gap_equivariant(
         phi=rep_in, psi=rep_out, theta=theta, n=n,
         sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
-    report = monte_carlo_gap(config, experiment="gap-equivariant")
+    report = monte_carlo_gap(config)
     return _gap_row(report, rep_in, rep_out.dim, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
 
 

@@ -404,7 +404,10 @@ class Representation:
     as a requirement on construction: if True (default) a failed
     orthogonality check raises; if False the check result is recorded
     instead, so non-orthogonal explicit representations can be carried
-    with a flag.  The homomorphism property is always enforced.
+    with a flag.  The homomorphism property is always enforced.  The
+    identity's matrix, once checked to be I within HOMOMORPHISM_TOL, is
+    stored as exactly I, so B @ rho(e).T is B bit for bit and an averaged
+    Gram can always share the identity's term with the base Gram.
     """
 
     group: FiniteGroup
@@ -414,15 +417,10 @@ class Representation:
     is_orthogonal: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrices", _read_only(self.matrices, np.float64))
+        # a copy, so the caller's own array stays writeable and unchanged
+        object.__setattr__(self, "matrices", np.array(self.matrices, dtype=np.float64, order="C"))
         _validate_representation(self)
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
-    def inverse_matrix(self, g: int) -> np.ndarray:
-        # exact via the group's inverse ids; valid even for non-orthogonal matrices
-        return self.matrices[self.group.inverse[g]]
+        self.matrices.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"Representation({self.name!r}, group={self.group.name!r}, dim={self.dim})"
@@ -440,6 +438,7 @@ def _validate_representation(rep: Representation) -> None:
     eye = np.eye(rep.dim)
     if np.max(np.abs(mats[group.identity] - eye)) > HOMOMORPHISM_TOL:
         raise ValueError("identity element does not map to the identity matrix")
+    mats[group.identity] = eye
 
     # with rho(e) = I, rho(s*g) = rho(s) rho(g) for each generator s gives it for all of G
     ids = np.arange(m)

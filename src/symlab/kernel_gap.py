@@ -9,10 +9,12 @@ Kernels are evaluated through Gram callables gram(A, B)[i, j] = k(a_i, b_j).
 The averaged kernel transforms the second argument,
 kbar(x, y) = sum_g w(g) k(x, phi(g) y), so for a fitted KRR model the
 averaged predictor sum_i alpha_i kbar(x_i, .) is exactly the group
-average of the fitted function.  Where the base Gram and the averaged Gram
-are needed on the same points (each gap trial, and the remainder kernel
-k - kbar), the base Gram is computed once and is also the identity
-element's term of the averaged Gram.
+average of the fitted function.  A Representation stores phi(e) as exactly
+I, so the identity element's term of the averaged Gram is always the base
+Gram itself; where both are needed on the same points (each gap trial, and
+the remainder kernel k - kbar), that Gram is computed once.  The gap
+experiment and its noiseless bias estimate run one trial loop.  A standard
+error over fewer than two values is NaN, so a 4-SE verdict on it fails.
 
 fit_krr factors and solves through LAPACK's dpotrf/dpotrs directly, the
 calls scipy's cho_factor/cho_solve make, without their argument checks.
@@ -23,7 +25,7 @@ np.linalg.LinAlgError, where scipy's finiteness check raised ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -122,10 +124,10 @@ def explicit_bilinear_kernel(
     return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ Y.T, Mk))
 
 
-def _pair_values(gram, X: np.ndarray, Y: np.ndarray, block: int = 64) -> np.ndarray:
-    """k(x_i, y_i) for aligned rows, computed blockwise off the Gram diagonal;
-    only the diagonal is kept, so small blocks waste less of each Gram."""
-    n = X.shape[0]
+def _pair_values(gram, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """k(x_i, y_i) for aligned rows, computed in blocks of 64 off the Gram
+    diagonal; only the diagonal is kept, so small blocks waste less of each Gram."""
+    n, block = X.shape[0], 64
     out = np.empty(n)
     for start in range(0, n, block):
         sl = slice(start, min(start + block, n))
@@ -165,29 +167,19 @@ class AveragedKernel:
     parent: KernelSpec
     switch_ok: str
     switch_violation: float
-    _identity_is_eye: bool = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        action = self.parent.action
-        object.__setattr__(self, "_identity_is_eye", bool(np.array_equal(
-            action.matrices[action.group.identity], np.eye(action.dim)
-        )))
 
     def gram_bar(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        action, gram = self.parent.action, self.parent.gram
-        return group_average(lambda g: gram(A, B @ action.matrices[g].T), action.group)
+        return self._gram_and_bar(A, B)[1]
 
     def gram_perp(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         K, Kbar = self._gram_and_bar(A, B)
         return K - Kbar
 
     def _gram_and_bar(self, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gram(A, B), gram_bar(A, B)) with one Gram fewer: when phi(identity)
-        is exactly I, B @ I.T is B bit for bit, so K is the identity's term."""
-        K = self.parent.gram(A, B)
-        if not self._identity_is_eye:
-            return K, self.gram_bar(A, B)
+        """(gram(A, B), gram_bar(A, B)) with one Gram fewer: phi(identity) is
+        stored as exactly I, so B @ I.T is B bit for bit and K is the identity's term."""
         action, gram = self.parent.action, self.parent.gram
+        K = gram(A, B)
         e = action.group.identity
         Kbar = group_average(
             lambda g: K if g == e else gram(A, B @ action.matrices[g].T), action.group
@@ -348,19 +340,34 @@ def _perp_sq(config: KrrGapConfig, averaged: AveragedKernel, X, y, rng) -> float
     return float((perp ** 2).mean())
 
 
+def _standard_error(values: np.ndarray) -> float:
+    """std(ddof=1) / sqrt(n), NaN below two values, where it is undefined."""
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+
+
+def _perp_sq_trials(
+    config: KrrGapConfig, averaged: AveragedKernel, trials: int, rng, noisy: bool
+) -> tuple[float, float]:
+    """The mean of _perp_sq over `trials` fits on fresh draws from rng, and its
+    standard error; the labels are f_star, plus sigma-scaled noise when noisy."""
+    per_trial = np.empty(trials)
+    for t in range(trials):
+        X = config.mu.sample(config.n, rng)
+        y = np.asarray(config.f_star(X)).reshape(-1)
+        if noisy:
+            y = y + config.sigma * rng.standard_normal(config.n)
+        per_trial[t] = _perp_sq(config, averaged, X, y, rng)
+    return float(per_trial.mean()), _standard_error(per_trial)
+
+
 def estimate_bias_term(config: KrrGapConfig, averaged: AveragedKernel | None = None) -> tuple[float, float]:
     """Noiseless sub-procedure: fit KRR on f_star(X_i) and Monte-Carlo the
     squared anti-symmetric part of the fit on fresh points."""
     if averaged is None:
         averaged = build_averaged_kernel(config.kernel)
     rng = np.random.default_rng((config.seed, 77))
-    per_trial = np.empty(config.bias_trials)
-    for t in range(config.bias_trials):
-        X = config.mu.sample(config.n, rng)
-        y = np.asarray(config.f_star(X)).reshape(-1)
-        per_trial[t] = _perp_sq(config, averaged, X, y, rng)
-    se = float(per_trial.std(ddof=1) / math.sqrt(config.bias_trials)) if config.bias_trials > 1 else math.inf
-    return float(per_trial.mean()), se
+    return _perp_sq_trials(config, averaged, config.bias_trials, rng, noisy=False)
 
 
 def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
@@ -368,13 +375,7 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     against the invariance lower bound (estimated bias + variance term)."""
     averaged = build_averaged_kernel(config.kernel)
     rng = np.random.default_rng(config.seed)
-    gaps = np.empty(config.trials)
-    for t in range(config.trials):
-        X = config.mu.sample(config.n, rng)
-        y = np.asarray(config.f_star(X)).reshape(-1) + config.sigma * rng.standard_normal(config.n)
-        gaps[t] = _perp_sq(config, averaged, X, y, rng)
-    mean = float(gaps.mean())
-    se = float(gaps.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else math.inf
+    mean, se = _perp_sq_trials(config, averaged, config.trials, rng, noisy=True)
 
     mk = config.kernel.Mk
     if mk is None:
@@ -449,8 +450,8 @@ def linear_kernel_bound(
     return {
         "zeta1": zeta1,
         "zeta2": zeta2,
-        "zeta1_se": float(z1.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf,
-        "zeta2_se": float(z2.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf,
+        "zeta1_se": _standard_error(z1),
+        "zeta2_se": _standard_error(z2),
         "bias_bound": bias,
         "variance_bound": variance,
         "bound": bias + variance,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import group_average
+from .averaging import apply_Q
 from .groups import Representation, character_inner
 
 __all__ = [
@@ -94,10 +94,6 @@ class LayerSpec:
                     M = rep.matrices[g]
                     if np.max(np.abs(act(V @ M.T) - act(V) @ M.T)) > 1e-9:
                         raise ValueError("activation does not commute with an intermediate rep")
-
-    @property
-    def widths(self) -> tuple:
-        return tuple(rep.dim for rep in self.reps)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         act = ACTIVATIONS[self.activation]
@@ -182,23 +178,21 @@ def check_regularisation_bound(
         if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-12:
             raise ValueError("sigma must be a scalar or a symmetric (d, d) covariance")
     sqrt_cov = _sqrt_psd(cov)
-    group = psi_in.group
-    for g in group.generators:
+    for g in psi_in.group.generators:
         M = psi_in.matrices[g]
         if np.max(np.abs(M @ cov @ M.T - cov)) > 1e-9:
             raise ValueError("covariance is not invariant under the input representation")
     if activation != "identity" and not _is_permutation_type(psi_out):
         raise ValueError("relu requires a permutation-type output representation")
 
-    W_bar, W_perp = project_layer(W, psi_in, psi_out)
+    _, W_perp = project_layer(W, psi_in, psi_out)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, d)) @ sqrt_cov
-    out_inv = psi_out.matrices[group.inverse]
-    f = act(X @ W.T)
-    qf = group_average(lambda g: act(X @ psi_in.matrices[g].T @ W.T) @ out_inv[g].T, group)
-    sq = ((f - qf) ** 2).sum(axis=1)
+    f_perp = apply_Q(lambda Z: act(Z @ W.T), psi_in, psi_out).antisym_part(X)
+    sq = (f_perp ** 2).sum(axis=1)
     lhs = float(sq.mean())
-    lhs_se = float(sq.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+    # undefined below two samples: NaN fails the gate
+    lhs_se = float(sq.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
     middle = 2.0 * float(((W_perp @ sqrt_cov) ** 2).sum())
     right = 2.0 * float((sqrt_cov ** 2).sum()) * float((W_perp ** 2).sum())
     ok = lhs <= middle + 4.0 * lhs_se and middle <= right + 1e-12
@@ -212,21 +206,18 @@ def check_regularisation_bound(
     }
 
 
-def vc_bound(reps: tuple, widths: tuple | None = None) -> float:
+def vc_bound(reps: tuple) -> float:
     """VC-dimension bound for an invariant MLP architecture:
 
         L + (1/2) alpha L (L+1) max_i <chi_i, chi_{i+1}>,
         alpha = log2(4e log2(sum_i 2e i k_i) * sum_i i k_i),
 
     with k_i the width of layer input i and the inner products taken in
-    the group's character algebra.  widths, when given, must match the
-    representation dimensions."""
+    the group's character algebra."""
     reps = tuple(reps)
     if len(reps) < 2:
         raise ValueError("need at least one layer (two representations)")
     L = len(reps) - 1
-    if widths is not None and tuple(widths) != tuple(rep.dim for rep in reps):
-        raise ValueError("widths do not match the representation dimensions")
     widths = [rep.dim for rep in reps]
     max_inner = max(character_inner(reps[i], reps[i + 1]) for i in range(L))
     weighted = sum((i + 1) * widths[i] for i in range(L))
@@ -236,15 +227,14 @@ def vc_bound(reps: tuple, widths: tuple | None = None) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EquivarianceReport:
-    per_layer_perp: tuple
     violation: float
-    bound_values: tuple
     samples: int
 
 
 def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -> EquivarianceReport:
-    """Per-layer residual norms plus the worst end-to-end equivariance
-    violation max_{g,x} |F(phi(g) x) - psi(g) F(x)|_inf over samples."""
+    """The worst end-to-end equivariance violation
+    max_{g,x} |F(phi(g) x) - psi(g) F(x)|_inf over samples; regularizer_value
+    gives the per-layer residuals."""
     group = spec.reps[0].group
     in_mats = spec.reps[0].matrices
     out_mats = spec.reps[-1].matrices
@@ -256,16 +246,4 @@ def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -
     for g in ids:
         dev = np.max(np.abs(spec.forward(X @ in_mats[g].T) - FX @ out_mats[g].T))
         violation = max(violation, float(dev))
-    perps = []
-    bounds = []
-    for i, w in enumerate(spec.weights):
-        _, w_perp = project_layer(w, spec.reps[i], spec.reps[i + 1])
-        norm_sq = float((w_perp ** 2).sum())
-        perps.append(math.sqrt(norm_sq))
-        bounds.append(2.0 * norm_sq)  # unit-covariance closeness bound per layer
-    return EquivarianceReport(
-        per_layer_perp=tuple(perps),
-        violation=violation,
-        bound_values=tuple(bounds),
-        samples=n_samples,
-    )
+    return EquivarianceReport(violation=violation, samples=n_samples)

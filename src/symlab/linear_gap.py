@@ -367,7 +367,7 @@ def closed_form_gap(config: LinearGapConfig) -> float:
     return closed_form_gap_equivariant(config)
 
 
-def monte_carlo_gap(config: LinearGapConfig, experiment: str | None = None) -> GapReport:
+def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     """Per trial: draw (X, Y), solve minimum-norm least squares, and measure
     the exact per-trial gap sigma_x^2 ||W - Psi(W)||_F^2; compare the mean
     against the closed form at 4 standard errors."""
@@ -406,17 +406,16 @@ def monte_carlo_gap(config: LinearGapConfig, experiment: str | None = None) -> G
         failed += dropped
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
-    se = float(valid.std(ddof=1) / math.sqrt(len(valid))) if len(valid) > 1 else math.inf
+    # undefined below two trials: NaN fails the gate
+    se = float(valid.std(ddof=1) / math.sqrt(len(valid))) if len(valid) > 1 else math.nan
     closed = closed_form_gap(config)
     if invariant_case:
         dim_a = config.d - _phi_trace(config.phi)
     else:
         dim_a = d * k - character_inner(config.psi, config.phi)
     verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
-    if experiment is None:
-        experiment = "gap-linear" if invariant_case else "gap-equivariant"
     return GapReport(
-        experiment=experiment,
+        experiment="gap-linear" if invariant_case else "gap-equivariant",
         mc_gap_mean=mean,
         mc_gap_se=se,
         closed_form=closed,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_phi_invariance_under_action():
     rep = build_representation(build_group("dihedral 4"), "natural_permutation")
     phi = build_phi(rep)
     for g in rep.group.elements():
-        assert np.allclose(phi.matrix @ rep.matrix(g), phi.matrix, atol=1e-12)
+        assert np.allclose(phi.matrix @ rep.matrices[g], phi.matrix, atol=1e-12)
 
 
 def test_psi_trace_is_character_inner():
@@ -63,7 +64,7 @@ def test_psi_matches_brute_force_group_sum():
     W = rng.standard_normal((3, 3))
     expected = np.zeros((3, 3))
     for g in rep.group.elements():
-        expected += rep.group.weights[g] * rep.matrix(g) @ W @ rep.inverse_matrix(g)
+        expected += rep.group.weights[g] * rep.matrices[g] @ W @ rep.matrices[rep.group.inverse[g]]
     assert np.allclose(op.apply(W), expected, atol=1e-12)
 
 
@@ -87,6 +88,22 @@ def test_psi_trivial_group_is_identity_map():
     op = build_psi(rin, rout)
     W = np.arange(6.0).reshape(3, 2)
     assert np.array_equal(op.apply(W), W)
+
+
+def test_build_phi_checks_the_generators_without_a_group_sized_product():
+    rep = build_representation(build_group("cyclic 64"), "natural_permutation")
+    tracemalloc.start()
+    try:
+        build_phi(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stored matrices take 64^3 doubles, 2 MB; a product with all of them as much again
+    assert peak < rep.matrices.nbytes
+    # the trivial group has no generators, and both operators still build on it
+    one = build_representation(build_group("cyclic 1"), "natural_permutation")
+    assert np.array_equal(build_phi(one).matrix, np.eye(1))
+    assert np.array_equal(build_psi(one, one).tensor, np.ones((1, 1, 1, 1)))
 
 
 def test_psi_fixed_point():

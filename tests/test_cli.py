@@ -537,3 +537,24 @@ def test_readme_lists_each_kinds_keys_and_defaults():
                 assert f"`{param.name}` (" in optional, (kind, param.name)
             else:
                 assert f"`{param.name}` ({json.dumps(param.default)})" in optional, (kind, param.name)
+
+
+@pytest.mark.parametrize("exp", [
+    # with its SE taken as inf, this one noisy trial passed however far it fell from the closed form
+    {"kind": "gap-linear", "group": "symmetric 3", "rep": "natural_permutation",
+     "n": 20, "trials": 1, "sigma_xi": 50},
+    {"kind": "gap-kernel", "group": "cyclic 4", "rep": "natural_permutation",
+     "kernel": {"type": "gaussian", "bandwidth": 2.0}, "mu": {"kind": "sphere"},
+     "n": 16, "rho": 0.1, "trials": 1, "n_test": 64, "n_pairs": 1000, "bias_trials": 2},
+    {"kind": "regularisation-bound", "group": "symmetric 3",
+     "rep_in": "natural_permutation", "rep_out": "natural_permutation", "samples": 1},
+], ids=["gap-linear", "gap-kernel", "regularisation-bound"])
+def test_a_4se_gate_on_one_trial_fails(tmp_path, capsys, exp):
+    # a standard error over one value is undefined: it is NaN, and every gate on it fails
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 3, "experiments": [exp]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "verdict=fail" in capsys.readouterr().out
+    lines = (tmp_path / "out" / "results.csv").read_text().strip().split("\n")
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["mc_se"] == "nan"
+    assert row["verdict"] == "fail"

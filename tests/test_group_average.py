@@ -186,6 +186,22 @@ def test_tta_average_is_bitwise_the_reference_loop(mode):
     assert np.array_equal(out(X), _reference_tta(pred, rep, 23, 3, mode, X))
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("group", ["symmetric 3", "dihedral 5"])
+def test_tta_average_of_an_m_by_k_predictor_is_bitwise_the_reference_loop(group, mode):
+    # Q with a trivial k-dim output rep: each term passes through psi(g^-1) = I_k
+    rep = _rep(group)
+    B = np.random.default_rng(8).standard_normal((rep.dim, 3))
+    pred = lambda X: np.tanh(X @ B) - 0.5
+    X = np.random.default_rng(9).standard_normal((30, rep.dim))
+    out = tta_average(pred, rep, n=23, seed=3, mode=mode)
+    expected = _reference_tta(pred, rep, 23, 3, mode, X)
+    assert out(X).shape == (30, 3)
+    assert np.array_equal(out(X), expected)
+    assert np.array_equal(np.signbit(out(X)), np.signbit(expected))
+    assert np.array_equal(out(X[0]), _reference_tta(pred, rep, 23, 3, mode, X[:1])[0])
+
+
 def test_orbit_sums_are_bitwise_the_reference_sums():
     rep = _rep("dihedral 5")
     group, mats = rep.group, rep.matrices
@@ -327,7 +343,6 @@ def test_shared_identity_trial_is_bitwise_the_predict_difference(d, ktype):
     for n, rho in ((16, 0.1), (16, 1.0), (64, 0.1), (64, 1.0)):
         config = _gap_config(d, ktype, n=n, rho=rho)
         averaged = build_averaged_kernel(config.kernel)
-        assert averaged._identity_is_eye
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         for _ in range(3):
             X = config.mu.sample(config.n, rng)
@@ -371,23 +386,24 @@ def test_fit_krr_retry_is_bitwise_scipy_on_the_jittered_matrix(monkeypatch, ktyp
     assert np.array_equal(alpha, cho_solve(cho_factor(base + jitter * np.eye(n), lower=True), y))
 
 
-def test_identity_not_exactly_eye_falls_back_to_the_full_sum():
+def test_near_identity_explicit_rep_is_stored_with_exact_identity():
     base = _rep("cyclic 4", "rotation_block 1")
     mats = base.matrices.copy()
     # within the homomorphism tolerance, but not bit for bit the identity
     mats[base.group.identity, 0, 0] = np.nextafter(1.0, 0.0)
+    given = mats.copy()
     rep = build_representation(base.group, "explicit", matrices=mats)
+    assert np.array_equal(rep.matrices[rep.group.identity], np.eye(2))
+    assert np.array_equal(mats, given)  # the caller's array is left as it was
+    assert not rep.matrices.flags.writeable
+    # so the averaged Gram shares the identity's term and is still the full sum
     spec = gaussian_kernel(rep, bandwidth=0.9)
     averaged = build_averaged_kernel(spec)
-    assert not averaged._identity_is_eye
     A, B = np.random.default_rng(24).standard_normal((2, 64, 2))
     K, Kbar = averaged._gram_and_bar(A, B)
     assert np.array_equal(K, spec.gram(A, B))
     assert np.array_equal(Kbar, _reference_gram_bar(spec, A, B))
-    # the shortcut would have moved bits here
-    e = rep.group.identity
-    shared = group_average(lambda g: K if g == e else spec.gram(A, B @ mats[g].T), rep.group)
-    assert not np.array_equal(shared, Kbar)
+    assert np.array_equal(averaged.gram_bar(A, B), Kbar)
 
 
 def test_identity_term_is_not_mutated_by_the_sum():

@@ -117,7 +117,7 @@ def test_rotation_block_c4():
     g = build_group("cyclic 4")
     rep = build_representation(g, "rotation_block 1")
     assert rep.dim == 2
-    m1 = rep.matrix(1)
+    m1 = rep.matrices[1]
     assert np.allclose(np.linalg.matrix_power(m1, 4), np.eye(2), atol=1e-12)
     assert np.allclose(m1, [[0, -1], [1, 0]], atol=1e-12)
     # character of a 2D rotation is 2 cos(theta)
@@ -193,8 +193,8 @@ def test_non_orthogonal_flagged_when_allowed():
         build_representation(g, "explicit", matrices=mats)
     rep = build_representation(g, "explicit", matrices=mats, require_orthogonal=False)
     assert not rep.is_orthogonal
-    # inverse_matrix uses the table, so it is exact despite non-orthogonality
-    assert np.allclose(rep.inverse_matrix(1) @ rep.matrix(1), np.eye(2), atol=1e-12)
+    # the group's inverse ids give the inverse matrix exactly despite non-orthogonality
+    assert np.allclose(rep.matrices[g.inverse[1]] @ rep.matrices[1], np.eye(2), atol=1e-12)
 
 
 def test_natural_permutation_dihedral_is_homomorphism():
@@ -202,7 +202,7 @@ def test_natural_permutation_dihedral_is_homomorphism():
     rep = build_representation(g, "natural_permutation")
     assert rep.dim == 5
     for a, b in itertools.product(range(g.order), repeat=2):
-        assert np.array_equal(rep.matrix(g.compose(a, b)), rep.matrix(a) @ rep.matrix(b))
+        assert np.array_equal(rep.matrices[g.compose(a, b)], rep.matrices[a] @ rep.matrices[b])
 
 
 def test_natural_permutation_product_group():

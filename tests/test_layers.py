@@ -183,8 +183,7 @@ def test_projected_stack_is_equivariant():
     assert raw.violation > 1e-3  # random weights genuinely break equivariance
     tied = equivariance_report(project_spec(spec), n_samples=200, seed=1)
     assert tied.violation <= 1e-8
-    assert all(p <= 1e-10 for p in tied.per_layer_perp)
-    assert len(raw.per_layer_perp) == 3 and len(raw.bound_values) == 3
+    assert regularizer_value(project_spec(spec)) <= 1e-20
 
 
 # ------------------------------------------------------------ closeness bound
@@ -283,6 +282,3 @@ def test_vc_bound_validation():
     rep = _natural("symmetric 3")
     with pytest.raises(ValueError):
         vc_bound((rep,))
-    with pytest.raises(ValueError):
-        vc_bound((rep, rep), widths=(3, 4))
-    assert vc_bound((rep, rep), widths=(3, 3)) == vc_bound((rep, rep))
