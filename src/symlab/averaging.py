@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import Representation, build_representation, character_inner
+from .sampling import standard_error
 
 __all__ = [
     "MAX_TENSOR_SIDE",
@@ -338,8 +339,11 @@ def verify_operator_identities(
     (|S|+1)|G| predictor calls, not |G|^2.  The intertwining fixed point is
     also checked on the generators only.  Qf is averaged once over all
     n_samples points; the reconstruction f = Qf + (f - Qf) through
-    antisym_part is checked on the same 1000 points.
+    antisym_part is checked on the same 1000 points.  Below two samples the
+    standard error is NaN and the verdict fails.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if rep_out is None:
         rep_out = build_representation(rep_in.group, "trivial 1")
     phi = build_phi(rep_in)
@@ -383,13 +387,13 @@ def verify_operator_identities(
     ))) for s in rep_in.group.generators), default=0.0)
     inner = (np.asarray(f_bar).reshape(n_samples, -1) * np.asarray(f_perp).reshape(n_samples, -1)).sum(axis=1)
     inner_mean = float(inner.mean())
-    inner_se = float(inner.std(ddof=1) / np.sqrt(n_samples))
+    inner_se = standard_error(inner)
 
     exact_ok = max(
         dev_phi_idem, dev_phi_sym, dev_psi_idem, dev_psi_sym,
         dev_intertwine, dev_trace, dev_reconstruct, dev_q_idem,
     ) <= 1e-9
-    ortho_ok = abs(inner_mean) <= 3.0 * max(inner_se, 1e-15)
+    ortho_ok = abs(inner_mean) <= 3.0 * max(inner_se, 1e-15)  # max(nan, x) is nan: fails
     return {
         "group": rep_in.group.name,
         "rep_in": rep_in.name,

@@ -203,7 +203,7 @@ def _run_covering(
     metric: Literal[METRICS] = "euclidean", n: int = 100, dim: int = 2,
 ) -> dict:
     if points_file is not None:
-        cloud = PointCloud.from_file(points_file, metric=metric)
+        cloud = PointCloud(_load_matrix(points_file), metric=metric)
     elif points is not None:
         cloud = PointCloud(np.asarray(points, dtype=np.float64), metric=metric)
     else:

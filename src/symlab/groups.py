@@ -5,10 +5,9 @@ in the package is an exact finite sum.  A built group composes ids
 arithmetically from the ``structure`` it was built from (index arithmetic
 for cyclic and dihedral groups, lex ranks of composed permutations for
 symmetric groups, factor-wise for products); no dense composition table is
-held unless something reads ``FiniteGroup.table``.  Continuous SO(2) is
-admitted through an equispaced angular quadrature, which is itself an exact
-cyclic group of rotations; rotation blocks of frequency below half the node
-count integrate exactly.
+ever held.  Continuous SO(2) is admitted through an equispaced angular
+quadrature, which is itself an exact cyclic group of rotations; rotation
+blocks of frequency below half the node count integrate exactly.
 
 Every "for each g in G" check (left-invariant weights, the homomorphism
 property of a representation, and the intertwining and invariance checks
@@ -17,10 +16,9 @@ property closed under composition that holds for each generator holds for
 the whole group.  Built groups take their generators from ``structure``
 (1 for cyclic groups, a rotation and a reflection for dihedral ones, a
 transposition and an m-cycle for symmetric ones, each factor's for
-products); a group given a table takes them greedily from it, and its
-associativity is checked by Light's test over them.  A built group's
-composition comes from its structure, not from input, so its associativity
-is pinned by the tests rather than checked on every build.
+products).  A group's composition comes from its structure, not from
+input, so its associativity is pinned by the tests rather than checked on
+every build.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
 MAX_GROUP_ORDER = 5040
 HOMOMORPHISM_TOL = 1e-10
 
-_OPAQUE = ("opaque",)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class FiniteGroup:
@@ -63,11 +59,6 @@ class FiniteGroup:
     ("product", ("cyclic", 2), ("symmetric", 3)); it defines the
     composition, and lets representation constructors recover the concrete
     action behind the ids.
-
-    A group given an explicit ``table`` (``table[a, b]`` the id of a*b)
-    composes by indexing it, and its structure defaults to ("opaque",).
-    A group built from a structure holds no table; ``table`` is then
-    built from ``compose`` on first read.
     """
 
     name: str
@@ -81,65 +72,31 @@ class FiniteGroup:
     def __init__(
         self,
         name: str,
-        table: np.ndarray | None = None,
         *,
         inverse: np.ndarray,
         identity: int,
         weights: np.ndarray,
         exactness: str = "exact",
-        structure: tuple = _OPAQUE,
+        structure: tuple,
     ) -> None:
-        if table is None:
-            order = _structure_order(structure)
-            compose = _composer(structure)
-        else:
-            table = _read_only(table, np.int64)
-            order = table.shape[0]
-            compose = lambda a, b: table[a, b]
-            # seed the cached property, so reading it returns the given table
-            object.__setattr__(self, "table", table)
         for key, value in (
             ("name", name),
             ("inverse", _read_only(inverse, np.int64)),
             ("identity", identity),
             ("weights", _read_only(weights, np.float64)),
-            ("order", order),
+            ("order", _structure_order(structure)),
             ("exactness", exactness),
             ("structure", structure),
-            ("_compose", compose),
+            ("_compose", _composer(structure)),
         ):
             object.__setattr__(self, key, value)
         _validate_group(self)
 
     @functools.cached_property
-    def table(self) -> np.ndarray:
-        """The dense order x order composition table, built on first read."""
-        m = self.order
-        ids = np.arange(m)
-        table = np.empty((m, m), dtype=np.int64)
-        rows = max(1, (1 << 18) // m)
-        for start in range(0, m, rows):
-            table[start:start + rows] = self.compose(ids[start:start + rows, None], ids)
-        table.setflags(write=False)
-        return table
-
-    @functools.cached_property
     def generators(self) -> tuple:
         """Non-identity ids generating the group; a property closed under composition
-        holds for every element once it holds for each.  A table-given group takes,
-        in id order, each id the ones before it do not reach: at most log2(order)."""
-        if self.structure != _OPAQUE:
-            return _structure_generators(self.structure)
-        gens, reached = [], np.zeros(self.order, dtype=bool)
-        reached[self.identity] = True
-        for a in range(self.order):
-            if not reached[a]:
-                gens.append(a)
-                size = 0
-                while size < reached.sum():  # close under right multiplication by gens
-                    size = reached.sum()
-                    reached[self.compose(np.flatnonzero(reached)[:, None], gens)] = True
-        return tuple(gens)
+        holds for every element once it holds for each."""
+        return _structure_generators(self.structure)
 
     @property
     def is_exact(self) -> bool:
@@ -151,18 +108,6 @@ class FiniteGroup:
     def compose(self, a, b):
         """Id of a*b, for ids or broadcastable id arrays."""
         return self._compose(a, b)
-
-    def same_composition(self, other: FiniteGroup) -> bool:
-        """True when both groups have the same ids composing the same way.
-
-        Built groups compare by structure; only opaque groups, which have
-        nothing else to go by, compare their tables.
-        """
-        if self is other:
-            return True
-        if self.structure != other.structure:
-            return False
-        return self.structure != _OPAQUE or np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -177,14 +122,8 @@ def _read_only(values, dtype) -> np.ndarray:
 
 def _validate_group(group: FiniteGroup) -> None:
     m = group.order
-    stored = group.__dict__.get("table")
-    if m == 0 or (stored is not None and (stored.ndim != 2 or stored.shape != (m, m))):
-        raise ValueError(f"{group.name}: composition table must be square and non-empty")
     if m > MAX_GROUP_ORDER:
         raise ValueError(f"{group.name}: order {m} exceeds the cap {MAX_GROUP_ORDER}")
-    # a composition derived from a structure yields ids in range by construction
-    if stored is not None and (stored.min() < 0 or stored.max() >= m):
-        raise ValueError(f"{group.name}: table entries must be element ids in [0, {m})")
     if not 0 <= group.identity < m:
         raise ValueError(f"{group.name}: identity id {group.identity} out of range")
     compose, e = group.compose, group.identity
@@ -195,11 +134,6 @@ def _validate_group(group: FiniteGroup) -> None:
         raise ValueError(f"{group.name}: inverse table has wrong shape {group.inverse.shape}")
     if not (np.all(compose(group.inverse, ids) == e) and np.all(compose(ids, group.inverse) == e)):
         raise ValueError(f"{group.name}: inverse table is inconsistent with the composition table")
-
-    # Light's test: (x*s)*y == x*(s*y) for each generator s makes a given table associative
-    T = stored
-    if T is not None and not all(np.array_equal(T[T[:, s]], T[:, T[s]]) for s in group.generators):
-        raise ValueError(f"{group.name}: composition table is not associative")
 
     w = group.weights
     if w.shape != (m,):
@@ -258,7 +192,7 @@ def _composer(structure: tuple) -> Callable:
         left, right = _composer(structure[1]), _composer(structure[2])
         ob = _structure_order(structure[2])
         return lambda a, b: left(a // ob, b // ob) * ob + right(a % ob, b % ob)
-    raise ValueError(f"no composition for group structure {structure!r}; pass a table")
+    raise ValueError(f"no composition for group structure {structure!r}")
 
 
 def _structure_generators(structure: tuple) -> tuple:
@@ -483,7 +417,7 @@ def _natural_permutations(structure: tuple) -> tuple[int, list[np.ndarray]]:
         return m, [np.arange(m) if m == 1 else (np.arange(m) + j) % m for j in range(m)]
     if kind == "symmetric":
         m = structure[1]
-        return m, [np.array(p) for p in itertools.permutations(range(m))]
+        return m, list(_lex_permutations(m)[0])
     if kind == "dihedral":
         m = structure[1]
         v = np.arange(m)
@@ -533,11 +467,11 @@ def _sign_matrices(group: FiniteGroup) -> np.ndarray:
     if group.structure[0] != "symmetric":
         raise ValueError(f"sign representation requires a symmetric group, got {group.name}")
     m = group.structure[1]
-    signs = []
-    for p in itertools.permutations(range(m)):
-        inversions = sum(1 for i in range(m) for j in range(i + 1, m) if p[i] > p[j])
-        signs.append(-1.0 if inversions % 2 else 1.0)
-    return np.array(signs).reshape(-1, 1, 1)
+    perms = _lex_permutations(m)[0]
+    # the sign is the parity of the number of inversions, pairs i < j with p[i] > p[j]
+    later = np.triu(np.ones((m, m), dtype=bool), 1)
+    inversions = ((perms[:, :, None] > perms[:, None, :]) & later).sum(axis=(1, 2))
+    return np.where(inversions % 2, -1.0, 1.0).reshape(-1, 1, 1)
 
 
 def build_representation(
@@ -624,7 +558,7 @@ def character_inner(rep1: Representation, rep2: Representation) -> float:
     them; a non-negative near-integer for exact finite groups.
     """
     if rep1.group is not rep2.group and not (
-        rep1.group.same_composition(rep2.group)
+        rep1.group.structure == rep2.group.structure
         and np.array_equal(rep1.group.weights, rep2.group.weights)
     ):
         raise ValueError("representations live on different groups")

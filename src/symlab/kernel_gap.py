@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .averaging import build_phi, group_average
 from .groups import Representation
 from .linear_gap import GapReport
-from .sampling import Distribution
+from .sampling import Distribution, standard_error
 
 __all__ = [
     "KernelSpec",
@@ -222,7 +222,7 @@ def estimate_N(
     X = mu.sample(pairs, rng)
     Y = mu.sample(pairs, rng)
     vals = _pair_values(gram, X, Y) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(pairs))
+    return float(vals.mean()), standard_error(vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,12 +340,6 @@ def _perp_sq(config: KrrGapConfig, averaged: AveragedKernel, X, y, rng) -> float
     return float((perp ** 2).mean())
 
 
-def _standard_error(values: np.ndarray) -> float:
-    """std(ddof=1) / sqrt(n), NaN below two values, where it is undefined."""
-    n = len(values)
-    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-
-
 def _perp_sq_trials(
     config: KrrGapConfig, averaged: AveragedKernel, trials: int, rng, noisy: bool
 ) -> tuple[float, float]:
@@ -358,7 +352,7 @@ def _perp_sq_trials(
         if noisy:
             y = y + config.sigma * rng.standard_normal(config.n)
         per_trial[t] = _perp_sq(config, averaged, X, y, rng)
-    return float(per_trial.mean()), _standard_error(per_trial)
+    return float(per_trial.mean()), standard_error(per_trial)
 
 
 def estimate_bias_term(config: KrrGapConfig, averaged: AveragedKernel | None = None) -> tuple[float, float]:
@@ -450,8 +444,8 @@ def linear_kernel_bound(
     return {
         "zeta1": zeta1,
         "zeta2": zeta2,
-        "zeta1_se": _standard_error(z1),
-        "zeta2_se": _standard_error(z2),
+        "zeta1_se": standard_error(z1),
+        "zeta2_se": standard_error(z2),
         "bias_bound": bias,
         "variance_bound": variance,
         "bound": bias + variance,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .averaging import apply_Q
 from .groups import Representation, character_inner
+from .sampling import standard_error
 
 __all__ = [
     "LayerSpec",
@@ -68,7 +69,7 @@ class LayerSpec:
         group = reps[0].group
         for rep in reps[1:]:
             if rep.group is not group and not (
-                rep.group.same_composition(group)
+                rep.group.structure == group.structure
                 and np.allclose(rep.group.weights, group.weights)
             ):
                 raise ValueError("all representations must be of the same group")
@@ -191,8 +192,7 @@ def check_regularisation_bound(
     f_perp = apply_Q(lambda Z: act(Z @ W.T), psi_in, psi_out).antisym_part(X)
     sq = (f_perp ** 2).sum(axis=1)
     lhs = float(sq.mean())
-    # undefined below two samples: NaN fails the gate
-    lhs_se = float(sq.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
+    lhs_se = standard_error(sq)
     middle = 2.0 * float(((W_perp @ sqrt_cov) ** 2).sum())
     right = 2.0 * float((sqrt_cov ** 2).sum()) * float((W_perp ** 2).sum())
     ok = lhs <= middle + 4.0 * lhs_se and middle <= right + 1e-12

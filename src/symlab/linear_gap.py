@@ -20,6 +20,7 @@ import numpy as np
 
 from .averaging import IntertwinerTensor, build_psi
 from .groups import Representation, build_representation, character, character_inner
+from .sampling import standard_error
 
 __all__ = [
     "LinearGapConfig",
@@ -272,7 +273,7 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     gamma = beta
 
     def stat(x):
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(trials))
+        return float(x.mean()), standard_error(x)
 
     alpha_hat, alpha_se = stat(a_t)
     beta_hat, beta_se = stat(b_t)
@@ -406,8 +407,7 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
         failed += dropped
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
-    # undefined below two trials: NaN fails the gate
-    se = float(valid.std(ddof=1) / math.sqrt(len(valid))) if len(valid) > 1 else math.nan
+    se = standard_error(valid)
     closed = closed_form_gap(config)
     if invariant_case:
         dim_a = config.d - _phi_trace(config.phi)

@@ -332,14 +332,6 @@ class PointCloud:
             raise ValueError(f"unknown metric {self.metric!r}")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_file(cls, path: str, metric: str = "euclidean") -> "PointCloud":
-        try:
-            pts = np.loadtxt(path, ndmin=2)
-        except ValueError:
-            pts = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(points=pts, metric=metric)
-
     def distances_to(self, centers: np.ndarray) -> np.ndarray:
         """(n, k) distances from every point to each of k centers."""
         out = np.empty((self.points.shape[0], centers.shape[0]))

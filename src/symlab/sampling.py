@@ -1,25 +1,25 @@
-"""Input distributions for Monte-Carlo estimates of mu-inner products.
+"""Input distributions for Monte-Carlo estimates of mu-inner products, and
+the standard error every Monte-Carlo estimate reports.
 
 Only distributions invariant under orthogonal actions are constructed
-here (isotropic Gaussian, uniform sphere), plus the uniform law on an
-explicit point list whose invariance is the caller's responsibility.
+here: the isotropic Gaussian and the uniform sphere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Distribution", "gaussian", "sphere", "point_set"]
+__all__ = ["Distribution", "gaussian", "sphere", "standard_error"]
 
 
 @dataclass(frozen=True)
 class Distribution:
-    kind: str  # "gaussian" | "sphere" | "points"
+    kind: str  # "gaussian" | "sphere"
     dim: int
     scale: float = 1.0  # std per coordinate for gaussian, radius for sphere
-    points: np.ndarray | None = None
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
@@ -29,9 +29,6 @@ class Distribution:
             # scale * z / np.linalg.norm(z, axis=1, keepdims=True), in z's buffer
             norm = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
             return np.divide(np.multiply(self.scale, z, out=z), norm, out=z)
-        if self.kind == "points":
-            idx = rng.integers(0, self.points.shape[0], size=n)
-            return self.points[idx]
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
 
@@ -46,8 +43,8 @@ def sphere(dim: int, radius: float | None = None) -> Distribution:
     return Distribution("sphere", dim, radius)
 
 
-def point_set(points: np.ndarray) -> Distribution:
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("point_set needs a non-empty (m, d) array")
-    return Distribution("points", pts.shape[1], 1.0, pts)
+def standard_error(values: np.ndarray) -> float:
+    """std(ddof=1) / sqrt(n) of n values; NaN below two values, where it is
+    undefined, so a k-SE verdict on it fails."""
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan

@@ -419,6 +419,29 @@ def test_layer_project_reads_a_one_column_weights_file_as_a_column(tmp_path):
     assert ",pass," in (tmp_path / "out" / "results.csv").read_text()
 
 
+def test_numeric_text_files_parse_with_whitespace_or_commas(tmp_path):
+    # points_file and weights_files go through one parser; a one-column file is a column
+    column = tmp_path / "col.txt"
+    column.write_text("0.0\n5.0\n")
+    for name, sep in (("whitespace", " "), ("comma", ",")):
+        points = tmp_path / f"pts-{name}.txt"
+        points.write_text(f"0.0{sep}1.0\n2.0{sep}3.0\n")
+        weights = tmp_path / f"w-{name}.txt"
+        weights.write_text(
+            "\n".join(sep.join(str(float((r + c) % 3)) for c in range(3)) for r in range(3))
+        )
+        cfg = _write_config(tmp_path / "cfg.json", {"seed": 0, "experiments": [
+            {"kind": "covering", "points_file": str(points), "eps": 0.5},
+            {"kind": "covering", "points_file": str(column), "eps": 0.5},
+            {"kind": "layer-project", "group": "symmetric 3",
+             "reps": ["natural_permutation"] * 2, "weights_files": [str(weights)]},
+        ]})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / name)]) == 0
+        rows = json.loads((tmp_path / name / "results.json").read_text())
+        assert [(row["n"], row["d"]) for row in rows[:2]] == [(2, 2), (2, 1)]
+        assert rows[2]["verdict"] == "pass"
+
+
 def test_run_experiment_rejects_unknown_kind():
     with pytest.raises(cli.ConfigError, match="unknown experiment kind"):
         cli.run_experiment("nonsense", {}, seed=0)
@@ -548,7 +571,11 @@ def test_readme_lists_each_kinds_keys_and_defaults():
      "n": 16, "rho": 0.1, "trials": 1, "n_test": 64, "n_pairs": 1000, "bias_trials": 2},
     {"kind": "regularisation-bound", "group": "symmetric 3",
      "rep_in": "natural_permutation", "rep_out": "natural_permutation", "samples": 1},
-], ids=["gap-linear", "gap-kernel", "regularisation-bound"])
+    # a 3-SE gate; numpy warns "Degrees of freedom <= 0" on a one-sample std
+    {"kind": "verify-operators", "group": "symmetric 3", "rep": "natural_permutation",
+     "n_samples": 1},
+], ids=["gap-linear", "gap-kernel", "regularisation-bound", "verify-operators"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_4se_gate_on_one_trial_fails(tmp_path, capsys, exp):
     # a standard error over one value is undefined: it is NaN, and every gate on it fails
     cfg = _write_config(tmp_path / "cfg.json", {"seed": 3, "experiments": [exp]})
@@ -558,3 +585,13 @@ def test_a_4se_gate_on_one_trial_fails(tmp_path, capsys, exp):
     row = dict(zip(lines[1].split(","), lines[2].split(",")))
     assert row["mc_se"] == "nan"
     assert row["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_verify_operators_below_one_sample_exits_2_naming_it(tmp_path, capsys, n_samples):
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 3, "experiments": [
+        {"kind": "verify-operators", "group": "symmetric 3", "rep": "natural_permutation",
+         "n_samples": n_samples},
+    ]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"n_samples must be >= 1, got {n_samples}" in capsys.readouterr().err

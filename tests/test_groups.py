@@ -39,7 +39,7 @@ def test_symmetric_cap_rejected():
 def test_so2_quadrature_table_is_index_addition():
     g = build_group("so2_quadrature 8")
     ids = np.arange(8)
-    assert np.array_equal(g.table, (ids[:, None] + ids[None, :]) % 8)
+    assert np.array_equal(g.compose(ids[:, None], ids), (ids[:, None] + ids[None, :]) % 8)
     assert not g.is_exact
     assert g.exactness == "quadrature(8)"
 
@@ -82,18 +82,6 @@ def test_invalid_descriptors():
             build_group(bad)
 
 
-def test_invalid_table_rejected():
-    table = np.array([[0, 1], [1, 1]])  # not a group
-    with pytest.raises(ValueError):
-        FiniteGroup(
-            name="broken",
-            table=table,
-            inverse=np.array([0, 1]),
-            identity=0,
-            weights=np.array([0.5, 0.5]),
-        )
-
-
 def test_natural_permutation_s3():
     g = build_group("symmetric 3")
     rep = build_representation(g, "natural_permutation")
@@ -111,6 +99,22 @@ def test_character_inner_s3():
     assert character_inner(nat, nat) == pytest.approx(2.0, abs=1e-10)
     assert character_inner(nat, triv) == pytest.approx(1.0, abs=1e-10)
     assert character_inner(triv, triv) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reps_on_separately_built_groups_compare_by_structure():
+    from symlab.layers import LayerSpec
+
+    a = build_representation(build_group("symmetric 3"), "natural_permutation")
+    b = build_representation(build_group("symmetric 3"), "natural_permutation")
+    assert a.group is not b.group
+    assert character_inner(a, b) == pytest.approx(2.0, abs=1e-10)
+    LayerSpec(reps=(a, b), weights=(np.zeros((3, 3)),), activation="identity")
+    # same order, other composition
+    d3 = build_representation(build_group("dihedral 3"), "natural_permutation")
+    with pytest.raises(ValueError, match="different groups"):
+        character_inner(a, d3)
+    with pytest.raises(ValueError, match="same group"):
+        LayerSpec(reps=(a, d3), weights=(np.zeros((3, 3)),), activation="identity")
 
 
 def test_rotation_block_c4():
@@ -258,21 +262,6 @@ def test_vectorised_compose_matches_reference_table(descriptor):
     assert np.array_equal(g.compose(ids[:, None], ids[None, :]), reference)
     assert np.array_equal(g.compose(ids, ids), np.diagonal(reference))
     assert np.array_equal(reference[g.inverse, ids], np.full(g.order, g.identity))
-    assert "table" not in vars(g)
-    assert np.array_equal(g.table, reference)
-    assert np.array_equal(g.compose(ids, ids), np.diagonal(g.table))
-
-
-def test_explicit_table_group_composes_by_indexing_it():
-    reference = _reference_table("dihedral 3")
-    g = FiniteGroup("d3", table=reference, inverse=[0, 2, 1, 3, 4, 5],
-                    identity=0, weights=np.full(6, 1.0 / 6.0))
-    assert np.array_equal(g.table, reference)
-    assert reference.flags.writeable
-    assert g.compose(1, 3) == reference[1, 3]
-    assert g.same_composition(build_group("dihedral 3")) is False
-    twin = FiniteGroup("twin", table=reference.copy(), inverse=g.inverse, identity=0, weights=g.weights)
-    assert g.same_composition(twin)
 
 
 def test_large_symmetric_group_never_builds_its_table():
@@ -285,7 +274,6 @@ def test_large_symmetric_group_never_builds_its_table():
     assert peak < 10 * 2 ** 20
     rep = build_representation(g, "natural_permutation")
     build_phi(rep)
-    assert "table" not in vars(g)
     # spot-check products against composed permutations
     perms = np.array(list(itertools.permutations(range(7))))
     rng = np.random.default_rng(3)
@@ -300,14 +288,6 @@ def _equivariant_config(rep, n):
 
 
 def test_equivariant_closed_form_on_product_group_is_unchanged():
-    g = build_group("cyclic 2 * symmetric 3")
-    nat = build_representation(g, "natural_permutation")
-    dense = FiniteGroup("dense", table=_reference_table("cyclic 2 * symmetric 3"),
-                        inverse=g.inverse, identity=g.identity, weights=g.weights)
-    dense_nat = build_representation(dense, "explicit", matrices=nat.matrices)
-    for n in (1, 2, 3, 12):
-        assert closed_form_gap_equivariant(_equivariant_config(nat, n)) == \
-            closed_form_gap_equivariant(_equivariant_config(dense_nat, n))
     # value from the dense-table implementation, overparameterised regime
     big = build_representation(build_group("dihedral 6 * cyclic 5"), "natural_permutation")
     assert closed_form_gap_equivariant(_equivariant_config(big, 4)) == \
@@ -326,8 +306,8 @@ def _closes_to_whole_group(g):
     return bool(reached.all())
 
 
-def _d3_table_group(**overrides):
-    kwargs = dict(table=_reference_table("dihedral 3"), inverse=[0, 2, 1, 3, 4, 5],
+def _d3_group(**overrides):
+    kwargs = dict(structure=("dihedral", 3), inverse=[0, 2, 1, 3, 4, 5],
                   identity=0, weights=np.full(6, 1.0 / 6.0))
     kwargs.update(overrides)
     return FiniteGroup("d3", **kwargs)
@@ -346,14 +326,6 @@ def test_generators_generate_built_groups(descriptor):
     assert (g.generators == ()) == (g.order == 1)
 
 
-def test_table_group_takes_greedy_generators():
-    g = _d3_table_group()
-    # 1 generates the rotations {0, 1, 2}; 3 is the first id they miss
-    assert g.generators == (1, 3)
-    assert _closes_to_whole_group(g)
-    assert len(g.generators) <= np.log2(g.order)
-
-
 @pytest.mark.parametrize("descriptor", [
     "cyclic 1", "cyclic 12", "so2_quadrature 8", "dihedral 1", "dihedral 6",
     "symmetric 2", "symmetric 6", "cyclic 2 * symmetric 3", "dihedral 6 * cyclic 5",
@@ -362,7 +334,8 @@ def test_light_associativity_test_holds_on_built_groups(descriptor):
     # a built group composes from its structure and is not checked for
     # associativity when built; Light's test over its generators pins it here
     g = build_group(descriptor)
-    T = g.table
+    ids = np.arange(g.order)
+    T = g.compose(ids[:, None], ids)
     for s in g.generators:
         assert np.array_equal(T[T[:, s]], T[:, T[s]])
 
@@ -397,28 +370,11 @@ def test_one_corrupted_matrix_off_the_generators_is_rejected(descriptor):
 
 
 def test_table_group_weights_perturbed_off_the_generators_are_rejected():
-    assert _d3_table_group().generators == (1, 3)
+    assert _d3_group().generators == (1, 3)
     weights = np.full(6, 1.0 / 6.0)
     weights[[2, 4]] += [0.01, -0.01]  # still non-negative and summing to 1
     with pytest.raises(ValueError, match="not invariant under left translation"):
-        _d3_table_group(weights=weights)
-
-
-def test_non_associative_loop_table_is_rejected():
-    # a Latin square with two-sided identity 0 in which every element is its
-    # own inverse; a group of order 5 has no element of order 2, so it is not one
-    loop = np.array([
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ])
-    ids = np.arange(5)
-    # every row and every column holds each id once
-    assert all((np.sort(loop, axis=k) == np.expand_dims(ids, 1 - k)).all() for k in (0, 1))
-    with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup("loop", table=loop, inverse=ids, identity=0, weights=np.full(5, 0.2))
+        _d3_group(weights=weights)
 
 
 def test_huge_atom_is_refused_before_it_is_built():

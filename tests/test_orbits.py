@@ -266,15 +266,6 @@ def test_blockwise_distances_match_one_shot_arrays(monkeypatch):
             assert cloud.medoid() == int(np.argmin(full.sum(axis=1)))
 
 
-def test_point_cloud_from_file(tmp_path):
-    ws = tmp_path / "pts.txt"
-    ws.write_text("0.0 1.0\n2.0 3.0\n")
-    assert PointCloud.from_file(str(ws)).points.shape == (2, 2)
-    cm = tmp_path / "pts.csv"
-    cm.write_text("0.0,1.0\n2.0,3.0\n")
-    assert PointCloud.from_file(str(cm)).points.shape == (2, 2)
-
-
 def test_covering_rejections():
     cloud = PointCloud(np.zeros((3, 2)))
     with pytest.raises(ValueError):
