@@ -102,7 +102,7 @@ def build_phi(rep: Representation) -> ProjectionMatrix:
     mat = np.einsum("g,gij->ij", rep.group.weights, rep.matrices)
     if np.max(np.abs(mat @ mat - mat)) > _PROJECTION_TOL:
         raise ValueError("averaged matrix is not idempotent")
-    if rep.is_orthogonal and np.max(np.abs(mat - mat.T)) > _PROJECTION_TOL:
+    if np.max(np.abs(mat - mat.T)) > _PROJECTION_TOL:
         raise ValueError("averaged matrix of an orthogonal representation must be symmetric")
     for s in rep.group.generators:
         if np.max(np.abs(mat @ rep.matrices[s] - mat)) > _PROJECTION_TOL:
@@ -349,7 +349,7 @@ def verify_operator_identities(
     phi = build_phi(rep_in)
     P = phi.matrix
     dev_phi_idem = float(np.max(np.abs(P @ P - P)))
-    dev_phi_sym = float(np.max(np.abs(P - P.T))) if rep_in.is_orthogonal else 0.0
+    dev_phi_sym = float(np.max(np.abs(P - P.T)))
 
     op_psi = build_psi(rep_in, rep_out)
     d, k = rep_in.dim, rep_out.dim
@@ -365,9 +365,7 @@ def verify_operator_identities(
             dev_intertwine = max(dev_intertwine, float(np.max(np.abs(lhs - rhs))))
     side = d * k
     flat = op_psi.tensor.reshape(side, side)
-    dev_psi_sym = float(np.max(np.abs(flat - flat.T))) if (
-        rep_in.is_orthogonal and rep_out.is_orthogonal
-    ) else 0.0
+    dev_psi_sym = float(np.max(np.abs(flat - flat.T)))
     dev_trace = float(abs(op_psi.trace - character_inner(rep_out, rep_in)))
 
     # nonlinear predictor split on invariant Gaussian inputs; the bias keeps

@@ -1,13 +1,15 @@
 """Finite symmetry groups and their orthogonal matrix representations.
 
 Group elements are integer ids 0..order-1, so every Haar average elsewhere
-in the package is an exact finite sum.  A built group composes ids
-arithmetically from the ``structure`` it was built from (index arithmetic
-for cyclic and dihedral groups, lex ranks of composed permutations for
-symmetric groups, factor-wise for products); no dense composition table is
-ever held.  Continuous SO(2) is admitted through an equispaced angular
-quadrature, which is itself an exact cyclic group of rotations; rotation
-blocks of frequency below half the node count integrate exactly.
+in the package is an exact finite sum.  A group is its ``structure`` and
+its Haar weights: it composes ids arithmetically from the structure (index
+arithmetic for cyclic and dihedral groups, lex ranks of composed
+permutations for symmetric groups, factor-wise for products), takes its
+inverses from the same structure, and id 0 is its identity.  No dense
+composition table is ever held.  Continuous SO(2) is admitted through an
+equispaced angular quadrature, which is itself an exact cyclic group of
+rotations; rotation blocks of frequency below half the node count
+integrate exactly.
 
 Every "for each g in G" check (left-invariant weights, the homomorphism
 property of a representation, and the intertwining and invariance checks
@@ -33,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "MAX_GROUP_ORDER",
+    "MAX_REP_ENTRIES",
     "HOMOMORPHISM_TOL",
     "FiniteGroup",
     "Representation",
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 MAX_GROUP_ORDER = 5040
+MAX_REP_ENTRIES = 1 << 22  # order * dim^2 float64 entries of one representation, 32 MB
 HOMOMORPHISM_TOL = 1e-10
 
 
@@ -51,43 +55,33 @@ class FiniteGroup:
     """A finite group over element ids 0..order-1.
 
     ``compose(a, b)`` is the id of a*b, elementwise over broadcast id
-    arrays; ``inverse[a]`` is the id of a^-1.  ``weights`` are the Haar
-    averaging weights: uniform 1/|G| for exact finite groups, quadrature
-    weights (also uniform) for discretized continuous groups.
-    ``exactness`` is "exact" or "quadrature(M)".  ``structure`` records how
-    the group was built, e.g. ("cyclic", 4) or
-    ("product", ("cyclic", 2), ("symmetric", 3)); it defines the
-    composition, and lets representation constructors recover the concrete
-    action behind the ids.
+    arrays; ``inverse[a]`` is the id of a^-1, and ``identity`` is id 0.
+    ``weights`` are the Haar averaging weights: uniform 1/|G| for exact
+    finite groups, quadrature weights (also uniform) for discretized
+    continuous groups.  ``structure`` records how the group was built, e.g.
+    ("cyclic", 4) or ("product", ("cyclic", 2), ("symmetric", 3)); the
+    order, composition, inverses and generators all come from it, and it
+    lets representation constructors recover the concrete action behind
+    the ids.
     """
+
+    identity = 0  # of every structure, and so of every product of them
 
     name: str
     inverse: np.ndarray
-    identity: int
     weights: np.ndarray
     order: int
-    exactness: str
     structure: tuple
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        inverse: np.ndarray,
-        identity: int,
-        weights: np.ndarray,
-        exactness: str = "exact",
-        structure: tuple,
-    ) -> None:
+    def __init__(self, name: str, *, weights: np.ndarray, structure: tuple) -> None:
+        order = _capped_order(name, structure)  # before anything order-sized is built
         for key, value in (
             ("name", name),
-            ("inverse", _read_only(inverse, np.int64)),
-            ("identity", identity),
-            ("weights", _read_only(weights, np.float64)),
-            ("order", _structure_order(structure)),
-            ("exactness", exactness),
+            ("order", order),
             ("structure", structure),
             ("_compose", _composer(structure)),
+            ("inverse", _read_only(_structure_inverse(structure), np.int64)),
+            ("weights", _read_only(weights, np.float64)),
         ):
             object.__setattr__(self, key, value)
         _validate_group(self)
@@ -97,10 +91,6 @@ class FiniteGroup:
         """Non-identity ids generating the group; a property closed under composition
         holds for every element once it holds for each."""
         return _structure_generators(self.structure)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exactness == "exact"
 
     def elements(self) -> range:
         return range(self.order)
@@ -120,20 +110,22 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def _capped_order(name: str, structure: tuple) -> int:
+    order = _structure_order(structure)
+    if order > MAX_GROUP_ORDER:
+        size = order if order < 10 ** 15 else "more than 10^15"  # str() refuses 4300+ digits
+        raise ValueError(f"{name} has {size} elements, past the {MAX_GROUP_ORDER} cap")
+    return order
+
+
 def _validate_group(group: FiniteGroup) -> None:
     m = group.order
-    if m > MAX_GROUP_ORDER:
-        raise ValueError(f"{group.name}: order {m} exceeds the cap {MAX_GROUP_ORDER}")
-    if not 0 <= group.identity < m:
-        raise ValueError(f"{group.name}: identity id {group.identity} out of range")
     compose, e = group.compose, group.identity
     ids = np.arange(m)
     if not (np.array_equal(compose(e, ids), ids) and np.array_equal(compose(ids, e), ids)):
         raise ValueError(f"{group.name}: id {group.identity} is not a two-sided identity")
-    if group.inverse.shape != (m,):
-        raise ValueError(f"{group.name}: inverse table has wrong shape {group.inverse.shape}")
     if not (np.all(compose(group.inverse, ids) == e) and np.all(compose(ids, group.inverse) == e)):
-        raise ValueError(f"{group.name}: inverse table is inconsistent with the composition table")
+        raise ValueError(f"{group.name}: inverses are inconsistent with the composition")
 
     w = group.weights
     if w.shape != (m,):
@@ -212,89 +204,34 @@ def _structure_generators(structure: tuple) -> tuple:
     return tuple(dict.fromkeys(s % order for s in ids if s % order))
 
 
-def _uniform(order: int) -> np.ndarray:
-    return np.full(order, 1.0 / order)
+def _structure_inverse(structure: tuple) -> np.ndarray:
+    """Id of g^-1 for each id g of the group built from ``structure``."""
+    kind, m = structure[0], structure[1]
+    if kind == "product":
+        left, right = _structure_inverse(m), _structure_inverse(structure[2])
+        return (left[:, None] * len(right) + right[None, :]).reshape(-1)
+    if kind in ("cyclic", "so2_quadrature"):
+        return (-np.arange(m)) % m
+    if kind == "dihedral":
+        j = np.arange(m)  # a reflection is its own inverse
+        return np.concatenate([(-j) % m, m + j])
+    if kind == "symmetric":
+        perms, rank = _lex_permutations(m)
+        return rank(np.argsort(perms, axis=1))
+    raise ValueError(f"no inverses for group structure {structure!r}")
 
 
-def _build_cyclic(m: int) -> FiniteGroup:
-    return FiniteGroup(
-        name=f"cyclic {m}",
-        inverse=(-np.arange(m)) % m,
-        identity=0,
-        weights=_uniform(m),
-        structure=("cyclic", m),
-    )
-
-
-def _build_symmetric(m: int) -> FiniteGroup:
-    order = math.factorial(m)
-    if order > MAX_GROUP_ORDER:
-        raise ValueError(f"symmetric {m} has {m}! = {order} elements, past the {MAX_GROUP_ORDER} cap")
-    perms, rank = _lex_permutations(m)
-    return FiniteGroup(
-        name=f"symmetric {m}",
-        inverse=rank(np.argsort(perms, axis=1)),
-        identity=0,
-        weights=_uniform(order),
-        structure=("symmetric", m),
-    )
-
-
-def _build_dihedral(m: int) -> FiniteGroup:
-    order = 2 * m
-    if order > MAX_GROUP_ORDER:
-        raise ValueError(f"dihedral {m} has {order} elements, past the {MAX_GROUP_ORDER} cap")
-    j = np.arange(m)
-    return FiniteGroup(
-        name=f"dihedral {m}",
-        inverse=np.concatenate([(-j) % m, m + j]),
-        identity=0,
-        weights=_uniform(order),
-        structure=("dihedral", m),
-    )
-
-
-def _build_so2_quadrature(nodes: int) -> FiniteGroup:
-    if nodes < 2:
-        raise ValueError(f"so2_quadrature needs at least 2 nodes, got {nodes}")
-    return FiniteGroup(
-        name=f"so2_quadrature {nodes}",
-        inverse=(-np.arange(nodes)) % nodes,
-        identity=0,
-        weights=_uniform(nodes),
-        exactness=f"quadrature({nodes})",
-        structure=("so2_quadrature", nodes),
-    )
-
-
-def _product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    order = a.order * b.order
-    if order > MAX_GROUP_ORDER:
-        raise ValueError(f"product of {a.name} and {b.name} has {order} elements, past the cap")
-    ob = b.order
-    inverse = (a.inverse[:, None] * ob + b.inverse[None, :]).reshape(order)
-    exactness = "exact" if (a.is_exact and b.is_exact) else "quadrature(product)"
-    return FiniteGroup(
-        name=f"{a.name} * {b.name}",
-        inverse=inverse,
-        identity=a.identity * ob + b.identity,
-        weights=np.kron(a.weights, b.weights),
-        exactness=exactness,
-        structure=("product", a.structure, b.structure),
-    )
-
-
-def _parse_positive_int(token: str, what: str) -> int:
+def _parse_int(token: str, what: str, least: int = 1) -> int:
     try:
         value = int(token)
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {token!r}") from None
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
 
 
-def _build_atom(text: str) -> FiniteGroup:
+def _atom_structure(text: str) -> tuple:
     tokens = text.split()
     if len(tokens) != 2:
         raise ValueError(
@@ -302,16 +239,19 @@ def _build_atom(text: str) -> FiniteGroup:
             "'dihedral m' or 'so2_quadrature M'"
         )
     kind, arg = tokens
-    builders = {
-        "cyclic": _build_cyclic, "symmetric": _build_symmetric,
-        "dihedral": _build_dihedral, "so2_quadrature": _build_so2_quadrature,
-    }
-    if kind not in builders:
+    if kind not in ("cyclic", "symmetric", "dihedral", "so2_quadrature"):
         raise ValueError(f"unknown group kind {kind!r}")
-    m = _parse_positive_int(arg, f"{kind} size")
-    if m > MAX_GROUP_ORDER:  # refused before m! or an m-long array is computed
+    m = _parse_int(arg, f"{kind} size")
+    if m > MAX_GROUP_ORDER:  # refused before m! is computed
         raise ValueError(f"{kind} {m} has at least {m} elements, past the {MAX_GROUP_ORDER} cap")
-    return builders[kind](m)
+    if kind == "so2_quadrature" and m < 2:
+        raise ValueError(f"so2_quadrature needs at least 2 nodes, got {m}")
+    return kind, m
+
+
+def _uniform(structure: tuple) -> np.ndarray:
+    order = _structure_order(structure)
+    return np.full(order, 1.0 / order)
 
 
 def build_group(descriptor: str) -> FiniteGroup:
@@ -319,36 +259,39 @@ def build_group(descriptor: str) -> FiniteGroup:
 
     Grammar: "cyclic m" | "symmetric m" | "dihedral m" | "so2_quadrature M",
     optionally joined with '*' for direct products, e.g.
-    "cyclic 2 * symmetric 3".  Products associate to the right.
+    "cyclic 2 * symmetric 3".  Products associate to the right, and their
+    weights are the Kronecker products of their factors' uniform weights.
     """
     parts = [p.strip() for p in descriptor.split("*")]
     if any(not p for p in parts):
         raise ValueError(f"invalid group descriptor {descriptor!r}")
-    group = _build_atom(parts[-1])
-    for part in reversed(parts[:-1]):
-        group = _product(_build_atom(part), group)
-    return group
+    atoms = [_atom_structure(p) for p in parts]
+    structure = atoms[-1]
+    for atom in reversed(atoms[:-1]):
+        structure = ("product", atom, structure)
+    name = " * ".join(f"{kind} {m}" for kind, m in atoms)
+    _capped_order(name, structure)  # before any weights are allocated
+    weights = _uniform(atoms[-1])
+    for atom in reversed(atoms[:-1]):
+        weights = np.kron(_uniform(atom), weights)
+    return FiniteGroup(name, weights=weights, structure=structure)
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Per-element dim x dim real matrices realizing a group action.
+    """Per-element dim x dim real orthogonal matrices realizing a group action.
 
-    ``matrices[g]`` is the matrix of element id g.  ``is_orthogonal`` acts
-    as a requirement on construction: if True (default) a failed
-    orthogonality check raises; if False the check result is recorded
-    instead, so non-orthogonal explicit representations can be carried
-    with a flag.  The homomorphism property is always enforced.  The
-    identity's matrix, once checked to be I within HOMOMORPHISM_TOL, is
-    stored as exactly I, so B @ rho(e).T is B bit for bit and an averaged
-    Gram can always share the identity's term with the base Gram.
+    ``matrices[g]`` is the matrix of element id g.  Construction enforces
+    the homomorphism property and orthogonality.  The identity's matrix,
+    once checked to be I within HOMOMORPHISM_TOL, is stored as exactly I,
+    so B @ rho(e).T is B bit for bit and an averaged Gram can always share
+    the identity's term with the base Gram.
     """
 
     group: FiniteGroup
     dim: int
     matrices: np.ndarray
     name: str = "explicit"
-    is_orthogonal: bool = True
 
     def __post_init__(self) -> None:
         # a copy, so the caller's own array stays writeable and unchanged
@@ -381,15 +324,9 @@ def _validate_representation(rep: Representation) -> None:
     if dev > HOMOMORPHISM_TOL:
         raise ValueError(f"matrices are not a homomorphism: max deviation {dev:.3e}")
 
-    gram = np.matmul(mats, mats.transpose(0, 2, 1))
-    orth_dev = float(np.max(np.abs(gram - eye)))
-    actually_orthogonal = orth_dev <= HOMOMORPHISM_TOL
-    if rep.is_orthogonal and not actually_orthogonal:
-        raise ValueError(
-            f"representation is not orthogonal: max |psi psi^T - I| = {orth_dev:.3e}; "
-            "pass require_orthogonal=False to carry it flagged"
-        )
-    object.__setattr__(rep, "is_orthogonal", actually_orthogonal)
+    orth_dev = float(np.max(np.abs(np.matmul(mats, mats.transpose(0, 2, 1)) - eye)))
+    if orth_dev > HOMOMORPHISM_TOL:
+        raise ValueError(f"representation is not orthogonal: max |psi psi^T - I| = {orth_dev:.3e}")
 
 
 def _structure_order(structure: tuple) -> int:
@@ -405,53 +342,53 @@ def _structure_order(structure: tuple) -> int:
     raise ValueError(f"no known order for structure {structure!r}")
 
 
-def _natural_permutations(structure: tuple) -> tuple[int, list[np.ndarray]]:
-    """Return (dim, per-element coordinate permutation) for a group structure.
+def _zero_matrices(group: FiniteGroup, dim: int, descriptor: str) -> np.ndarray:
+    """An all-zero (order, dim, dim) array, refused past MAX_REP_ENTRIES before it is allocated."""
+    entries = group.order * dim * dim
+    if entries > MAX_REP_ENTRIES:
+        raise ValueError(
+            f"{descriptor!r} on {group.name} needs {group.order} x {dim}^2 = {entries} matrix "
+            f"entries, past the {MAX_REP_ENTRIES} cap"
+        )
+    return np.zeros((group.order, dim, dim))
+
+
+def _natural_dim(structure: tuple) -> int:
+    kind = structure[0]
+    if kind == "product":
+        return _natural_dim(structure[1]) + _natural_dim(structure[2])
+    if kind in ("cyclic", "symmetric", "dihedral"):
+        return structure[1]
+    raise ValueError(f"no natural permutation action for group structure {structure!r}")
+
+
+def _natural_permutations(structure: tuple) -> list[np.ndarray]:
+    """Per-element coordinate permutations of the natural action of a group structure.
 
     Element g acts on coordinates by v -> perm[v]; permutations are listed
     in element-id order of the group built from the same structure.
     """
     kind = structure[0]
-    if kind == "cyclic":
-        m = structure[1]
-        return m, [np.arange(m) if m == 1 else (np.arange(m) + j) % m for j in range(m)]
-    if kind == "symmetric":
-        m = structure[1]
-        return m, list(_lex_permutations(m)[0])
-    if kind == "dihedral":
-        m = structure[1]
-        v = np.arange(m)
-        rotations = [(v + j) % m for j in range(m)]
-        reflections = [(-(v + j)) % m for j in range(m)]
-        return m, rotations + reflections
     if kind == "product":
-        da, perms_a = _natural_permutations(structure[1])
-        db, perms_b = _natural_permutations(structure[2])
-        ob = _structure_order(structure[2])
-        combined = []
-        for pa in perms_a:
-            for pb in perms_b:
-                combined.append(np.concatenate([pa, da + pb]))
-        assert len(combined) == len(perms_a) * ob
-        return da + db, combined
-    raise ValueError(f"no natural permutation action for group structure {structure!r}")
+        perms_b = _natural_permutations(structure[2])
+        return [np.concatenate([pa, len(pa) + pb])
+                for pa in _natural_permutations(structure[1]) for pb in perms_b]
+    m = structure[1]
+    v = np.arange(m)
+    if kind == "symmetric":
+        return list(_lex_permutations(m)[0])
+    rotations = [(v + j) % m for j in range(m)]
+    if kind == "cyclic":
+        return rotations
+    return rotations + [(-(v + j)) % m for j in range(m)]  # dihedral
 
 
-def _permutation_matrices(dim: int, perms: list[np.ndarray]) -> np.ndarray:
-    mats = np.zeros((len(perms), dim, dim))
-    cols = np.arange(dim)
-    for g, p in enumerate(perms):
-        mats[g, p, cols] = 1.0
-    return mats
-
-
-def _rotation_block_matrices(group: FiniteGroup, freqs: list[int]) -> np.ndarray:
+def _rotation_block_matrices(group: FiniteGroup, freqs: list[int], descriptor: str) -> np.ndarray:
     kind = group.structure[0]
     if kind not in ("cyclic", "so2_quadrature"):
         raise ValueError(f"rotation_block requires a cyclic or so2_quadrature group, got {group.name}")
     m = group.structure[1]
-    dim = 2 * len(freqs)
-    mats = np.zeros((m, dim, dim))
+    mats = _zero_matrices(group, 2 * len(freqs), descriptor)
     angles = 2.0 * np.pi * np.arange(m) / m
     for b, f in enumerate(freqs):
         c, s = np.cos(f * angles), np.sin(f * angles)
@@ -478,16 +415,14 @@ def build_representation(
     group: FiniteGroup,
     kind: str,
     matrices: np.ndarray | None = None,
-    require_orthogonal: bool = True,
 ) -> Representation:
-    """Build a representation of ``group`` from a descriptor string.
+    """Build an orthogonal representation of ``group`` from a descriptor string.
 
     Descriptors: "natural_permutation", "trivial d", "rotation_block f1 f2 ...",
     "sign", "direct_sum <a> + <b> [+ ...]", or "explicit" with the
-    ``matrices`` argument, an (order, d, d) array.  Orthogonality is
-    enforced unless ``require_orthogonal=False``, in which case a
-    non-orthogonal explicit representation is carried with
-    ``is_orthogonal=False``.
+    ``matrices`` argument, an (order, d, d) array.  A built representation
+    stores at most MAX_REP_ENTRIES matrix entries; a larger one is refused
+    before it is allocated.
     """
     text = kind.strip()
     tokens = text.split()
@@ -499,9 +434,9 @@ def build_representation(
         parts = [p.strip() for p in text[len("direct_sum"):].split("+")]
         if len(parts) < 2 or any(not p for p in parts):
             raise ValueError(f"direct_sum needs at least two '+'-separated descriptors: {kind!r}")
-        reps = [build_representation(group, p, require_orthogonal=require_orthogonal) for p in parts]
+        reps = [build_representation(group, p) for p in parts]
         dim = sum(r.dim for r in reps)
-        mats = np.zeros((group.order, dim, dim))
+        mats = _zero_matrices(group, dim, text)
         offset = 0
         for r in reps:
             mats[:, offset:offset + r.dim, offset:offset + r.dim] = r.matrices
@@ -509,18 +444,22 @@ def build_representation(
     elif head == "natural_permutation":
         if len(tokens) != 1:
             raise ValueError(f"natural_permutation takes no arguments, got {kind!r}")
-        dim, perms = _natural_permutations(group.structure)
-        mats = _permutation_matrices(dim, perms)
+        dim = _natural_dim(group.structure)
+        mats = _zero_matrices(group, dim, text)
+        cols = np.arange(dim)
+        for g, p in enumerate(_natural_permutations(group.structure)):
+            mats[g, p, cols] = 1.0
     elif head == "trivial":
-        dim = _parse_positive_int(tokens[1], "trivial dim") if len(tokens) > 1 else 1
-        mats = np.broadcast_to(np.eye(dim), (group.order, dim, dim)).copy()
+        if len(tokens) > 2:
+            raise ValueError(f"trivial takes at most one argument, got {kind!r}")
+        dim = _parse_int(tokens[1], "trivial dim") if len(tokens) > 1 else 1
+        mats = _zero_matrices(group, dim, text)
+        mats[:, np.arange(dim), np.arange(dim)] = 1.0
     elif head == "rotation_block":
         if len(tokens) < 2:
             raise ValueError("rotation_block needs at least one frequency")
-        freqs = [int(t) for t in tokens[1:]]
-        if any(f < 0 for f in freqs):
-            raise ValueError(f"rotation_block frequencies must be >= 0, got {freqs}")
-        mats = _rotation_block_matrices(group, freqs)
+        freqs = [_parse_int(t, f"rotation_block frequency in {kind!r}", least=0) for t in tokens[1:]]
+        mats = _rotation_block_matrices(group, freqs, text)
         dim = mats.shape[1]
     elif head == "sign":
         if len(tokens) != 1:
@@ -537,13 +476,7 @@ def build_representation(
     else:
         raise ValueError(f"unknown representation kind {head!r}")
 
-    return Representation(
-        group=group,
-        dim=dim,
-        matrices=mats,
-        name=text,
-        is_orthogonal=require_orthogonal,
-    )
+    return Representation(group=group, dim=dim, matrices=mats, name=text)
 
 
 def character(rep: Representation) -> np.ndarray:

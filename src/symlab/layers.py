@@ -168,8 +168,6 @@ def check_regularisation_bound(
     cross terms vanish because the group average of W_perp is zero."""
     if activation not in BOUND_ACTIVATIONS:
         raise ValueError("the bound is checked for relu or identity activations")
-    if not (psi_in.is_orthogonal and psi_out.is_orthogonal):
-        raise ValueError("the closeness bound assumes orthogonal representations")
     act = ACTIVATIONS[activation]
     d = psi_in.dim
     if np.isscalar(sigma):

@@ -4,6 +4,7 @@ import functools
 import gc
 import inspect
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -154,6 +155,12 @@ KEY_HOSTS.update(cross_section=KEY_HOSTS["learner"], points_file=KEY_HOSTS["metr
     # used to raise a FileNotFoundError traceback and exit 1
     ("points_file", "/nonexistent/points.txt", "points_file: '/nonexistent/points.txt' is not an"),
     ("weights_files", ["/nonexistent/w0.txt"], "weights_files[0]: '/nonexistent/w0.txt' is not an"),
+    # extra tokens used to be ignored (trivial 3 junk built with dim 3), and a bad frequency
+    # raised int()'s own message or named no descriptor
+    ("rep", "trivial 3 junk", "rep: trivial takes at most one argument, got 'trivial 3 junk'"),
+    ("rep", "rotation_block x", "rep: rotation_block frequency in 'rotation_block x' must be an"),
+    ("rep", "direct_sum trivial 1 + trivial 1 extra", "rep: trivial takes at most one argument"),
+    ("rep", "rotation_block 1 -1", "rep: rotation_block frequency in 'rotation_block 1 -1' must be >= 0"),
 ])
 def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys, nested, value, bad):
     host = KEY_HOSTS.get(f"{nested}={value}", KEY_HOSTS.get(nested, KEY_HOSTS["gap-kernel"]))
@@ -166,6 +173,30 @@ def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys,
     captured = capsys.readouterr()
     assert f"experiments[1].{nested}" in captured.err and bad in captured.err
     assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("group,reps", [
+    # each used to fail with an _ArrayMemoryError traceback under a 3 GB address-space limit
+    ("cyclic 2", ["trivial 1", "trivial 60000"]),  # 26.8 GiB for np.eye
+    ("cyclic 600", ["trivial 1", "natural_permutation"]),  # 1.61 GiB
+    ("cyclic 5040", ["trivial 1", "natural_permutation"]),  # its 5040 permutations are not built
+    ("cyclic 600", ["trivial 1", "rotation_block " + " ".join(["1"] * 100)]),
+    # each part fits; their sum does not
+    ("cyclic 2", ["trivial 1", "direct_sum " + " + ".join(["trivial 100"] * 16)]),
+], ids=["trivial", "natural", "natural 5040", "rotation_block", "direct_sum"])
+def test_over_cap_representation_exits_2_without_allocating_it(tmp_path, capsys, group, reps):
+    payload = {"seed": 1, "experiments": [{"kind": "vc-bound", "group": group, "reps": reps}]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("config error: experiments[0].reps[1]: ") and "past the 4194304 cap" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,6 +9,7 @@ from symlab.averaging import build_phi, build_psi
 from symlab.linear_gap import LinearGapConfig, closed_form_gap_equivariant, random_equivariant_target
 
 from symlab.groups import (
+    MAX_REP_ENTRIES,
     FiniteGroup,
     build_group,
     build_representation,
@@ -28,7 +29,6 @@ def test_symmetric_3_basics():
     g = build_group("symmetric 3")
     assert g.order == 6
     assert np.allclose(g.weights, 1.0 / 6.0)
-    assert g.is_exact
 
 
 def test_symmetric_cap_rejected():
@@ -40,8 +40,6 @@ def test_so2_quadrature_table_is_index_addition():
     g = build_group("so2_quadrature 8")
     ids = np.arange(8)
     assert np.array_equal(g.compose(ids[:, None], ids), (ids[:, None] + ids[None, :]) % 8)
-    assert not g.is_exact
-    assert g.exactness == "quadrature(8)"
 
 
 def test_dihedral_order_and_noncommutativity():
@@ -160,7 +158,6 @@ def test_explicit_reflection_rep():
     g = build_group("cyclic 2")
     mats = np.stack([np.eye(3), np.diag([-1.0, 1.0, 1.0])])
     rep = build_representation(g, "explicit", matrices=mats)
-    assert rep.is_orthogonal
     assert np.allclose(character(rep), [3.0, 1.0])
 
 
@@ -187,18 +184,14 @@ def test_explicit_non_homomorphism_rejected():
         build_representation(g, "explicit", matrices=mats)
 
 
-def test_non_orthogonal_flagged_when_allowed():
+def test_non_orthogonal_rep_is_rejected():
     # a valid non-orthogonal rep of C_2: conjugate the reflection by a shear
     g = build_group("cyclic 2")
     shear = np.array([[1.0, 0.7], [0.0, 1.0]])
     refl = np.diag([1.0, -1.0])
     mats = np.stack([np.eye(2), shear @ refl @ np.linalg.inv(shear)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not orthogonal"):
         build_representation(g, "explicit", matrices=mats)
-    rep = build_representation(g, "explicit", matrices=mats, require_orthogonal=False)
-    assert not rep.is_orthogonal
-    # the group's inverse ids give the inverse matrix exactly despite non-orthogonality
-    assert np.allclose(rep.matrices[g.inverse[1]] @ rep.matrices[1], np.eye(2), atol=1e-12)
 
 
 def test_natural_permutation_dihedral_is_homomorphism():
@@ -307,8 +300,7 @@ def _closes_to_whole_group(g):
 
 
 def _d3_group(**overrides):
-    kwargs = dict(structure=("dihedral", 3), inverse=[0, 2, 1, 3, 4, 5],
-                  identity=0, weights=np.full(6, 1.0 / 6.0))
+    kwargs = dict(structure=("dihedral", 3), weights=np.full(6, 1.0 / 6.0))
     kwargs.update(overrides)
     return FiniteGroup("d3", **kwargs)
 
@@ -384,3 +376,31 @@ def test_huge_atom_is_refused_before_it_is_built():
         with pytest.raises(ValueError, match="past the 5040 cap"):
             build_group(descriptor)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("build", [
+    # the composer of ("symmetric", 9) used to enumerate all 9! permutations first
+    lambda: FiniteGroup("s9", weights=np.ones(1), structure=("symmetric", 9)),
+    lambda: FiniteGroup("s12", weights=np.ones(1), structure=("symmetric", 12)),
+    # uniform weights made before the check would take 3.8 GB for symmetric 12
+    lambda: build_group("symmetric 12"),
+    lambda: build_group("cyclic 5040 * cyclic 2"),
+    # 5040! has over 16000 digits, which str() used to refuse in place of the cap's message
+    lambda: build_group("symmetric 5040"),
+], ids=["s9", "s12", "symmetric 12", "cyclic 5040 * cyclic 2", "symmetric 5040"])
+def test_over_cap_group_is_refused_before_it_is_built(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="past the 5040 cap"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_representation_at_the_cap_is_built():
+    g = build_group("cyclic 2")
+    rep = build_representation(g, "trivial 1448")  # 2 * 1448^2 entries, just under the cap
+    assert g.order * rep.dim ** 2 <= MAX_REP_ENTRIES < g.order * 1449 ** 2
+    assert np.array_equal(rep.matrices[1], np.eye(1448))
