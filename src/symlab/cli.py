@@ -25,14 +25,14 @@ import numpy as np
 
 from .averaging import build_phi, build_psi, verify_operator_identities
 from .groups import FiniteGroup, Representation, build_group, build_representation
-from .kernel_gap import KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
+from .kernel_gap import MIN_PAIRS, KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
 from .layers import (
     ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, check_regularisation_bound, equivariance_report,
     project_spec, vc_bound,
 )
 from .linear_gap import (
-    LinearGapConfig, invariant_config, monte_carlo_gap, random_equivariant_target,
-    verify_projection_tensor, verify_wishart,
+    MIN_WISHART_TRIALS, LinearGapConfig, invariant_config, monte_carlo_gap,
+    random_equivariant_target, verify_projection_tensor, verify_wishart,
 )
 from .orbits import (
     LEARNER_NAMES, METRICS, CrossSection, PointCloud, build_cross_section, covering_number,
@@ -40,7 +40,7 @@ from .orbits import (
 )
 from .sampling import gaussian, sphere
 
-CSV_VERSION = "# symlab-csv v1"
+CSV_VERSION = "# symlab-csv v2"
 CSV_COLUMNS = (
     "experiment", "d", "k", "n", "group", "dim_A", "sigma_x", "sigma_xi",
     "trials", "mc_mean", "mc_se", "closed_form", "verdict",
@@ -281,6 +281,8 @@ _RUNNERS = {
     "regularisation-bound": _run_regularisation_bound,
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
+# the least value of a key that the library would otherwise refuse only mid-run
+_MINIMUMS = {"gap-kernel": {"n_pairs": MIN_PAIRS}, "verify-wishart": {"trials": MIN_WISHART_TRIALS}}
 
 
 def _cast(where: str, value, cast):
@@ -445,7 +447,10 @@ def _validate_config(config: dict) -> None:
         seed = exp.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"config error: experiments[{i}].seed must be an integer")
-        _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
+        kwargs = _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
+        for key, least in _MINIMUMS.get(exp["kind"], {}).items():
+            if key in kwargs and kwargs[key] < least:
+                raise ConfigError(f"config error: experiments[{i}].{key} is {kwargs[key]}, below {least}")
 
 
 def _write_results(rows: list, out_dir: Path) -> None:

@@ -11,10 +11,15 @@ kbar(x, y) = sum_g w(g) k(x, phi(g) y), so for a fitted KRR model the
 averaged predictor sum_i alpha_i kbar(x_i, .) is exactly the group
 average of the fitted function.  A Representation stores phi(e) as exactly
 I, so the identity element's term of the averaged Gram is always the base
-Gram itself; where both are needed on the same points (each gap trial, and
-the remainder kernel k - kbar), that Gram is computed once.  The gap
-experiment and its noiseless bias estimate run one trial loop.  A standard
-error over fewer than two values is NaN, so a 4-SE verdict on it fails.
+Gram itself, and the remainder kernel k - kbar takes that Gram once.
+
+Each gap trial estimates |f_perp|^2 = |f - Qf|^2_mu of its fit f without
+the averaged Gram: since mu is G-invariant and phi orthogonal, |f_perp|^2 =
+1/2 E_{t~mu, g~Haar}[(f(t) - f(g t))^2], so one Haar draw per test point
+and one Gram against the stacked points and their images give an unbiased
+estimate.  The gap experiment and its noiseless bias estimate run one trial
+loop.  A standard error over fewer than two values is NaN, so a 4-SE
+verdict on it fails.
 
 fit_krr factors and solves through LAPACK's dpotrf/dpotrs directly, the
 calls scipy's cho_factor/cho_solve make, without their argument checks.
@@ -55,6 +60,7 @@ __all__ = [
 
 SWITCH_VERIFY_TOL = 1e-9
 SWITCH_REFUTE_TOL = 1e-6
+MIN_PAIRS = 1000  # estimate_N's least number of pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,11 +219,11 @@ def estimate_N(
     gram: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mu: Distribution,
     pairs: int,
-    seed: int,
+    seed: int | tuple[int, ...],
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of N[j] = E[j(X, Y)^2] over independent X, Y ~ mu."""
-    if pairs < 1000:
-        raise ValueError("estimate_N needs pairs >= 1000")
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"estimate_N needs pairs >= {MIN_PAIRS}")
     rng = np.random.default_rng(seed)
     X = mu.sample(pairs, rng)
     Y = mu.sample(pairs, rng)
@@ -330,19 +336,20 @@ class KrrGapConfig:
                 raise ValueError(f"f_star is not invariant under the action: deviation {dev:.3e}")
 
 
-def _perp_sq(config: KrrGapConfig, averaged: AveragedKernel, X, y, rng) -> float:
-    """Fit KRR on (X, y); mean square of its anti-symmetric part on fresh points."""
+def _perp_sq(config: KrrGapConfig, X, y, rng) -> float:
+    """Fit KRR on (X, y); estimate the mean square of its anti-symmetric part
+    as half the mean square change of the fit from fresh points t to g t,
+    with one Haar-drawn g per point."""
     model = fit_krr(config.kernel, X, y, config.rho)
     X_test = config.mu.sample(config.n_test, rng)
-    # model.predict(X_test) - model.predict_averaged(X_test, averaged), sharing the base Gram
-    K, Kbar = averaged._gram_and_bar(model.X, X_test)
-    perp = K.T @ model.alpha - Kbar.T @ model.alpha
-    return float((perp ** 2).mean())
+    action = config.kernel.action
+    g = rng.choice(action.group.order, size=config.n_test, p=action.group.weights)
+    moved = np.einsum("tij,tj->ti", action.matrices[g], X_test)
+    f = model.predict(np.concatenate([X_test, moved]))
+    return float(0.5 * ((f[:config.n_test] - f[config.n_test:]) ** 2).mean())
 
 
-def _perp_sq_trials(
-    config: KrrGapConfig, averaged: AveragedKernel, trials: int, rng, noisy: bool
-) -> tuple[float, float]:
+def _perp_sq_trials(config: KrrGapConfig, trials: int, rng, noisy: bool) -> tuple[float, float]:
     """The mean of _perp_sq over `trials` fits on fresh draws from rng, and its
     standard error; the labels are f_star, plus sigma-scaled noise when noisy."""
     per_trial = np.empty(trials)
@@ -351,17 +358,15 @@ def _perp_sq_trials(
         y = np.asarray(config.f_star(X)).reshape(-1)
         if noisy:
             y = y + config.sigma * rng.standard_normal(config.n)
-        per_trial[t] = _perp_sq(config, averaged, X, y, rng)
+        per_trial[t] = _perp_sq(config, X, y, rng)
     return float(per_trial.mean()), standard_error(per_trial)
 
 
-def estimate_bias_term(config: KrrGapConfig, averaged: AveragedKernel | None = None) -> tuple[float, float]:
+def estimate_bias_term(config: KrrGapConfig) -> tuple[float, float]:
     """Noiseless sub-procedure: fit KRR on f_star(X_i) and Monte-Carlo the
     squared anti-symmetric part of the fit on fresh points."""
-    if averaged is None:
-        averaged = build_averaged_kernel(config.kernel)
     rng = np.random.default_rng((config.seed, 77))
-    return _perp_sq_trials(config, averaged, config.bias_trials, rng, noisy=False)
+    return _perp_sq_trials(config, config.bias_trials, rng, noisy=False)
 
 
 def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
@@ -369,15 +374,15 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     against the invariance lower bound (estimated bias + variance term)."""
     averaged = build_averaged_kernel(config.kernel)
     rng = np.random.default_rng(config.seed)
-    mean, se = _perp_sq_trials(config, averaged, config.trials, rng, noisy=True)
+    mean, se = _perp_sq_trials(config, config.trials, rng, noisy=True)
 
     mk = config.kernel.Mk
     if mk is None:
         probe = config.mu.sample(2048, np.random.default_rng((config.seed, 55)))
         mk = float(_pair_values(config.kernel.gram, probe, probe).max())
-    n_perp, n_perp_se = estimate_N(averaged.gram_perp, config.mu, config.n_pairs, seed=config.seed + 7)
+    n_perp, n_perp_se = estimate_N(averaged.gram_perp, config.mu, config.n_pairs, seed=(config.seed, 7))
     variance_term = config.sigma ** 2 * n_perp / (math.sqrt(config.n) * mk + config.rho / math.sqrt(config.n)) ** 2
-    bias_term, bias_se = estimate_bias_term(config, averaged)
+    bias_term, bias_se = estimate_bias_term(config)
     bound = bias_term + variance_term
 
     phi = build_phi(config.kernel.action)

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _CHUNK = 512
+MIN_WISHART_TRIALS = 1000
 
 
 def _chunked(trials: int, draw, work):
@@ -177,8 +178,8 @@ class WishartReport:
 
 def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     """Monte-Carlo check that E[(X^T X)^+] = r(n, d) I, entrywise within 4 SE."""
-    if trials < 1000:
-        raise ValueError("verify_wishart needs trials >= 1000")
+    if trials < MIN_WISHART_TRIALS:
+        raise ValueError(f"verify_wishart needs trials >= {MIN_WISHART_TRIALS}")
     r = wishart_coefficient(n, d)
     if math.isinf(r):
         raise ValueError(f"(n={n}, d={d}) is in the divergent band [d-1, d+1]")

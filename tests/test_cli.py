@@ -4,6 +4,7 @@ import functools
 import gc
 import inspect
 import json
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -38,7 +39,7 @@ def test_run_writes_versioned_csv_and_json(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     lines = csv_text.strip().split("\n")
-    assert lines[0] == "# symlab-csv v1"
+    assert lines[0] == "# symlab-csv v2"
     assert lines[1].split(",") == list(cli.CSV_COLUMNS)
     assert len(lines) == 2 + len(FAST_CONFIG["experiments"])
     rows = json.loads((tmp_path / "out" / "results.json").read_text())
@@ -91,6 +92,22 @@ def test_misspelt_key_exits_2_before_any_experiment_runs(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert "experiments[1]" in captured.err and "'trails'" in captured.err
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exp,key", [
+    ({"kind": "verify-wishart", "n": 12, "d": 3, "trials": 999}, "trials"),
+    ({"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
+      "n": 8, "rho": 1.0, "trials": 2, "n_pairs": 999}, "n_pairs"),
+])
+def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp, key):
+    # each used to be refused by the library only when its experiment ran, after covering
+    payload = {"seed": 1, "experiments": [{"kind": "covering", "n": 30, "dim": 2, "eps": 0.5}, exp]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"experiments[1].{key} is 999, below 1000" in captured.err
     assert "verdict" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -501,6 +518,46 @@ def test_suite_config_covers_every_kind():
     assert f["trials"] == 10 * q["trials"]
 
 
+# kernel_gap's probes of the kernel itself, each on the same fixed seed in every experiment
+_FIXED_PROBES = {"_validate_kernel", "check_switch_condition", "build_averaged_kernel"}
+
+
+def test_kernel_gap_streams_differ_between_the_quick_suites_experiments(monkeypatch):
+    # experiment 11 seeded its N estimate with default_rng(20251 + 7): experiment 18's trial stream
+    config = cli.suite_config("quick")
+    default_rng = np.random.default_rng
+    seeded, probes, current = {}, {}, []
+
+    def recording_rng(seed=None):
+        rng = default_rng(seed)
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] == "symlab.kernel_gap":
+            # two generators draw the same stream exactly when their seed sequences' states agree
+            state = tuple(rng.bit_generator.seed_seq.generate_state(4))
+            where = probes if caller.f_code.co_name in _FIXED_PROBES else seeded
+            where.setdefault(current[-1], []).append(state)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    for idx, exp in enumerate(config["experiments"]):
+        if exp["kind"] == "gap-kernel":
+            # the streams' entropy depends on the seed alone, so fewer draws of each will do
+            params = dict(cli._experiment_params(exp), trials=2, bias_trials=2, n_test=8, n_pairs=1000)
+            current.append(idx)
+            cli.run_experiment(exp["kind"], params, config["seed"] + idx)
+    assert len(current) == 16 and set(seeded) == set(current)
+    # the trial, bias, N-estimator and target-check streams, each its own
+    assert all(len(set(states)) == len(states) >= 4 for states in seeded.values())
+    used_by = {}
+    for idx, states in seeded.items():
+        for state in states:
+            used_by.setdefault(state, []).append(idx)
+    assert {state: users for state, users in used_by.items() if len(users) > 1} == {}
+    # the fixed probes are the same in every experiment and share no stream with one
+    assert len({tuple(states) for states in probes.values()}) == 1
+    assert not set(used_by) & set(probes[current[0]])
+
+
 # one experiment of each kind, several leaving keys to their defaults
 ROW_CONFIG = {"seed": 3, "experiments": [
     {"kind": "gap-linear", "group": "symmetric 2", "rep": "direct_sum trivial 3 + sign",
@@ -529,9 +586,9 @@ ROW_EXPECTED = [
     "pass,,,,,,6581f66b83e8,3",
     "gap-equivariant,3,3,12,symmetric 3,7.0,2.0,1.0,300,0.8209128450954241,0.033485882452420644,"
     "0.875,pass,,,,,,d1ffb2952da9,4",
-    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.08611189415783042,0.014673948473756457,"
-    "0.0284689573322112,pass,1.0,1.0,0.05456819361372526,0.02307950611110253,"
-    "0.005389451221108668,9d53a806db68,5",
+    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.07534779384346843,0.01372152079192856,"
+    "0.02419992557837697,pass,1.0,1.0,0.053829475998985736,0.01888343412168702,"
+    "0.005316491456689949,9d53a806db68,5",
     "verify-wishart,3,,12,,,,,1000,0.12563210603648753,0.002251526189879003,0.125,"
     "pass,,,,,,381d78f89897,6",
     "verify-projection-tensor,3,,2,,,,,1000,0.4003250057374755,0.0009549625133634349,"

@@ -6,7 +6,10 @@ kernel trial path shared its base Gram, built Gaussian Grams in place,
 called LAPACK without scipy's wrappers and normalised sphere draws inline;
 the new code must return the same bits, not merely close values.  The one
 exception is the layer bound on a non-permutation output rep, whose weight
-now scales after the output-rep product instead of before it.
+now scales after the output-rep product instead of before it.  The KRR
+trial's paired estimate of |f_perp|^2 replaced a full-orbit one, so its
+reference is written from its definition instead, and a closed orbit ties
+the two estimates together exactly.
 """
 
 import math
@@ -286,11 +289,15 @@ def _reference_sphere_sample(mu, n, rng):
     return mu.scale * z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _reference_perp_sq(config, averaged, X, y, rng):
+def _reference_perp_sq(config, X, y, rng):
+    # the definition: half the mean over fresh points t of (f(t) - f(g t))^2, one Haar g per t
     model = fit_krr(config.kernel, X, y, config.rho)
     X_test = _reference_sphere_sample(config.mu, config.n_test, rng)
-    perp = model.predict(X_test) - model.predict_averaged(X_test, averaged)
-    return float((perp ** 2).mean())
+    group, mats = config.kernel.action.group, config.kernel.action.matrices
+    draws = rng.choice(group.order, size=config.n_test, p=group.weights)
+    moved = np.stack([mats[g] @ t for g, t in zip(draws, X_test)])
+    diff = model.predict(X_test) - model.predict(moved)
+    return float(0.5 * (diff ** 2).mean())
 
 
 def _gap_config(d, ktype, n=16, rho=0.1):
@@ -338,11 +345,10 @@ def test_pair_values_is_bitwise_the_one_shot_diagonal(ktype):
 
 @pytest.mark.parametrize("d", [4, 8])
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])
-def test_shared_identity_trial_is_bitwise_the_predict_difference(d, ktype):
+def test_paired_trial_is_bitwise_the_definition(d, ktype):
     # every (n, rho) of the quick suite's gap-kernel grid
     for n, rho in ((16, 0.1), (16, 1.0), (64, 0.1), (64, 1.0)):
         config = _gap_config(d, ktype, n=n, rho=rho)
-        averaged = build_averaged_kernel(config.kernel)
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         for _ in range(3):
             X = config.mu.sample(config.n, rng)
@@ -352,11 +358,36 @@ def test_shared_identity_trial_is_bitwise_the_predict_difference(d, ktype):
             assert np.array_equal(X, X_ref)
             assert np.array_equal(fit_krr(config.kernel, X, y, config.rho).alpha,
                                   _reference_fit_alpha(config.kernel, X_ref, y_ref, config.rho))
-            assert _perp_sq(config, averaged, X, y, rng) == \
-                _reference_perp_sq(config, averaged, X_ref, y_ref, ref_rng)
+            assert _perp_sq(config, X, y, rng) == _reference_perp_sq(config, X_ref, y_ref, ref_rng)
+    averaged = build_averaged_kernel(config.kernel)
     A, B = rng.standard_normal((2, 40, d))
     expected = config.kernel.gram(A, B) - _reference_gram_bar(config.kernel, A, B)
     assert np.array_equal(averaged.gram_perp(A, B), expected)
+
+
+@pytest.mark.parametrize("group,rep", [
+    ("cyclic 4", "natural_permutation"),
+    ("cyclic 8", "natural_permutation"),
+    ("dihedral 4", "natural_permutation"),
+    ("cyclic 6", "rotation_block 1"),
+])
+@pytest.mark.parametrize("ktype", ["linear", "gaussian"])
+def test_paired_mean_over_a_closed_orbit_is_the_averaged_predictors_distance(group, rep, ktype):
+    # on T = {h t_i : h in G}, G-invariant as a multiset, 1/2 mean_T sum_g w_g (f(t) - f(g t))^2
+    # is mean_T (f - Qf)^2 exactly: the paired estimator's mean is the full-orbit one's
+    action = _rep(group, rep)
+    d, mats, weights = action.dim, action.matrices, action.group.weights
+    kernel = linear_kernel(action) if ktype == "linear" else gaussian_kernel(action, bandwidth=math.sqrt(d))
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((24, d))
+    model = fit_krr(kernel, X, X[:, 0] + rng.standard_normal(24), 0.1)
+    P = rng.standard_normal((5, d))
+    T = np.concatenate([P @ m.T for m in mats])
+    f = model.predict(T)
+    paired = 0.5 * sum(w * ((f - model.predict(T @ m.T)) ** 2).mean() for w, m in zip(weights, mats))
+    full = ((f - model.predict_averaged(T, build_averaged_kernel(kernel))) ** 2).mean()
+    assert full > 1e-3
+    assert abs(paired - full) <= 1e-12
 
 
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])

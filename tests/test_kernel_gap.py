@@ -383,7 +383,7 @@ def test_bias_positive_when_switch_refuted():
     )
     ak = build_averaged_kernel(kernel)
     assert ak.switch_ok == "refuted"
-    mean, se = estimate_bias_term(config, averaged=ak)
+    mean, se = estimate_bias_term(config)
     assert mean > 4.0 * se
     assert mean > 0.1
 
