@@ -1,8 +1,9 @@
 """Group-averaging operators.
 
-``group_average`` is the one place the operator Q's Haar-weighted sum
-sum_g w(g) F(g) is taken, over the whole group or a seeded draw from
-``haar_sample``.  Beside it: exact averaging on linear maps (the projection
+The Haar measure of a finite group is uniform, so the operator Q's Haar
+average is the mean of F(g) over the group's ids.  ``group_average`` is the
+one place that mean is taken, over the whole group or over a seeded draw
+from ``haar_sample``.  Beside it: exact averaging on linear maps (the projection
 matrix Phi and the 4-index intertwiner tensor Psi), black-box predictor
 averaging, test-time augmentation, and the empirical Rademacher
 complexity used by the sandwich check.  Q on a black-box predictor has one
@@ -12,13 +13,13 @@ symmetric part with a trivial output representation.
 Conventions: a batched predictor maps an (m, d_in) array of row vectors
 to an (m, d_out) array.  For a linear predictor f_W(x) = W^T x with
 W of shape (d, k), averaging f_W gives f_{Psi(W)} where
-Psi(W) = sum_g w(g) phi(g) W psi(g^-1).
+Psi(W) = (1/|G|) sum_g phi(g) W psi(g^-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,37 +50,31 @@ _PROJECTION_TOL = 1e-9
 _TTA_MODES = {"exact": "exact_sum", "monte_carlo": "monte_carlo"}
 
 
-def group_average(fn: Callable, group, elements=None, weights=None):
-    """sum_k weights[k] * fn(elements[k]), accumulated from the first term
-    in element order; by default over the whole group with its Haar weights."""
-    if weights is None:
-        weights = group.weights if elements is None else group.weights[elements]
-    elements = group.elements() if elements is None else elements
-    acc = None
-    for g, w in zip(elements, weights):
-        # each term is a fresh product, so adding in place mutates nothing fn returned
-        term = w * fn(g)
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-    return acc
+def group_average(fn: Callable, elements):
+    """The mean of fn(g) over the ids in ``elements``, e.g. ``group.elements()``
+    or a draw from ``haar_sample``: the terms summed in element order, then
+    divided by their count."""
+    ids = iter(elements)
+    # a copy of the first term, so adding in place mutates nothing fn returned
+    acc = np.array(fn(next(ids)), dtype=np.float64)
+    for g in ids:
+        acc += fn(g)
+    return acc / len(elements)
 
 
-def haar_sample(group, n: int | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, weights) for group_average: every id with its Haar weight when n
-    is None, else n ids drawn from the Haar weights by default_rng(seed), each 1/n."""
+def haar_sample(group, n: int | None = None, seed: int = 0):
+    """Ids for group_average: every id when n is None, else n ids drawn
+    uniformly, the Haar measure, by default_rng(seed)."""
     if n is None:
-        return np.arange(group.order), group.weights
+        return group.elements()
     if n < 1:
         raise ValueError(f"sampled averaging needs n >= 1 group elements, got {n}")
-    draw = np.random.default_rng(seed).choice(group.order, size=n, p=group.weights)
-    return draw, np.full(n, 1.0 / n)
+    return np.random.default_rng(seed).integers(group.order, size=n)
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
-    """Phi = sum_g w(g) phi(g); projects onto the invariant subspace."""
+    """Phi = (1/|G|) sum_g phi(g); projects onto the invariant subspace."""
 
     rep: Representation
     matrix: np.ndarray
@@ -98,8 +93,8 @@ class ProjectionMatrix:
 
 
 def build_phi(rep: Representation) -> ProjectionMatrix:
-    """Average the representation matrices with the Haar weights."""
-    mat = np.einsum("g,gij->ij", rep.group.weights, rep.matrices)
+    """The mean of the representation matrices over the group."""
+    mat = rep.matrices.mean(axis=0)
     if np.max(np.abs(mat @ mat - mat)) > _PROJECTION_TOL:
         raise ValueError("averaged matrix is not idempotent")
     if np.max(np.abs(mat - mat.T)) > _PROJECTION_TOL:
@@ -115,7 +110,8 @@ class IntertwinerTensor:
     """Dense 4-index averaging map on d x k weight matrices.
 
     tensor[a, b, c, e] maps input entry (c, e) to output entry (a, b):
-    apply(W)_ab = sum_ce tensor[a,b,c,e] W_ce = sum_g w(g) (phi(g) W psi(g^-1))_ab.
+    apply(W)_ab = sum_ce tensor[a,b,c,e] W_ce = (1/|G|) sum_g (phi(g) W psi(g^-1))_ab.
+    The tensor is C-contiguous.
     """
 
     rep_in: Representation   # phi, dim d
@@ -155,7 +151,8 @@ def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTen
             f"dense intertwiner storage cap exceeded: d*k = {d * k} > {MAX_TENSOR_SIDE}"
         )
     psi_inv_t = rep_out.matrices[group.inverse].transpose(0, 2, 1)
-    tensor = np.einsum("g,gac,gbe->abce", group.weights, rep_in.matrices, psi_inv_t)
+    tensor = np.einsum("gac,gbe->abce", rep_in.matrices, psi_inv_t, order="C")
+    tensor /= group.order
 
     op = IntertwinerTensor(rep_in=rep_in, rep_out=rep_out, tensor=tensor)
     rng = np.random.default_rng(3)
@@ -191,7 +188,7 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 class DecomposedPredictor:
     """Splits a black-box predictor into f = f_bar + f_perp.
 
-    symmetric_part computes Q f, i.e. sum_g w(g) psi(g^-1) f(phi(g) x),
+    symmetric_part computes Q f, the mean of psi(g^-1) f(phi(g) x) over g,
     either by the exact group sum or by a fixed Monte-Carlo draw of
     group elements (the draw happens once at construction, so repeated
     evaluations are consistent).  antisym_part is f - Qf, so pointwise
@@ -204,7 +201,7 @@ class DecomposedPredictor:
     mode: str = "exact_sum"  # or "monte_carlo"
     n_samples: int = 10_000
     seed: int = 0
-    _draw: tuple | None = field(default=None, repr=False)
+    _draw: Sequence[int] | None = field(default=None, repr=False)
     _flat: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -230,7 +227,7 @@ class DecomposedPredictor:
             vals = np.asarray(self.base(X @ phi[g].T), dtype=np.float64)
             return vals.reshape(len(X), -1) @ psi_inv[g].T
 
-        acc = group_average(term, self.rep_in.group, *self._draw)
+        acc = group_average(term, self._draw)
         return acc[:, 0] if self._flat and self.rep_out.dim == 1 else acc
 
     def symmetric_part(self, x: np.ndarray) -> np.ndarray:
@@ -269,7 +266,7 @@ def tta_average(
 
     Invariance case only: Q with the trivial output representation of the
     predictor's output width.  "monte_carlo" draws n group elements i.i.d.
-    from the Haar weights once and reuses them on every call; "exact" sums
+    from the Haar measure once and reuses them on every call; "exact" sums
     over the whole group and ignores n.
     """
     if mode not in _TTA_MODES:

@@ -32,7 +32,7 @@ from .layers import (
 )
 from .linear_gap import (
     MIN_WISHART_TRIALS, LinearGapConfig, invariant_config, monte_carlo_gap,
-    random_equivariant_target, verify_projection_tensor, verify_wishart,
+    random_equivariant_target, verify_projection_tensor, verify_wishart, wishart_coefficient,
 )
 from .orbits import (
     LEARNER_NAMES, METRICS, CrossSection, PointCloud, build_cross_section, covering_number,
@@ -40,7 +40,7 @@ from .orbits import (
 )
 from .sampling import gaussian, sphere
 
-CSV_VERSION = "# symlab-csv v2"
+CSV_VERSION = "# symlab-csv v3"
 CSV_COLUMNS = (
     "experiment", "d", "k", "n", "group", "dim_A", "sigma_x", "sigma_xi",
     "trials", "mc_mean", "mc_se", "closed_form", "verdict",
@@ -69,7 +69,7 @@ def _invariant_theta(rep, theta) -> np.ndarray:
     theta = phi @ np.ones(rep.dim)
     norm = float(np.linalg.norm(theta))
     if norm < 1e-12:
-        raise ConfigError(
+        raise ValueError(
             "the invariant subspace does not contain the all-ones direction; pass theta explicitly"
         )
     return theta / norm
@@ -411,6 +411,19 @@ def run_experiment(kind: str, params: dict, seed: int) -> dict:
     return row
 
 
+def _check_before_run(kind: str, kwargs: dict) -> None:
+    """Raise ValueError for what the library would otherwise refuse only mid-run:
+    an n in the divergent band [d-1, d+1] of the linear gaps and of the Wishart
+    check, and a default theta whose invariant subspace misses all-ones."""
+    if kind in ("gap-linear", "gap-equivariant", "verify-wishart"):
+        n = kwargs["n"]
+        d = kwargs["d"] if kind == "verify-wishart" else kwargs.get("rep", kwargs.get("rep_in")).dim
+        if math.isinf(wishart_coefficient(n, d)):
+            raise ValueError(f"n = {n} lies in the divergent band [d-1, d+1] = [{d - 1}, {d + 1}]")
+    if kind in ("gap-linear", "gap-kernel"):
+        _invariant_theta(kwargs["rep"], kwargs.get("theta"))
+
+
 def _apply_override(config: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form path=value")
@@ -451,6 +464,10 @@ def _validate_config(config: dict) -> None:
         for key, least in _MINIMUMS.get(exp["kind"], {}).items():
             if key in kwargs and kwargs[key] < least:
                 raise ConfigError(f"config error: experiments[{i}].{key} is {kwargs[key]}, below {least}")
+        try:
+            _check_before_run(exp["kind"], kwargs)
+        except ValueError as err:
+            raise ConfigError(f"config error: experiments[{i}]: {err}") from None
 
 
 def _write_results(rows: list, out_dir: Path) -> None:

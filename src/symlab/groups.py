@@ -1,19 +1,20 @@
 """Finite symmetry groups and their orthogonal matrix representations.
 
-Group elements are integer ids 0..order-1, so every Haar average elsewhere
-in the package is an exact finite sum.  A group is its ``structure`` and
-its Haar weights: it composes ids arithmetically from the structure (index
-arithmetic for cyclic and dihedral groups, lex ranks of composed
-permutations for symmetric groups, factor-wise for products), takes its
-inverses from the same structure, and id 0 is its identity.  No dense
-composition table is ever held.  Continuous SO(2) is admitted through an
-equispaced angular quadrature, which is itself an exact cyclic group of
-rotations; rotation blocks of frequency below half the node count
-integrate exactly.
+Group elements are integer ids 0..order-1.  The normalised Haar measure of
+a finite group is unique and uniform, so every Haar average elsewhere in
+the package is the plain mean over the ids, and no group stores a weight
+vector.  A group is its ``structure``: it composes ids arithmetically from
+the structure (index arithmetic for cyclic and dihedral groups, lex ranks
+of composed permutations for symmetric groups, factor-wise for products),
+takes its inverses from the same structure, and id 0 is its identity.  No
+dense composition table is ever held.  Continuous SO(2) is admitted
+through an equispaced angular quadrature, which is itself an exact cyclic
+group of rotations; rotation blocks of frequency below half the node
+count integrate exactly.
 
-Every "for each g in G" check (left-invariant weights, the homomorphism
-property of a representation, and the intertwining and invariance checks
-elsewhere in the package) runs over ``FiniteGroup.generators`` only: a
+Every "for each g in G" check (the homomorphism property of a
+representation, and the intertwining and invariance checks elsewhere in
+the package) runs over ``FiniteGroup.generators`` only: a
 property closed under composition that holds for each generator holds for
 the whole group.  Built groups take their generators from ``structure``
 (1 for cyclic groups, a rotation and a reflection for dihedral ones, a
@@ -56,9 +57,8 @@ class FiniteGroup:
 
     ``compose(a, b)`` is the id of a*b, elementwise over broadcast id
     arrays; ``inverse[a]`` is the id of a^-1, and ``identity`` is id 0.
-    ``weights`` are the Haar averaging weights: uniform 1/|G| for exact
-    finite groups, quadrature weights (also uniform) for discretized
-    continuous groups.  ``structure`` records how the group was built, e.g.
+    Its Haar measure is uniform, 1/|G| on every id, so it is not stored.
+    ``structure`` records how the group was built, e.g.
     ("cyclic", 4) or ("product", ("cyclic", 2), ("symmetric", 3)); the
     order, composition, inverses and generators all come from it, and it
     lets representation constructors recover the concrete action behind
@@ -69,19 +69,19 @@ class FiniteGroup:
 
     name: str
     inverse: np.ndarray
-    weights: np.ndarray
     order: int
     structure: tuple
 
-    def __init__(self, name: str, *, weights: np.ndarray, structure: tuple) -> None:
+    def __init__(self, name: str, *, structure: tuple) -> None:
         order = _capped_order(name, structure)  # before anything order-sized is built
+        inverse = np.asarray(_structure_inverse(structure), dtype=np.int64)
+        inverse.setflags(write=False)
         for key, value in (
             ("name", name),
             ("order", order),
             ("structure", structure),
             ("_compose", _composer(structure)),
-            ("inverse", _read_only(_structure_inverse(structure), np.int64)),
-            ("weights", _read_only(weights, np.float64)),
+            ("inverse", inverse),
         ):
             object.__setattr__(self, key, value)
         _validate_group(self)
@@ -103,13 +103,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    # a copy, so the caller's own array stays writeable
-    arr = np.array(values, dtype=dtype, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
 def _capped_order(name: str, structure: tuple) -> int:
     order = _structure_order(structure)
     if order > MAX_GROUP_ORDER:
@@ -126,18 +119,6 @@ def _validate_group(group: FiniteGroup) -> None:
         raise ValueError(f"{group.name}: id {group.identity} is not a two-sided identity")
     if not (np.all(compose(group.inverse, ids) == e) and np.all(compose(ids, group.inverse) == e)):
         raise ValueError(f"{group.name}: inverses are inconsistent with the composition")
-
-    w = group.weights
-    if w.shape != (m,):
-        raise ValueError(f"{group.name}: weights have wrong shape {w.shape}")
-    if w.min() < 0:
-        raise ValueError(f"{group.name}: weights must be non-negative")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"{group.name}: weights sum to {total!r}, not 1")
-    for s in group.generators:
-        if np.max(np.abs(w[compose(s, ids)] - w)) > 1e-12:
-            raise ValueError(f"{group.name}: weights are not invariant under left translation")
 
 
 def _lex_permutations(m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -249,18 +230,12 @@ def _atom_structure(text: str) -> tuple:
     return kind, m
 
 
-def _uniform(structure: tuple) -> np.ndarray:
-    order = _structure_order(structure)
-    return np.full(order, 1.0 / order)
-
-
 def build_group(descriptor: str) -> FiniteGroup:
     """Build a group from a descriptor string.
 
     Grammar: "cyclic m" | "symmetric m" | "dihedral m" | "so2_quadrature M",
     optionally joined with '*' for direct products, e.g.
-    "cyclic 2 * symmetric 3".  Products associate to the right, and their
-    weights are the Kronecker products of their factors' uniform weights.
+    "cyclic 2 * symmetric 3".  Products associate to the right.
     """
     parts = [p.strip() for p in descriptor.split("*")]
     if any(not p for p in parts):
@@ -270,11 +245,7 @@ def build_group(descriptor: str) -> FiniteGroup:
     for atom in reversed(atoms[:-1]):
         structure = ("product", atom, structure)
     name = " * ".join(f"{kind} {m}" for kind, m in atoms)
-    _capped_order(name, structure)  # before any weights are allocated
-    weights = _uniform(atoms[-1])
-    for atom in reversed(atoms[:-1]):
-        weights = np.kron(_uniform(atom), weights)
-    return FiniteGroup(name, weights=weights, structure=structure)
+    return FiniteGroup(name, structure=structure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,14 +456,12 @@ def character(rep: Representation) -> np.ndarray:
 
 
 def character_inner(rep1: Representation, rep2: Representation) -> float:
-    """Haar-weighted inner product of the characters of two representations.
+    """Inner product of the characters of two representations, their
+    product's mean over the group.
 
     Counts the dimension of the space of equivariant linear maps between
     them; a non-negative near-integer for exact finite groups.
     """
-    if rep1.group is not rep2.group and not (
-        rep1.group.structure == rep2.group.structure
-        and np.array_equal(rep1.group.weights, rep2.group.weights)
-    ):
+    if rep1.group.structure != rep2.group.structure:
         raise ValueError("representations live on different groups")
-    return float(np.sum(rep1.group.weights * character(rep1) * character(rep2)))
+    return float(np.mean(character(rep1) * character(rep2)))

@@ -7,7 +7,7 @@ specialization on the sphere.
 
 Kernels are evaluated through Gram callables gram(A, B)[i, j] = k(a_i, b_j).
 The averaged kernel transforms the second argument,
-kbar(x, y) = sum_g w(g) k(x, phi(g) y), so for a fitted KRR model the
+kbar(x, y) = (1/|G|) sum_g k(x, phi(g) y), so for a fitted KRR model the
 averaged predictor sum_i alpha_i kbar(x_i, .) is exactly the group
 average of the fitted function.  A Representation stores phi(e) as exactly
 I, so the identity element's term of the averaged Gram is always the base
@@ -144,7 +144,7 @@ def _pair_values(gram, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def check_switch_condition(
     kernel: KernelSpec, n_pairs: int = 64, seed: int = 0
 ) -> tuple[str, float]:
-    """Compare sum_g w(g) k(g x, y) against sum_g w(g) k(x, g y) on random pairs.
+    """Compare the group means of k(g x, y) and of k(x, g y) on random pairs.
 
     Returns ("verified" | "refuted" | "unchecked", max violation); the dead
     band between the two thresholds is reported as unchecked rather than
@@ -156,8 +156,8 @@ def check_switch_condition(
     group = kernel.action.group
     mats = kernel.action.matrices
     X, Y = rng.standard_normal((2, n_pairs, kernel.dim))
-    lhs = group_average(lambda g: _pair_values(kernel.gram, X @ mats[g].T, Y), group)
-    rhs = group_average(lambda g: _pair_values(kernel.gram, X, Y @ mats[g].T), group)
+    lhs = group_average(lambda g: _pair_values(kernel.gram, X @ mats[g].T, Y), group.elements())
+    rhs = group_average(lambda g: _pair_values(kernel.gram, X, Y @ mats[g].T), group.elements())
     violation = float(np.max(np.abs(lhs - rhs)))
     if violation <= SWITCH_VERIFY_TOL:
         return "verified", violation
@@ -168,7 +168,7 @@ def check_switch_condition(
 
 @dataclass(frozen=True, eq=False)
 class AveragedKernel:
-    """kbar(x, y) = sum_g w(g) k(x, phi(g) y) and its remainder k - kbar."""
+    """kbar(x, y) = (1/|G|) sum_g k(x, phi(g) y) and its remainder k - kbar."""
 
     parent: KernelSpec
     switch_ok: str
@@ -188,7 +188,7 @@ class AveragedKernel:
         K = gram(A, B)
         e = action.group.identity
         Kbar = group_average(
-            lambda g: K if g == e else gram(A, B @ action.matrices[g].T), action.group
+            lambda g: K if g == e else gram(A, B @ action.matrices[g].T), action.group.elements()
         )
         return K, Kbar
 
@@ -343,7 +343,7 @@ def _perp_sq(config: KrrGapConfig, X, y, rng) -> float:
     model = fit_krr(config.kernel, X, y, config.rho)
     X_test = config.mu.sample(config.n_test, rng)
     action = config.kernel.action
-    g = rng.choice(action.group.order, size=config.n_test, p=action.group.weights)
+    g = rng.integers(action.group.order, size=config.n_test)
     moved = np.einsum("tij,tj->ti", action.matrices[g], X_test)
     f = model.predict(np.concatenate([X_test, moved]))
     return float(0.5 * ((f[:config.n_test] - f[config.n_test:]) ** 2).mean())

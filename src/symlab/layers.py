@@ -38,6 +38,8 @@ ACTIVATIONS = {
 }
 # the activations whose Lipschitz constant C = 1 the regularisation bound assumes
 BOUND_ACTIVATIONS = ("relu", "identity")
+# the bound's left side may exceed its middle by this multiple of mean |f_W|^2
+_ROUNDING_ALLOWANCE = 64 * np.finfo(np.float64).eps
 
 
 def _is_permutation_type(rep: Representation) -> bool:
@@ -66,13 +68,9 @@ class LayerSpec:
         object.__setattr__(self, "weights", weights)
         if len(reps) < 2 or len(weights) != len(reps) - 1:
             raise ValueError("need L >= 1 weight matrices and L+1 representations")
-        group = reps[0].group
-        for rep in reps[1:]:
-            if rep.group is not group and not (
-                rep.group.structure == group.structure
-                and np.allclose(rep.group.weights, group.weights)
-            ):
-                raise ValueError("all representations must be of the same group")
+        structure = reps[0].group.structure
+        if any(rep.group.structure != structure for rep in reps[1:]):
+            raise ValueError("all representations must be of the same group")
         for i, w in enumerate(weights):
             if w.shape != (reps[i + 1].dim, reps[i].dim):
                 raise ValueError(
@@ -109,7 +107,7 @@ class LayerSpec:
 def project_layer(W: np.ndarray, psi_in: Representation, psi_out: Representation):
     """Split W into its intertwining part and the residual.
 
-    W_bar = sum_g w(g) psi_out(g^{-1}) W psi_in(g) satisfies
+    W_bar = (1/|G|) sum_g psi_out(g^{-1}) W psi_in(g) satisfies
     W_bar psi_in(g) = psi_out(g) W_bar for every g; W = W_bar + W_perp.
     """
     W = np.asarray(W, dtype=np.float64)
@@ -117,9 +115,7 @@ def project_layer(W: np.ndarray, psi_in: Representation, psi_out: Representation
         raise ValueError(f"W has shape {W.shape}, expected ({psi_out.dim}, {psi_in.dim})")
     group = psi_in.group
     out_inv = psi_out.matrices[group.inverse]
-    W_bar = np.einsum(
-        "g,gik,kl,glj->ij", group.weights, out_inv, W, psi_in.matrices, optimize=True
-    )
+    W_bar = np.einsum("gik,kl,glj->ij", out_inv, W, psi_in.matrices, optimize=True) / group.order
     for g in group.generators:
         dev = np.max(np.abs(W_bar @ psi_in.matrices[g] - psi_out.matrices[g] @ W_bar))
         if dev > 1e-9:
@@ -165,7 +161,10 @@ def check_regularisation_bound(
         E|f_W - Q f_W|^2  <=  2 C^2 |W_perp S|_F^2  <=  2 C^2 |S|_F^2 |W_perp|_F^2
 
     with S the covariance square root and C = 1 for relu/identity.  The
-    cross terms vanish because the group average of W_perp is zero."""
+    cross terms vanish because the group average of W_perp is zero.  The
+    left inequality allows 4 standard errors plus 64 eps mean |f_W|^2 of
+    rounding, so that an exactly intertwining W, whose sides are both
+    rounding dust, passes."""
     if activation not in BOUND_ACTIVATIONS:
         raise ValueError("the bound is checked for relu or identity activations")
     act = ACTIVATIONS[activation]
@@ -187,13 +186,16 @@ def check_regularisation_bound(
     _, W_perp = project_layer(W, psi_in, psi_out)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, d)) @ sqrt_cov
-    f_perp = apply_Q(lambda Z: act(Z @ W.T), psi_in, psi_out).antisym_part(X)
+    f_W = lambda Z: act(Z @ W.T)
+    f_perp = apply_Q(f_W, psi_in, psi_out).antisym_part(X)
     sq = (f_perp ** 2).sum(axis=1)
     lhs = float(sq.mean())
     lhs_se = standard_error(sq)
     middle = 2.0 * float(((W_perp @ sqrt_cov) ** 2).sum())
     right = 2.0 * float((sqrt_cov ** 2).sum()) * float((W_perp ** 2).sum())
-    ok = lhs <= middle + 4.0 * lhs_se and middle <= right + 1e-12
+    # f - Qf of an exactly intertwining W is rounding dust, not an exact zero
+    dust = _ROUNDING_ALLOWANCE * float((f_W(X) ** 2).sum(axis=1).mean())
+    ok = lhs <= middle + 4.0 * lhs_se + dust and middle <= right + 1e-12
     return {
         "lhs_mean": lhs,
         "lhs_se": lhs_se,

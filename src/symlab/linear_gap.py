@@ -32,7 +32,6 @@ __all__ = [
     "wishart_coefficient",
     "verify_wishart",
     "verify_projection_tensor",
-    "closed_form_gap_invariant",
     "closed_form_gap_equivariant",
     "monte_carlo_gap",
 ]
@@ -312,32 +311,14 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     )
 
 
-def _phi_trace(rep: Representation) -> float:
-    return float(np.einsum("g,gii->", rep.group.weights, rep.matrices))
-
-
-def closed_form_gap_invariant(config: LinearGapConfig) -> float:
-    """Expected gap for an invariant linear target, three-regime formula."""
-    if not _is_trivial_scalar(config.psi):
-        raise ValueError("invariant closed form needs the trivial scalar output representation")
-    d, n = config.d, config.n
-    dim_a = d - _phi_trace(config.phi)
-    if n > d + 1:
-        return config.sigma_xi ** 2 * dim_a / (n - d - 1)
-    if n < d - 1:
-        theta_sq = float(np.sum(config.theta ** 2))
-        signal = config.sigma_x ** 2 * theta_sq * n * (d - n) / (d * (d - 1) * (d + 2))
-        noise = config.sigma_xi ** 2 * n / (d * (d - n - 1))
-        return dim_a * (signal + noise)
-    raise ValueError("interpolation threshold regime: the gap diverges")
-
-
 def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
-    """Expected gap for an equivariant linear target.
+    """Expected gap for an equivariant linear target, three-regime formula.
 
     Uses the character inner product for the codimension of the
-    equivariant subspace, and the matrix J = sum_g w(g) (chi_phi(g) psi(g)
-    + psi(g^2)) in the overparameterised regime.
+    equivariant subspace, and the matrix J, the group mean of
+    chi_phi(g) psi(g) + psi(g^2), in the overparameterised regime.  With the
+    trivial scalar psi this is the invariant case: the codimension is
+    d - tr(Phi) and J = tr(Phi) + 1.
     """
     d, k, n = config.d, config.k, config.n
     inner = character_inner(config.psi, config.phi)
@@ -349,8 +330,8 @@ def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
         chi_phi = character(config.phi)
         ids = np.arange(group.order)
         squares = group.compose(ids, ids)
-        j_mat = np.einsum("g,g,gij->ij", group.weights, chi_phi, config.psi.matrices)
-        j_mat = j_mat + np.einsum("g,gij->ij", group.weights, config.psi.matrices[squares])
+        psi = config.psi.matrices
+        j_mat = (chi_phi[:, None, None] * psi).mean(axis=0) + psi[squares].mean(axis=0)
         theta = config.theta
         fro_sq = float(np.sum(theta ** 2))
         signal = (
@@ -363,18 +344,11 @@ def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
     raise ValueError("interpolation threshold regime: the gap diverges")
 
 
-def closed_form_gap(config: LinearGapConfig) -> float:
-    if _is_trivial_scalar(config.psi):
-        return closed_form_gap_invariant(config)
-    return closed_form_gap_equivariant(config)
-
-
 def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     """Per trial: draw (X, Y), solve minimum-norm least squares, and measure
     the exact per-trial gap sigma_x^2 ||W - Psi(W)||_F^2; compare the mean
     against the closed form at 4 standard errors."""
     d, k, n = config.d, config.k, config.n
-    invariant_case = _is_trivial_scalar(config.psi)
     rng = np.random.default_rng(config.seed)
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
@@ -409,18 +383,14 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
     se = standard_error(valid)
-    closed = closed_form_gap(config)
-    if invariant_case:
-        dim_a = config.d - _phi_trace(config.phi)
-    else:
-        dim_a = d * k - character_inner(config.psi, config.phi)
+    closed = closed_form_gap_equivariant(config)
     verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
     return GapReport(
-        experiment="gap-linear" if invariant_case else "gap-equivariant",
+        experiment="gap-linear" if _is_trivial_scalar(config.psi) else "gap-equivariant",
         mc_gap_mean=mean,
         mc_gap_se=se,
         closed_form=closed,
-        dim_A=float(dim_a),
+        dim_A=d * k - character_inner(config.psi, config.phi),
         verdict=verdict,
         metadata={
             "group": config.phi.group.name,

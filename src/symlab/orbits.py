@@ -128,12 +128,13 @@ def averaged_loss(
     rep: Representation,
     nu: str | np.ndarray = "haar",
 ) -> Callable[[np.ndarray, np.ndarray], float]:
-    """lbar(y, y') = sum_g nu(g) loss(psi(g) y, psi(g) y')."""
+    """lbar(y, y') = sum_g nu(g) loss(psi(g) y, psi(g) y'); for the Haar
+    measure, the mean over the group."""
     group = rep.group
     if isinstance(nu, str):
         if nu != "haar":
             raise ValueError("nu must be 'haar' or an explicit weight vector")
-        weights = group.weights
+        weights = None
     else:
         weights = np.asarray(nu, dtype=np.float64)
         if weights.shape != (group.order,) or np.any(weights < 0):
@@ -149,7 +150,9 @@ def averaged_loss(
 
     def lbar(y: np.ndarray, y_prime: np.ndarray) -> float:
         pair_loss = lambda g: loss(mats[g] @ y, mats[g] @ y_prime)
-        return float(group_average(pair_loss, group, weights=weights))
+        if weights is None:
+            return float(group_average(pair_loss, group.elements()))
+        return float(sum(w * pair_loss(g) for g, w in zip(group.elements(), weights)))
 
     return lbar
 
@@ -214,7 +217,7 @@ def default_invariant_target(action: Representation) -> Callable[[np.ndarray], n
     c = np.arange(1, action.dim + 1, dtype=np.float64) / action.dim
 
     def f_star(X: np.ndarray) -> np.ndarray:
-        return group_average(lambda g: np.tanh(X @ (mats[g].T @ c)), group)
+        return group_average(lambda g: np.tanh(X @ (mats[g].T @ c)), group.elements())
 
     return f_star
 

@@ -39,7 +39,7 @@ def test_run_writes_versioned_csv_and_json(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     lines = csv_text.strip().split("\n")
-    assert lines[0] == "# symlab-csv v2"
+    assert lines[0] == "# symlab-csv v3"
     assert lines[1].split(",") == list(cli.CSV_COLUMNS)
     assert len(lines) == 2 + len(FAST_CONFIG["experiments"])
     rows = json.loads((tmp_path / "out" / "results.json").read_text())
@@ -109,6 +109,30 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
     captured = capsys.readouterr()
     assert f"experiments[1].{key} is 999, below 1000" in captured.err
     assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exp,message", [
+    ({"kind": "verify-wishart", "n": 3, "d": 3}, "n = 3 lies in the divergent band [d-1, d+1] = [2, 4]"),
+    ({"kind": "gap-linear", "group": "symmetric 3", "rep": "natural_permutation", "n": 3},
+     "n = 3 lies in the divergent band [d-1, d+1] = [2, 4]"),
+    ({"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
+      "rep_out": "natural_permutation", "n": 4}, "n = 4 lies in the divergent band"),
+    ({"kind": "gap-linear", "group": "cyclic 4", "rep": "rotation_block 1", "n": 10},
+     "does not contain the all-ones direction"),
+    ({"kind": "gap-kernel", "group": "cyclic 4", "rep": "rotation_block 1", "n": 8, "rho": 1.0},
+     "does not contain the all-ones direction"),
+], ids=["wishart-band", "gap-linear-band", "gap-equivariant-band", "gap-linear-theta",
+        "gap-kernel-theta"])
+def test_run_time_refusals_exit_2_before_any_experiment_runs(tmp_path, capsys, exp, message):
+    # each used to be refused only when its experiment ran, after covering had printed its verdict
+    payload = {"seed": 1, "experiments": [{"kind": "covering", "n": 30, "dim": 2, "eps": 0.5}, exp]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: experiments[1]: ")
+    assert message in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -586,8 +610,8 @@ ROW_EXPECTED = [
     "pass,,,,,,6581f66b83e8,3",
     "gap-equivariant,3,3,12,symmetric 3,7.0,2.0,1.0,300,0.8209128450954241,0.033485882452420644,"
     "0.875,pass,,,,,,d1ffb2952da9,4",
-    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.07534779384346843,0.01372152079192856,"
-    "0.02419992557837697,pass,1.0,1.0,0.053829475998985736,0.01888343412168702,"
+    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.051105260401969665,0.013170875637345472,"
+    "0.03438081789853665,pass,1.0,1.0,0.053829475998985736,0.0290643264418467,"
     "0.005316491456689949,9d53a806db68,5",
     "verify-wishart,3,,12,,,,,1000,0.12563210603648753,0.002251526189879003,0.125,"
     "pass,,,,,,381d78f89897,6",
@@ -598,7 +622,7 @@ ROW_EXPECTED = [
     "orbit-equivalence,2,,16,cyclic 2,,,,2,0.02232800539513579,0.0,0.02232800539513579,"
     "pass,,,,,,26abaa2957ec,9",
     "covering,2,,40,,,,,,8.0,,,pass,,,,,,71ef571c0353,10",
-    "layer-project,3,3,,symmetric 3,,,,50,2.220446049250313e-16,,0.0,pass,,,,,,99d71359a00d,11",
+    "layer-project,3,3,,symmetric 3,,,,50,2.636779683484747e-16,,0.0,pass,,,,,,99d71359a00d,11",
     "vc-bound,3,3,,symmetric 3,,,,,15.075197125170574,,,pass,,,,,,806af7c6a44c,12",
     "regularisation-bound,3,3,,symmetric 3,,1.0,,1000,6.057069143933699,0.30615415073911934,"
     "33.838015937207224,pass,,,,,,a97decb22b56,13",

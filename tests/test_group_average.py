@@ -1,15 +1,15 @@
-"""group_average and the KRR trial path against the expressions they replaced.
+"""group_average and the KRR trial path against reference loops.
 
-Each ``_reference_*`` function below is the loop or expression its caller
-used before the sums were folded into ``group_average`` and before the
-kernel trial path shared its base Gram, built Gaussian Grams in place,
-called LAPACK without scipy's wrappers and normalised sphere draws inline;
-the new code must return the same bits, not merely close values.  The one
-exception is the layer bound on a non-permutation output rep, whose weight
-now scales after the output-rep product instead of before it.  The KRR
-trial's paired estimate of |f_perp|^2 replaced a full-orbit one, so its
-reference is written from its definition instead, and a closed orbit ties
-the two estimates together exactly.
+A Haar average over a finite group is the mean over its ids: each
+``_reference_*`` average below sums its terms in element order and divides
+the sum by their count, and a sampled one draws its ids with
+``integers(order)`` from the seed's ``default_rng``.  The other references
+are the expressions the kernel trial path used before it shared its base
+Gram, built Gaussian Grams in place, called LAPACK without scipy's
+wrappers and normalised sphere draws inline.  The library must return the
+same bits, not merely close values.  The KRR trial's paired estimate of
+|f_perp|^2 is written from its definition, and a closed orbit ties it
+exactly to the full-orbit estimate.
 """
 
 import math
@@ -19,8 +19,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from symlab import kernel_gap
-from symlab.averaging import apply_Q, group_average, haar_sample, tta_average
-from symlab.groups import build_group, build_representation
+from symlab.averaging import apply_Q, build_phi, build_psi, group_average, haar_sample, tta_average
+from symlab.groups import build_group, build_representation, character, character_inner
 from symlab.kernel_gap import (
     SWITCH_REFUTE_TOL,
     SWITCH_VERIFY_TOL,
@@ -34,7 +34,13 @@ from symlab.kernel_gap import (
     linear_kernel,
 )
 from symlab.sampling import sphere
-from symlab.layers import ACTIVATIONS, check_regularisation_bound
+from symlab.layers import ACTIVATIONS, check_regularisation_bound, project_layer
+from symlab.linear_gap import (
+    LinearGapConfig,
+    closed_form_gap_equivariant,
+    invariant_config,
+    random_equivariant_target,
+)
 from symlab.orbits import averaged_loss, default_invariant_target
 
 
@@ -47,9 +53,9 @@ def _reference_gram_bar(kernel, A, B):
     mats = kernel.action.matrices
     out = None
     for g in group.elements():
-        term = group.weights[g] * kernel.gram(A, B @ mats[g].T)
+        term = kernel.gram(A, B @ mats[g].T)
         out = term if out is None else out + term
-    return out
+    return out / group.order
 
 
 def _reference_switch(kernel, n_pairs, seed):
@@ -60,10 +66,9 @@ def _reference_switch(kernel, n_pairs, seed):
     lhs = np.zeros(n_pairs)
     rhs = np.zeros(n_pairs)
     for g in group.elements():
-        w = group.weights[g]
-        lhs += w * _pair_values(kernel.gram, X @ mats[g].T, Y)
-        rhs += w * _pair_values(kernel.gram, X, Y @ mats[g].T)
-    violation = float(np.max(np.abs(lhs - rhs)))
+        lhs += _pair_values(kernel.gram, X @ mats[g].T, Y)
+        rhs += _pair_values(kernel.gram, X, Y @ mats[g].T)
+    violation = float(np.max(np.abs(lhs / group.order - rhs / group.order)))
     if violation <= SWITCH_VERIFY_TOL:
         return "verified", violation
     if violation > SWITCH_REFUTE_TOL:
@@ -77,19 +82,17 @@ def _reference_symmetric_part(base, rep_in, rep_out, X, mode, n_samples, seed):
     psi_inv = rep_out.matrices[group.inverse]
     if mode == "exact_sum":
         elements = np.arange(group.order)
-        weights = group.weights
     else:
-        rng = np.random.default_rng(seed)
-        elements = rng.choice(group.order, size=n_samples, p=group.weights)
-        weights = np.full(len(elements), 1.0 / len(elements))
+        elements = np.random.default_rng(seed).integers(group.order, size=n_samples)
     acc = None
-    for g, w in zip(elements, weights):
+    for g in elements:
         vals = np.asarray(base(X @ phi[g].T), dtype=np.float64)
         flat = vals.ndim == 1
         if flat:
             vals = vals[:, None]
-        term = w * (vals @ psi_inv[g].T)
+        term = vals @ psi_inv[g].T
         acc = term if acc is None else acc + term
+    acc = acc / len(elements)
     if flat and rep_out.dim == 1:
         return acc[:, 0]
     return acc
@@ -99,17 +102,14 @@ def _reference_tta(pred, rep_in, n, seed, mode, X):
     group = rep_in.group
     if mode == "exact":
         elements = np.arange(group.order)
-        weights = group.weights
     else:
-        rng = np.random.default_rng(seed)
-        elements = rng.choice(group.order, size=n, p=group.weights)
-        weights = np.full(n, 1.0 / n)
+        elements = np.random.default_rng(seed).integers(group.order, size=n)
     phi = rep_in.matrices
     acc = None
-    for g, w in zip(elements, weights):
-        term = w * np.asarray(pred(X @ phi[g].T), dtype=np.float64)
+    for g in elements:
+        term = np.asarray(pred(X @ phi[g].T), dtype=np.float64)
         acc = term if acc is None else acc + term
-    return acc
+    return acc / len(elements)
 
 
 def _reference_layer_lhs(W, psi_in, psi_out, activation, samples, seed):
@@ -120,26 +120,21 @@ def _reference_layer_lhs(W, psi_in, psi_out, activation, samples, seed):
     f = act(X @ W.T)
     qf = np.zeros_like(f)
     for g in group.elements():
-        qf += group.weights[g] * act(X @ psi_in.matrices[g].T @ W.T) @ out_inv[g].T
-    return float(((f - qf) ** 2).sum(axis=1).mean())
+        qf += act(X @ psi_in.matrices[g].T @ W.T) @ out_inv[g].T
+    return float(((f - qf / group.order) ** 2).sum(axis=1).mean())
 
 
-@pytest.mark.parametrize("group,kind,activation,exact", [
-    ("symmetric 3", "natural_permutation", "relu", True),
-    ("dihedral 5", "natural_permutation", "relu", True),
-    ("cyclic 4", "rotation_block 1", "identity", True),
-    # rotation output rep and weight 1/3: equal up to rounding
-    ("cyclic 3", "rotation_block 1", "identity", False),
+@pytest.mark.parametrize("group,kind,activation", [
+    ("symmetric 3", "natural_permutation", "relu"),
+    ("dihedral 5", "natural_permutation", "relu"),
+    ("cyclic 4", "rotation_block 1", "identity"),
+    ("cyclic 3", "rotation_block 1", "identity"),
 ])
-def test_layer_bound_matches_the_reference_loop(group, kind, activation, exact):
+def test_layer_bound_matches_the_reference_loop(group, kind, activation):
     rep = _rep(group, kind)
     W = np.random.default_rng(1).standard_normal((rep.dim, rep.dim))
     lhs = check_regularisation_bound(W, rep, rep, activation=activation, samples=2000, seed=2)["lhs_mean"]
-    expected = _reference_layer_lhs(W, rep, rep, activation, 2000, 2)
-    if exact:
-        assert lhs == expected
-    else:
-        assert lhs == pytest.approx(expected, rel=64 * np.finfo(np.float64).eps)
+    assert lhs == _reference_layer_lhs(W, rep, rep, activation, 2000, 2)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -210,43 +205,40 @@ def test_orbit_sums_are_bitwise_the_reference_sums():
     group, mats = rep.group, rep.matrices
     X = np.random.default_rng(8).standard_normal((20, rep.dim))
     c = np.arange(1, rep.dim + 1, dtype=np.float64) / rep.dim
-    expected = sum(group.weights[g] * np.tanh(X @ (mats[g].T @ c)) for g in group.elements())
+    expected = sum(np.tanh(X @ (mats[g].T @ c)) for g in group.elements()) / group.order
     assert np.array_equal(default_invariant_target(rep)(X), expected)
 
     loss = lambda y, yp: float(np.sum((y - yp) ** 2) + y[0] ** 2)
-    nu = np.random.default_rng(9).dirichlet(np.ones(group.order))
     y, yp = X[0], X[1]
-    for weights, lbar in ((group.weights, averaged_loss(loss, rep)), (nu, averaged_loss(loss, rep, nu))):
-        ref = float(sum(weights[g] * loss(mats[g] @ y, mats[g] @ yp) for g in group.elements()))
-        assert lbar(y, yp) == ref
+    haar = sum(loss(mats[g] @ y, mats[g] @ yp) for g in group.elements()) / group.order
+    assert averaged_loss(loss, rep)(y, yp) == haar
+    # an explicit nu is not the Haar measure: its own weighted sum
+    nu = np.random.default_rng(9).dirichlet(np.ones(group.order))
+    ref = float(sum(nu[g] * loss(mats[g] @ y, mats[g] @ yp) for g in group.elements()))
+    assert averaged_loss(loss, rep, nu)(y, yp) == ref
 
 
-def test_sampled_draw_is_the_default_rng_choice_stream():
+def test_sampled_draw_is_the_default_rng_integers_stream():
     group = build_group("dihedral 4")
-    elements, weights = haar_sample(group, 50, seed=12)
-    expected = np.random.default_rng(12).choice(group.order, size=50, p=group.weights)
-    assert np.array_equal(elements, expected)
-    assert np.array_equal(weights, np.full(50, 1.0 / 50))
-    everything, haar = haar_sample(group)
-    assert np.array_equal(everything, np.arange(group.order))
-    assert haar is group.weights
+    expected = np.random.default_rng(12).integers(group.order, size=50)
+    assert np.array_equal(haar_sample(group, 50, seed=12), expected)
+    assert haar_sample(group) == group.elements()
 
 
-def test_group_average_order_and_default_weights():
+def test_group_average_is_the_mean_in_element_order():
     group = build_group("cyclic 5")
     terms = np.random.default_rng(13).standard_normal((5, 4))
     fn = lambda g: terms[g]
-    expected = group.weights[0] * terms[0]
+    expected = terms[0]
     for g in range(1, 5):
-        expected = expected + group.weights[g] * terms[g]
-    assert np.array_equal(group_average(fn, group), expected)
-    # explicit elements without weights take those elements' Haar weights
-    assert np.array_equal(
-        group_average(fn, group, elements=[3, 1]),
-        group.weights[3] * terms[3] + group.weights[1] * terms[1],
-    )
-    # a single element returns its weighted term as is
-    assert np.array_equal(group_average(fn, group, [2], [1.0]), terms[2])
+        expected = expected + terms[g]
+    assert np.array_equal(group_average(fn, group.elements()), expected / 5)
+    # any ids, repeats counted, in the order given
+    assert np.array_equal(group_average(fn, [3, 1, 3]), (terms[3] + terms[1] + terms[3]) / 3)
+    # a single element returns its term as is
+    assert np.array_equal(group_average(fn, [2]), terms[2])
+    # scalar terms average to a scalar
+    assert group_average(lambda g: float(g), group.elements()) == 2.0
 
 
 def test_sampled_averaging_still_rejects_fewer_than_one_element():
@@ -294,7 +286,7 @@ def _reference_perp_sq(config, X, y, rng):
     model = fit_krr(config.kernel, X, y, config.rho)
     X_test = _reference_sphere_sample(config.mu, config.n_test, rng)
     group, mats = config.kernel.action.group, config.kernel.action.matrices
-    draws = rng.choice(group.order, size=config.n_test, p=group.weights)
+    draws = rng.integers(group.order, size=config.n_test)
     moved = np.stack([mats[g] @ t for g, t in zip(draws, X_test)])
     diff = model.predict(X_test) - model.predict(moved)
     return float(0.5 * (diff ** 2).mean())
@@ -373,10 +365,10 @@ def test_paired_trial_is_bitwise_the_definition(d, ktype):
 ])
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])
 def test_paired_mean_over_a_closed_orbit_is_the_averaged_predictors_distance(group, rep, ktype):
-    # on T = {h t_i : h in G}, G-invariant as a multiset, 1/2 mean_T sum_g w_g (f(t) - f(g t))^2
+    # on T = {h t_i : h in G}, G-invariant as a multiset, 1/2 mean_T mean_g (f(t) - f(g t))^2
     # is mean_T (f - Qf)^2 exactly: the paired estimator's mean is the full-orbit one's
     action = _rep(group, rep)
-    d, mats, weights = action.dim, action.matrices, action.group.weights
+    d, mats = action.dim, action.matrices
     kernel = linear_kernel(action) if ktype == "linear" else gaussian_kernel(action, bandwidth=math.sqrt(d))
     rng = np.random.default_rng(25)
     X = rng.standard_normal((24, d))
@@ -384,7 +376,7 @@ def test_paired_mean_over_a_closed_orbit_is_the_averaged_predictors_distance(gro
     P = rng.standard_normal((5, d))
     T = np.concatenate([P @ m.T for m in mats])
     f = model.predict(T)
-    paired = 0.5 * sum(w * ((f - model.predict(T @ m.T)) ** 2).mean() for w, m in zip(weights, mats))
+    paired = 0.5 * sum(((f - model.predict(T @ m.T)) ** 2).mean() for m in mats) / len(mats)
     full = ((f - model.predict_averaged(T, build_averaged_kernel(kernel))) ** 2).mean()
     assert full > 1e-3
     assert abs(paired - full) <= 1e-12
@@ -442,10 +434,10 @@ def test_identity_term_is_not_mutated_by_the_sum():
     rng = np.random.default_rng(25)
     terms = rng.standard_normal((4, 5, 6))
     before = terms.copy()
-    group_average(lambda g: terms[g], group)
+    group_average(lambda g: terms[g], group.elements())
     assert np.array_equal(terms, before)
-    # the single-term sum is fresh too, not the caller's array
-    single = group_average(lambda g: terms[g], group, [0], [1.0])
+    # the single-term mean is fresh too, not the caller's array
+    single = group_average(lambda g: terms[g], [0])
     single += 1.0
     assert np.array_equal(terms, before)
 
@@ -453,3 +445,79 @@ def test_identity_term_is_not_mutated_by_the_sum():
     A, B = rng.standard_normal((2, 16, 8))
     K, _ = build_averaged_kernel(spec)._gram_and_bar(A, B)
     assert np.array_equal(K, spec.gram(A, B))
+
+
+# ------------------------------------------------ the mean and the 1/|G| weights
+
+
+def _uniform(group):
+    return np.full(group.order, 1.0 / group.order)
+
+
+def _weighted_closed_form(config):
+    # the gap as 1/|G|-weighted Haar sums: for a scalar invariant target, the three-regime
+    # formula with dim_A = d - sum_g w(g) tr phi(g); for an equivariant one, the character
+    # codimension and J = sum_g w(g) (chi_phi(g) psi(g) + psi(g^2))
+    d, k, n = config.d, config.k, config.n
+    group = config.phi.group
+    w = _uniform(group)
+    fro_sq = float(np.sum(config.theta ** 2))
+    shape = n * (d - n) / (d * (d - 1) * (d + 2))
+    if k == 1 and np.all(config.psi.matrices == 1.0):
+        dim_a = d - float(np.einsum("g,gii->", w, config.phi.matrices))
+        if n > d + 1:
+            return config.sigma_xi ** 2 * dim_a / (n - d - 1)
+        noise = config.sigma_xi ** 2 * n / (d * (d - n - 1))
+        return dim_a * (config.sigma_x ** 2 * fro_sq * shape + noise)
+    chi_phi = character(config.phi)
+    codim = d * k - float(np.sum(w * character(config.psi) * chi_phi))
+    if n > d + 1:
+        return config.sigma_xi ** 2 * codim / (n - d - 1)
+    ids = np.arange(group.order)
+    psi = config.psi.matrices
+    j_mat = np.einsum("g,g,gij->ij", w, chi_phi, psi) + np.einsum("g,gij->ij", w, psi[group.compose(ids, ids)])
+    signal = config.sigma_x ** 2 * shape * (
+        (d + 1) * fro_sq - float(np.trace(j_mat @ config.theta.T @ config.theta))
+    )
+    return signal + config.sigma_xi ** 2 * n * codim / (d * (d - n - 1))
+
+
+@pytest.mark.parametrize("group,kind", [
+    ("symmetric 3", "natural_permutation"),
+    ("symmetric 4", "natural_permutation"),
+    ("cyclic 8", "natural_permutation"),
+    ("dihedral 6 * cyclic 5", "natural_permutation"),
+    ("cyclic 2 * symmetric 3", "natural_permutation"),
+    ("so2_quadrature 12", "rotation_block 1 2"),
+])
+def test_group_means_equal_the_uniformly_weighted_sums(group, kind):
+    rep = _rep(group, kind)
+    grp, mats = rep.group, rep.matrices
+    w = _uniform(grp)
+    rng = np.random.default_rng(31)
+    assert np.allclose(build_phi(rep).matrix, np.einsum("g,gij->ij", w, mats), rtol=0, atol=1e-12)
+    psi_inv_t = mats[grp.inverse].transpose(0, 2, 1)
+    tensor = np.einsum("g,gac,gbe->abce", w, mats, psi_inv_t)
+    assert np.allclose(build_psi(rep, rep).tensor, tensor, rtol=0, atol=1e-12)
+    chi = character(rep)
+    assert abs(character_inner(rep, rep) - float(np.sum(w * chi * chi))) <= 1e-12
+    W = rng.standard_normal((rep.dim, rep.dim))
+    W_bar = np.einsum("g,gik,kl,glj->ij", w, mats[grp.inverse], W, mats)
+    assert np.allclose(project_layer(W, rep, rep)[0], W_bar, rtol=0, atol=1e-12)
+    spec = gaussian_kernel(rep, bandwidth=math.sqrt(rep.dim))
+    A, B = rng.standard_normal((2, 16, rep.dim))
+    weighted = sum(w[g] * spec.gram(A, B @ mats[g].T) for g in grp.elements())
+    assert np.allclose(build_averaged_kernel(spec).gram_bar(A, B), weighted, rtol=0, atol=1e-12)
+
+    # both regimes of the linear closed form, with a scalar and with an equivariant output
+    d = rep.dim
+    for n in (d + 4, max(d - 3, 1)):
+        if d - 1 <= n <= d + 1:
+            continue
+        inv = invariant_config(rep, build_phi(rep).matrix @ rng.standard_normal(d), n=n, trials=2)
+        eqv = LinearGapConfig(
+            phi=rep, psi=rep, n=n, trials=2,
+            theta=random_equivariant_target(build_psi(rep, rep), rng, fro_norm=1.0),
+        )
+        for config in (inv, eqv):
+            assert abs(closed_form_gap_equivariant(config) - _weighted_closed_form(config)) <= 1e-12

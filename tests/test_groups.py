@@ -22,13 +22,15 @@ def test_trivial_group():
     g = build_group("cyclic 1")
     assert g.order == 1
     assert g.identity == 0
-    assert g.weights[0] == 1.0
+    assert g.generators == ()
+    assert not hasattr(g, "weights")  # the Haar measure of a finite group is uniform
 
 
 def test_symmetric_3_basics():
     g = build_group("symmetric 3")
     assert g.order == 6
-    assert np.allclose(g.weights, 1.0 / 6.0)
+    ids = np.arange(6)
+    assert np.all(g.compose(ids, g.inverse) == g.identity)
 
 
 def test_symmetric_cap_rejected():
@@ -53,7 +55,6 @@ def test_dihedral_order_and_noncommutativity():
 def test_product_group():
     g = build_group("cyclic 2 * cyclic 3")
     assert g.order == 6
-    assert np.allclose(g.weights.sum(), 1.0)
     # product of cyclics of coprime order is cyclic of order 6: some element generates
     orders = []
     for a in g.elements():
@@ -299,12 +300,6 @@ def _closes_to_whole_group(g):
     return bool(reached.all())
 
 
-def _d3_group(**overrides):
-    kwargs = dict(structure=("dihedral", 3), weights=np.full(6, 1.0 / 6.0))
-    kwargs.update(overrides)
-    return FiniteGroup("d3", **kwargs)
-
-
 @pytest.mark.parametrize("descriptor", [
     "cyclic 1", "cyclic 12", "symmetric 1", "symmetric 2", "symmetric 5",
     "dihedral 1", "dihedral 2", "dihedral 6", "so2_quadrature 2",
@@ -361,14 +356,6 @@ def test_one_corrupted_matrix_off_the_generators_is_rejected(descriptor):
         build_representation(g, "explicit", matrices=mats)
 
 
-def test_table_group_weights_perturbed_off_the_generators_are_rejected():
-    assert _d3_group().generators == (1, 3)
-    weights = np.full(6, 1.0 / 6.0)
-    weights[[2, 4]] += [0.01, -0.01]  # still non-negative and summing to 1
-    with pytest.raises(ValueError, match="not invariant under left translation"):
-        _d3_group(weights=weights)
-
-
 def test_huge_atom_is_refused_before_it_is_built():
     start = time.perf_counter()
     # symmetric m used to compute m! first, and cyclic m an m-long inverse table
@@ -380,9 +367,9 @@ def test_huge_atom_is_refused_before_it_is_built():
 
 @pytest.mark.parametrize("build", [
     # the composer of ("symmetric", 9) used to enumerate all 9! permutations first
-    lambda: FiniteGroup("s9", weights=np.ones(1), structure=("symmetric", 9)),
-    lambda: FiniteGroup("s12", weights=np.ones(1), structure=("symmetric", 12)),
-    # uniform weights made before the check would take 3.8 GB for symmetric 12
+    lambda: FiniteGroup("s9", structure=("symmetric", 9)),
+    lambda: FiniteGroup("s12", structure=("symmetric", 12)),
+    # build_group leaves the cap to the constructor, which checks it before anything else
     lambda: build_group("symmetric 12"),
     lambda: build_group("cyclic 5040 * cyclic 2"),
     # 5040! has over 16000 digits, which str() used to refuse in place of the cap's message

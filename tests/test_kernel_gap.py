@@ -114,7 +114,7 @@ def test_averaged_kernel_second_argument_invariance():
         assert np.max(np.abs(ak.gram_bar(A, B @ rep.matrices[g].T) - base)) <= 1e-10
     # pointwise decomposition and the double-average reduction
     assert np.allclose(ak.gram_bar(A, B) + ak.gram_perp(A, B), kernel.gram(A, B), atol=1e-12)
-    doubled = sum(group.weights[g] * ak.gram_bar(A, B @ rep.matrices[g].T) for g in group.elements())
+    doubled = sum(ak.gram_bar(A, B @ rep.matrices[g].T) for g in group.elements()) / group.order
     assert np.max(np.abs(doubled - base)) <= 1e-10
 
 

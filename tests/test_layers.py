@@ -199,6 +199,19 @@ def test_bound_zero_for_intertwining_layer():
     assert out["middle_bound"] <= 1e-20
 
 
+@pytest.mark.parametrize("group", ["symmetric 4", "cyclic 3", "cyclic 5", "dihedral 5", "symmetric 3"])
+@pytest.mark.parametrize("fill", ["identity", "ones"])
+def test_bound_passes_exactly_intertwining_layers(group, fill):
+    # W = I and W = ones intertwine every permutation rep: lhs and the middle bound are
+    # rounding dust, which the 4-SE test alone compared against an exact zero
+    rep = _natural(group)
+    W = np.eye(rep.dim) if fill == "identity" else np.ones((rep.dim, rep.dim))
+    out = check_regularisation_bound(W, rep, rep, activation="relu", samples=10_000, seed=0)
+    assert out["verdict"] == "pass"
+    assert out["lhs_mean"] <= 1e-28
+    assert out["middle_bound"] <= 1e-28
+
+
 def test_bound_identity_activation_closed_form():
     rep = _natural("symmetric 3")
     rng = np.random.default_rng(72)

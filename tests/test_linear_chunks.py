@@ -25,8 +25,7 @@ from symlab.linear_gap import (
     WishartReport,
     _chunked,
     _is_trivial_scalar,
-    _phi_trace,
-    closed_form_gap,
+    closed_form_gap_equivariant,
     invariant_config,
     monte_carlo_gap,
     random_equivariant_target,
@@ -38,7 +37,6 @@ from symlab.linear_gap import (
 
 def _reference_monte_carlo_gap(config):
     d, k, n = config.d, config.k, config.n
-    invariant_case = _is_trivial_scalar(config.psi)
     rng = np.random.default_rng(config.seed)
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
@@ -65,13 +63,10 @@ def _reference_monte_carlo_gap(config):
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
     se = float(valid.std(ddof=1) / math.sqrt(len(valid))) if len(valid) > 1 else math.nan
-    closed = closed_form_gap(config)
-    if invariant_case:
-        dim_a = config.d - _phi_trace(config.phi)
-    else:
-        dim_a = d * k - character_inner(config.psi, config.phi)
+    closed = closed_form_gap_equivariant(config)
+    dim_a = d * k - character_inner(config.psi, config.phi)
     verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
-    experiment = "gap-linear" if invariant_case else "gap-equivariant"
+    experiment = "gap-linear" if _is_trivial_scalar(config.psi) else "gap-equivariant"
     report = GapReport(
         experiment=experiment, mc_gap_mean=mean, mc_gap_se=se, closed_form=closed,
         dim_A=float(dim_a), verdict=verdict,

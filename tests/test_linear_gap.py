@@ -7,7 +7,6 @@ from symlab.groups import build_group, build_representation
 from symlab.linear_gap import (
     LinearGapConfig,
     closed_form_gap_equivariant,
-    closed_form_gap_invariant,
     invariant_config,
     monte_carlo_gap,
     random_equivariant_target,
@@ -15,6 +14,20 @@ from symlab.linear_gap import (
     verify_wishart,
     wishart_coefficient,
 )
+
+
+def _invariant_gap(config):
+    """The three-regime gap of an invariant linear target, with dim_A = d - tr(Phi)."""
+    from symlab.averaging import build_phi
+
+    d, n = config.d, config.n
+    dim_a = d - float(np.trace(build_phi(config.phi).matrix))
+    if n > d + 1:
+        return config.sigma_xi ** 2 * dim_a / (n - d - 1)
+    theta_sq = float(np.sum(config.theta ** 2))
+    signal = config.sigma_x ** 2 * theta_sq * n * (d - n) / (d * (d - 1) * (d + 2))
+    noise = config.sigma_xi ** 2 * n / (d * (d - n - 1))
+    return dim_a * (signal + noise)
 
 
 def _reflection_rep(d):
@@ -83,7 +96,7 @@ def test_projection_tensor_rejects_bad_shape():
 def test_closed_form_invariant_overdetermined():
     rep = _reflection_rep(4)
     config = invariant_config(rep, [0.0, 1.0, 0.0, 0.0], n=10, trials=10)
-    assert closed_form_gap_invariant(config) == pytest.approx(0.2)
+    assert closed_form_gap_equivariant(config) == pytest.approx(0.2)
 
 
 def test_closed_form_invariant_overparameterised():
@@ -92,14 +105,14 @@ def test_closed_form_invariant_overparameterised():
     theta[1] = 1.0
     config = invariant_config(rep, theta, n=10, trials=10)
     expected = 100.0 / 8360.0 + 10.0 / 180.0
-    assert closed_form_gap_invariant(config) == pytest.approx(expected, rel=1e-12)
+    assert closed_form_gap_equivariant(config) == pytest.approx(expected, rel=1e-12)
 
 
 def test_closed_form_fully_invariant_action_gives_zero():
     g = build_group("cyclic 1")
     rep = build_representation(g, "trivial 3")
     config = invariant_config(rep, [1.0, 2.0, 3.0], n=7, trials=10)
-    assert closed_form_gap_invariant(config) == 0.0
+    assert closed_form_gap_equivariant(config) == 0.0
 
 
 def test_closed_form_equivariant_s3():
@@ -138,7 +151,7 @@ def test_equivariant_reduces_to_invariant():
                 sigma_xi=float(rng.uniform(0.0, 2.0)),
                 trials=10,
             )
-            inv = closed_form_gap_invariant(config)
+            inv = _invariant_gap(config)
             eqv = closed_form_gap_equivariant(config)
             assert eqv == pytest.approx(inv, rel=1e-12, abs=1e-14)
             checked += 1
