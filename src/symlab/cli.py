@@ -24,7 +24,7 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 
 from .averaging import build_phi, build_psi, verify_operator_identities
-from .groups import FiniteGroup, Representation, build_group, build_representation
+from .groups import FiniteGroup, Representation, build_group, build_representation, character_inner
 from .kernel_gap import MIN_PAIRS, KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
 from .layers import (
     ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, check_regularisation_bound, equivariance_report,
@@ -40,7 +40,7 @@ from .orbits import (
 )
 from .sampling import gaussian, sphere
 
-CSV_VERSION = "# symlab-csv v3"
+CSV_VERSION = "# symlab-csv v4"
 CSV_COLUMNS = (
     "experiment", "d", "k", "n", "group", "dim_A", "sigma_x", "sigma_xi",
     "trials", "mc_mean", "mc_se", "closed_form", "verdict",
@@ -63,9 +63,21 @@ def _fmt(value) -> str:
 
 
 def _invariant_theta(rep, theta) -> np.ndarray:
-    if theta is not None:
-        return np.asarray(theta, dtype=np.float64)
+    """An explicit theta, refused unless it is a vector of rep.dim numbers, or a column
+    of them, that every group element fixes; by default the all-ones direction
+    projected onto the invariant subspace, normalised."""
     phi = build_phi(rep).matrix
+    if theta is not None:
+        try:
+            theta = np.asarray(theta, dtype=np.float64)
+        except TypeError:
+            raise ValueError(f"theta is {theta!r}, not a list of numbers") from None
+        if theta.shape not in ((rep.dim,), (rep.dim, 1)):
+            raise ValueError(f"theta has shape {theta.shape}, expected ({rep.dim},) or ({rep.dim}, 1)")
+        dev = float(np.max(np.abs(phi @ theta - theta)))
+        if not dev <= 1e-10:  # NaN fails too
+            raise ValueError(f"theta is not invariant: |Phi theta - theta|_max = {dev:.3e}")
+        return theta
     theta = phi @ np.ones(rep.dim)
     norm = float(np.linalg.norm(theta))
     if norm < 1e-12:
@@ -414,12 +426,16 @@ def run_experiment(kind: str, params: dict, seed: int) -> dict:
 def _check_before_run(kind: str, kwargs: dict) -> None:
     """Raise ValueError for what the library would otherwise refuse only mid-run:
     an n in the divergent band [d-1, d+1] of the linear gaps and of the Wishart
-    check, and a default theta whose invariant subspace misses all-ones."""
+    check, a gap-equivariant pair of representations with no equivariant map
+    between them, and an explicit theta that is not an invariant vector of
+    the right length or a default one whose invariant subspace misses all-ones."""
     if kind in ("gap-linear", "gap-equivariant", "verify-wishart"):
         n = kwargs["n"]
         d = kwargs["d"] if kind == "verify-wishart" else kwargs.get("rep", kwargs.get("rep_in")).dim
         if math.isinf(wishart_coefficient(n, d)):
             raise ValueError(f"n = {n} lies in the divergent band [d-1, d+1] = [{d - 1}, {d + 1}]")
+    if kind == "gap-equivariant" and round(character_inner(kwargs["rep_out"], kwargs["rep_in"])) == 0:
+        raise ValueError("rep_in and rep_out have no equivariant map between them: <chi_out, chi_in> = 0")
     if kind in ("gap-linear", "gap-kernel"):
         _invariant_theta(kwargs["rep"], kwargs.get("theta"))
 

@@ -257,6 +257,10 @@ class Representation:
     once checked to be I within HOMOMORPHISM_TOL, is stored as exactly I,
     so B @ rho(e).T is B bit for bit and an averaged Gram can always share
     the identity's term with the base Gram.
+
+    The representation takes ``matrices``, a C-contiguous float64 array,
+    over: it writes the identity's matrix and makes the array read-only.
+    ``build_representation`` hands it only arrays it has just allocated.
     """
 
     group: FiniteGroup
@@ -265,8 +269,6 @@ class Representation:
     name: str = "explicit"
 
     def __post_init__(self) -> None:
-        # a copy, so the caller's own array stays writeable and unchanged
-        object.__setattr__(self, "matrices", np.array(self.matrices, dtype=np.float64, order="C"))
         _validate_representation(self)
         self.matrices.setflags(write=False)
 
@@ -274,29 +276,49 @@ class Representation:
         return f"Representation({self.name!r}, group={self.group.name!r}, dim={self.dim})"
 
 
+# the matrix entries one block of elements holds while a representation is checked
+_CHECK_BLOCK_ENTRIES = 1 << 16
+
+
 def _validate_representation(rep: Representation) -> None:
+    """Check the identity, each generator's homomorphism property and orthogonality.
+
+    Both checks run over blocks of elements, so no temporary is larger than
+    one block or one element's matrix, whichever is larger.
+    """
     group, mats = rep.group, rep.matrices
-    m = group.order
-    if rep.dim < 1:
-        raise ValueError(f"representation dim must be >= 1, got {rep.dim}")
-    if mats.shape != (m, rep.dim, rep.dim):
-        raise ValueError(
-            f"matrices have shape {mats.shape}, expected {(m, rep.dim, rep.dim)} for {group.name}"
-        )
-    eye = np.eye(rep.dim)
-    if np.max(np.abs(mats[group.identity] - eye)) > HOMOMORPHISM_TOL:
+    m, d = group.order, rep.dim
+    if d < 1:
+        raise ValueError(f"representation dim must be >= 1, got {d}")
+    if mats.shape != (m, d, d):
+        raise ValueError(f"matrices have shape {mats.shape}, expected {(m, d, d)} for {group.name}")
+    identity = mats[group.identity]
+    diagonal = identity.reshape(-1)[::d + 1]  # views of the stored array, which becomes exactly I
+    diagonal -= 1.0
+    if not np.max(np.abs(identity)) <= HOMOMORPHISM_TOL:  # NaN fails too, here and below
         raise ValueError("identity element does not map to the identity matrix")
-    mats[group.identity] = eye
+    identity[...] = 0.0
+    diagonal[...] = 1.0
 
     # with rho(e) = I, rho(s*g) = rho(s) rho(g) for each generator s gives it for all of G
-    ids = np.arange(m)
-    dev = max((float(np.max(np.abs(mats[s] @ mats - mats[group.compose(s, ids)])))
-               for s in group.generators), default=0.0)
-    if dev > HOMOMORPHISM_TOL:
+    dev = orth_dev = 0.0
+    step = min(m, max(1, _CHECK_BLOCK_ENTRIES // (d * d)))
+    buffer = np.empty((step, d, d))
+    for start in range(0, m, step):
+        block = slice(start, min(start + step, m))
+        ids = np.arange(block.start, block.stop)
+        prod = np.matmul(mats[block], mats[block].transpose(0, 2, 1), out=buffer[:len(ids)])
+        prod.reshape(len(ids), -1)[:, ::d + 1] -= 1.0
+        orth_dev = np.maximum(orth_dev, np.max(np.abs(prod, out=prod)))
+        for s in group.generators:
+            np.matmul(mats[s], mats[block], out=prod)
+            targets = group.compose(s, ids)
+            # one element's matrix by a plain index, a view: a gathered copy would double the temporary
+            prod -= mats[targets] if step > 1 else mats[targets[0]]
+            dev = np.maximum(dev, np.max(np.abs(prod, out=prod)))
+    if not dev <= HOMOMORPHISM_TOL:
         raise ValueError(f"matrices are not a homomorphism: max deviation {dev:.3e}")
-
-    orth_dev = float(np.max(np.abs(np.matmul(mats, mats.transpose(0, 2, 1)) - eye)))
-    if orth_dev > HOMOMORPHISM_TOL:
+    if not orth_dev <= HOMOMORPHISM_TOL:
         raise ValueError(f"representation is not orthogonal: max |psi psi^T - I| = {orth_dev:.3e}")
 
 
@@ -440,7 +462,8 @@ def build_representation(
     elif head == "explicit":
         if matrices is None:
             raise ValueError("explicit representation needs the matrices argument")
-        mats = np.asarray(matrices, dtype=np.float64)
+        # a copy, so the caller's own array stays writeable and unchanged
+        mats = np.array(matrices, dtype=np.float64, order="C")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"explicit matrices must have shape (order, d, d), got {mats.shape}")
         dim = mats.shape[1]

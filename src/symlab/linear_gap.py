@@ -2,18 +2,20 @@
 random-design least squares with invariant and equivariant targets,
 plus the random-matrix facts the formulas rest on.
 
-Trials run in fixed-size chunks.  Every chunk is drawn on the calling
-thread in trial-index order, so the random stream is the serial one.  Two
-chunks are computed at once, one on a single helper thread and one on the
-caller, and their results are reduced in trial-index order.  A chunk is
-never split, so every sum runs over the same operands in the same order as
-a one-thread loop, and results are byte-identical for a given seed.
+Trials run in fixed-size chunks, one after another on the calling thread,
+so every sum runs over the same operands in the same order for a given
+seed and results are byte-identical.  Each trial's minimum-norm least
+squares goes through the inverse of its Gram matrix A, X^T X when n > d
+and X X^T otherwise, batched over the chunk.  A trial whose A has
+kappa_1(A) = |A|_1 |A^-1|_1 above 1/sqrt(eps) is recomputed with pinv, so a
+trial that keeps the Gram solve has a relative error of about sqrt(eps) at
+most.  A chunk holding an exactly singular A, which inv refuses, is solved
+one trial at a time, with pinv for the singular one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,29 +39,72 @@ __all__ = [
 ]
 
 _CHUNK = 512
+# a Gram solve above this condition number could lose more than sqrt(eps) of relative accuracy
+_KAPPA_MAX = 1.0 / math.sqrt(np.finfo(float).eps)
 MIN_WISHART_TRIALS = 1000
 
 
 def _chunked(trials: int, draw, work):
-    """Yield ``(start, work(*draw(b)))`` for each chunk of ``b <= _CHUNK`` trials, in order.
+    """Yield ``(start, work(*draw(b)))`` for each chunk of ``b <= _CHUNK`` trials, in order."""
+    for start in range(0, trials, _CHUNK):
+        yield start, work(*draw(min(_CHUNK, trials - start)))
 
-    ``draw`` runs on the calling thread, one chunk after another.  Chunks
-    are paired: the first of a pair is computed on one helper thread while
-    the caller computes the second, so at most two chunks are in flight.
-    An unpaired last chunk runs on the caller.  An exception ``work``
-    raises reaches the caller.  ``work`` must call no function that
-    perfbench/probes.py wraps: its tracer records spans from one thread.
+
+def _norm_1(A: np.ndarray) -> np.ndarray:
+    """The matrix 1-norm, the largest absolute column sum, of each matrix of a stack."""
+    return np.einsum("tij->tj", np.abs(A)).max(axis=-1)
+
+
+def _by_gram_inverse(X: np.ndarray, Y: np.ndarray | None):
+    """``(X^+ Y, refused)`` for a stack of trials, or ``((X^T X)^+, refused)`` when Y is None.
+
+    ``refused`` marks the trials whose Gram matrix A has kappa_1(A) above
+    _KAPPA_MAX, or NaN; their results are not to be used.  Raises
+    LinAlgError when some A is exactly singular.
     """
-    with ThreadPoolExecutor(1) as helper:
-        for start in range(0, trials, 2 * _CHUNK):
-            first = draw(min(_CHUNK, trials - start))
-            if start + _CHUNK >= trials:
-                yield start, work(*first)
-                break
-            future = helper.submit(work, *first)
-            second = work(*draw(min(_CHUNK, trials - start - _CHUNK)))
-            yield start, future.result()
-            yield start + _CHUNK, second
+    n, d = X.shape[-2:]
+    Xt = X.transpose(0, 2, 1)
+    A = Xt @ X if n > d else X @ Xt
+    A_inv = np.linalg.inv(A)
+    refused = ~(_norm_1(A) * _norm_1(A_inv) <= _KAPPA_MAX)
+    if Y is not None:
+        return (A_inv @ (Xt @ Y) if n > d else Xt @ (A_inv @ Y)), refused
+    if n > d:
+        return A_inv, refused
+    B = A_inv @ X
+    return B.transpose(0, 2, 1) @ B, refused
+
+
+def _min_norm(X: np.ndarray, Y: np.ndarray | None, rcond: float):
+    """``(out, pinv fallbacks, dropped trials)`` of one chunk, ``out`` as in _by_gram_inverse.
+
+    A trial the gate refuses is recomputed with ``pinv`` at ``rcond``.  When
+    the batched ``inv`` raises, each trial is solved on its own, and one whose
+    ``inv`` raises goes to ``pinv`` too.  A trial whose ``pinv`` raises is
+    dropped: its ``out`` is NaN.
+    """
+    try:
+        out, refused = _by_gram_inverse(X, Y)
+    except np.linalg.LinAlgError:  # an exactly singular Gram: every trial on its own
+        out = np.empty((len(X), X.shape[2], X.shape[2] if Y is None else Y.shape[2]))
+        refused = np.zeros(len(X), dtype=bool)
+        for t in range(len(X)):
+            try:
+                out[t:t + 1], refused[t:t + 1] = _by_gram_inverse(
+                    X[t:t + 1], None if Y is None else Y[t:t + 1]
+                )
+            except np.linalg.LinAlgError:
+                refused[t] = True
+    redo = np.flatnonzero(refused)
+    dropped = 0
+    for t in redo:
+        try:
+            P = np.linalg.pinv(X[t], rcond=rcond)
+            out[t] = P @ P.T if Y is None else P @ Y[t]
+        except np.linalg.LinAlgError:  # SVD non-convergence
+            out[t] = np.nan
+            dropped += 1
+    return out, len(redo), dropped
 
 
 @dataclass(frozen=True)
@@ -173,6 +218,7 @@ class WishartReport:
     entry_se: np.ndarray
     max_abs_z: float
     verdict: str
+    pinv_fallbacks: int  # trials recomputed with pinv; see _min_norm
 
 
 def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
@@ -186,15 +232,20 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     rcond = np.finfo(float).eps * max(n, d)
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
+    fallbacks = 0
 
     def work(X):
-        P = np.linalg.pinv(X, rcond=rcond)
-        G = P @ P.transpose(0, 2, 1)
-        return G.sum(axis=0), np.square(G, out=G).sum(axis=0)
+        G, redone, dropped = _min_norm(X, None, rcond)
+        if dropped:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return G.sum(axis=0), np.square(G, out=G).sum(axis=0), redone
 
-    for _, (g_sum, g_sq_sum) in _chunked(trials, lambda b: (rng.standard_normal((b, n, d)),), work):
+    for _, (g_sum, g_sq_sum, redone) in _chunked(
+        trials, lambda b: (rng.standard_normal((b, n, d)),), work
+    ):
         total += g_sum
         total_sq += g_sq_sum
+        fallbacks += redone
     mean = total / trials
     var = np.maximum(total_sq - trials * mean ** 2, 0.0) / (trials - 1)
     se = np.sqrt(var / trials)
@@ -203,7 +254,7 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     verdict = "pass" if np.all(dev <= 4.0 * se) else "fail"
     return WishartReport(
         n=n, d=d, trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
-        max_abs_z=max_abs_z, verdict=verdict,
+        max_abs_z=max_abs_z, verdict=verdict, pinv_fallbacks=fallbacks,
     )
 
 
@@ -352,33 +403,23 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     rng = np.random.default_rng(config.seed)
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
-    failed = 0
+    failed = fallbacks = 0
 
     def draw(b):
         X = config.sigma_x * rng.standard_normal((b, n, d))
         return X, config.sigma_xi * rng.standard_normal((b, n, k))
 
     def work(X, xi):
-        """(per-trial gaps, NaN where dropped; number of dropped trials) of one chunk."""
+        """(per-trial gaps, NaN where dropped; pinv fallbacks; dropped trials) of one chunk."""
         Y = X @ config.theta
         Y += xi
-        try:
-            W_perp = config.tensor.complement_batch(np.linalg.pinv(X, rcond=rcond) @ Y)
-            return config.sigma_x ** 2 * np.square(W_perp, out=W_perp).sum(axis=(1, 2)), 0
-        except np.linalg.LinAlgError:
-            # rare SVD non-convergence: redo one by one, drop failing trials
-            chunk_gaps = np.full(len(X), np.nan)
-            dropped = 0
-            for t in range(len(X)):
-                try:
-                    w_perp = config.tensor.complement(np.linalg.pinv(X[t], rcond=rcond) @ Y[t])
-                    chunk_gaps[t] = config.sigma_x ** 2 * float((w_perp ** 2).sum())
-                except np.linalg.LinAlgError:
-                    dropped += 1
-            return chunk_gaps, dropped
+        W, redone, dropped = _min_norm(X, Y, rcond)
+        W_perp = config.tensor.complement_batch(W)
+        return config.sigma_x ** 2 * np.square(W_perp, out=W_perp).sum(axis=(1, 2)), redone, dropped
 
-    for start, (chunk_gaps, dropped) in _chunked(config.trials, draw, work):
+    for start, (chunk_gaps, redone, dropped) in _chunked(config.trials, draw, work):
         gaps[start:start + len(chunk_gaps)] = chunk_gaps
+        fallbacks += redone
         failed += dropped
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
@@ -402,5 +443,6 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
             "trials": config.trials,
             "seed": config.seed,
             "failed_trials": failed,
+            "pinv_fallbacks": fallbacks,
         },
     )

@@ -39,7 +39,7 @@ def test_run_writes_versioned_csv_and_json(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     lines = csv_text.strip().split("\n")
-    assert lines[0] == "# symlab-csv v3"
+    assert lines[0] == "# symlab-csv v4"
     assert lines[1].split(",") == list(cli.CSV_COLUMNS)
     assert len(lines) == 2 + len(FAST_CONFIG["experiments"])
     rows = json.loads((tmp_path / "out" / "results.json").read_text())
@@ -122,8 +122,23 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
      "does not contain the all-ones direction"),
     ({"kind": "gap-kernel", "group": "cyclic 4", "rep": "rotation_block 1", "n": 8, "rho": 1.0},
      "does not contain the all-ones direction"),
+    # <chi_sign, chi_natural> = 0 on S3: random_equivariant_target used to find the map vanish
+    ({"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
+      "rep_out": "sign", "n": 12}, "no equivariant map between them"),
+    ({"kind": "gap-linear", "group": "cyclic 4", "rep": "natural_permutation", "n": 10,
+      "theta": [1, 1, 1]}, "theta has shape (3,), expected (4,) or (4, 1)"),
+    ({"kind": "gap-linear", "group": "cyclic 4", "rep": "natural_permutation", "n": 10,
+      "theta": [1, 0, 0, 0]}, "theta is not invariant"),
+    ({"kind": "gap-kernel", "group": "cyclic 4", "rep": "natural_permutation", "n": 8, "rho": 1.0,
+      "theta": [[1, 1, 1, 1]]}, "theta has shape (1, 4), expected (4,) or (4, 1)"),
+    ({"kind": "gap-kernel", "group": "cyclic 4", "rep": "natural_permutation", "n": 8, "rho": 1.0,
+      "theta": [1, 2, 1, 2]}, "theta is not invariant"),
+    ({"kind": "gap-kernel", "group": "cyclic 4", "rep": "natural_permutation", "n": 8, "rho": 1.0,
+      "theta": {"a": 1}}, "not a list of numbers"),
 ], ids=["wishart-band", "gap-linear-band", "gap-equivariant-band", "gap-linear-theta",
-        "gap-kernel-theta"])
+        "gap-kernel-theta", "gap-equivariant-no-map", "gap-linear-theta-shape",
+        "gap-linear-theta-not-invariant", "gap-kernel-theta-shape", "gap-kernel-theta-not-invariant",
+        "gap-kernel-theta-not-numbers"])
 def test_run_time_refusals_exit_2_before_any_experiment_runs(tmp_path, capsys, exp, message):
     # each used to be refused only when its experiment ran, after covering had printed its verdict
     payload = {"seed": 1, "experiments": [{"kind": "covering", "n": 30, "dim": 2, "eps": 0.5}, exp]}
@@ -134,6 +149,20 @@ def test_run_time_refusals_exit_2_before_any_experiment_runs(tmp_path, capsys, e
     assert captured.err.startswith("config error: experiments[1]: ")
     assert message in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_explicit_invariant_theta_runs_as_the_default_one(tmp_path, capsys):
+    # on C4's natural action the default theta is the all-ones direction, exactly [0.5] * 4;
+    # gap-linear reads an explicit theta as a vector or as a column
+    exp = {"kind": "gap-linear", "group": "cyclic 4", "rep": "natural_permutation", "n": 10,
+           "trials": 600}
+    rows = []
+    for i, theta in enumerate(([0.5] * 4, [[0.5]] * 4, None)):
+        cli.run_config({"seed": 1, "experiments": [exp if theta is None else dict(exp, theta=theta)]},
+                       tmp_path / str(i))
+        rows.append(json.loads((tmp_path / str(i) / "results.json").read_text())[0])
+    assert rows[0]["mc_mean"] == rows[1]["mc_mean"] == rows[2]["mc_mean"]
+    assert rows[0]["config_hash"] != rows[2]["config_hash"]
 
 
 def test_deleted_covering_mode_key_exits_2(tmp_path, capsys):

@@ -178,6 +178,29 @@ def test_explicit_rep_does_not_follow_later_writes_to_the_callers_array():
     assert np.array_equal(rep.matrices[1], np.diag([-1.0, 1.0, 1.0]))
 
 
+def test_a_representation_build_just_under_the_cap_peaks_under_twice_its_stored_size():
+    g = build_group("cyclic 2")
+    tracemalloc.start()
+    try:
+        rep = build_representation(g, "trivial 1448")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * 1449 ** 2 > MAX_REP_ENTRIES >= rep.matrices.size  # the largest trivial rep of C2
+    # the checks run in blocks: one element's 16 MB temporary, not |G| d^2 ones (4.6x before)
+    assert peak < 2 * rep.matrices.nbytes
+    assert np.array_equal(rep.matrices[1], np.eye(1448))
+
+
+def test_a_nan_matrix_is_rejected():
+    # a NaN deviation used to compare as within tolerance
+    g = build_group("cyclic 2")
+    mats = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    mats[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        build_representation(g, "explicit", matrices=mats)
+
+
 def test_explicit_non_homomorphism_rejected():
     g = build_group("cyclic 2")
     mats = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 1.0]])])

@@ -1,15 +1,16 @@
-"""The chunk loops of linear_gap against the one-thread loops they replaced.
+"""The chunk loops of linear_gap against serial loops written out in full.
 
-Each ``_reference_*`` function below is the whole function as it was when
-its chunks ran one after another on one thread, with the ``while done <
-trials`` loop written out.  ``_chunked`` computes two chunks at once, one on
-a helper thread, and the loop bodies square in place; every report field
-must still carry the same bits, not merely close values.
+Each ``_reference_*`` function below is the whole function with its
+``while done < trials`` loop written out, and ``_reference_min_norm`` is the
+Gram-inverse solve and its condition gate written out.  Every report
+field must carry the same bits as the reference's, not merely close values.
+Separate tests hold the Gram solve to ``pinv`` within a tolerance, and
+check that the gate sends an ill-conditioned or rank-deficient trial to
+``pinv``.
 """
 
 import dataclasses
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -34,31 +35,75 @@ from symlab.linear_gap import (
     wishart_coefficient,
 )
 
+KAPPA_MAX = 1.0 / math.sqrt(np.finfo(float).eps)
 
-def _reference_monte_carlo_gap(config):
+
+def _reference_gram_solve(X, Y):
+    """Per trial: X^+ Y through the Gram inverse, or (X^T X)^+ when Y is None, and
+    whether the 1-norm condition number of the Gram matrix passes the gate."""
+    n, d = X.shape[1:]
+    Xt = X.transpose(0, 2, 1)
+    A = Xt @ X if n > d else X @ Xt
+    A_inv = np.linalg.inv(A)
+    kappa = np.array([np.linalg.norm(a, 1) * np.linalg.norm(a_inv, 1) for a, a_inv in zip(A, A_inv)])
+    if Y is not None:
+        out = A_inv @ (Xt @ Y) if n > d else Xt @ (A_inv @ Y)
+    elif n > d:
+        out = A_inv
+    else:
+        B = A_inv @ X
+        out = B.transpose(0, 2, 1) @ B
+    return out, kappa <= KAPPA_MAX
+
+
+def _reference_min_norm(X, Y, rcond):
+    """One chunk's results, pinv fallbacks and dropped trials."""
+    b = len(X)
+    try:
+        out, passed = _reference_gram_solve(X, Y)
+    except np.linalg.LinAlgError:
+        out = np.empty((b, X.shape[2], X.shape[2] if Y is None else Y.shape[2]))
+        passed = np.zeros(b, dtype=bool)
+        for t in range(b):
+            try:
+                one, ok = _reference_gram_solve(X[t:t + 1], None if Y is None else Y[t:t + 1])
+                out[t], passed[t] = one[0], ok[0]
+            except np.linalg.LinAlgError:
+                pass
+    fallbacks = dropped = 0
+    for t in range(b):
+        if passed[t]:
+            continue
+        fallbacks += 1
+        try:
+            P = np.linalg.pinv(X[t], rcond=rcond)
+            out[t] = P @ P.T if Y is None else P @ Y[t]
+        except np.linalg.LinAlgError:
+            out[t] = np.nan
+            dropped += 1
+    return out, fallbacks, dropped
+
+
+def _reference_monte_carlo_gap(config, plant=None):
+    """The report and the per-trial gaps; ``plant(chunk, X)`` may edit each chunk's draw."""
     d, k, n = config.d, config.k, config.n
     rng = np.random.default_rng(config.seed)
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
-    failed = 0
+    failed = fallbacks = 0
     done = 0
     while done < config.trials:
         b = min(_CHUNK, config.trials - done)
         X = config.sigma_x * rng.standard_normal((b, n, d))
         xi = config.sigma_xi * rng.standard_normal((b, n, k))
+        if plant is not None:
+            plant(done // _CHUNK, X)
         Y = X @ config.theta + xi
-        try:
-            W = np.linalg.pinv(X, rcond=rcond) @ Y
-            W_perp = W - config.tensor.apply_batch(W)  # complement_batch as it was
-            gaps[done:done + b] = config.sigma_x ** 2 * (W_perp ** 2).sum(axis=(1, 2))
-        except np.linalg.LinAlgError:
-            for t in range(b):
-                try:
-                    W = np.linalg.pinv(X[t], rcond=rcond) @ Y[t]
-                    w_perp = config.tensor.complement(W)
-                    gaps[done + t] = config.sigma_x ** 2 * float((w_perp ** 2).sum())
-                except np.linalg.LinAlgError:
-                    failed += 1
+        W, redone, dropped = _reference_min_norm(X, Y, rcond)
+        W_perp = W - config.tensor.apply_batch(W)  # complement_batch as it was
+        gaps[done:done + b] = config.sigma_x ** 2 * (W_perp ** 2).sum(axis=(1, 2))
+        fallbacks += redone
+        failed += dropped
         done += b
     valid = gaps[~np.isnan(gaps)]
     mean = float(valid.mean())
@@ -74,25 +119,30 @@ def _reference_monte_carlo_gap(config):
             "group": config.phi.group.name, "d": d, "k": k, "n": n,
             "sigma_x": config.sigma_x, "sigma_xi": config.sigma_xi,
             "trials": config.trials, "seed": config.seed, "failed_trials": failed,
+            "pinv_fallbacks": fallbacks,
         },
     )
     return report, gaps
 
 
-def _reference_verify_wishart(n, d, trials, seed):
+def _reference_verify_wishart(n, d, trials, seed, plant=None):
     r = wishart_coefficient(n, d)
     rng = np.random.default_rng(seed)
     rcond = np.finfo(float).eps * max(n, d)
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
+    fallbacks = 0
     done = 0
     while done < trials:
         b = min(_CHUNK, trials - done)
         X = rng.standard_normal((b, n, d))
-        P = np.linalg.pinv(X, rcond=rcond)
-        G = P @ P.transpose(0, 2, 1)
+        if plant is not None:
+            plant(done // _CHUNK, X)
+        G, redone, dropped = _reference_min_norm(X, None, rcond)
+        assert dropped == 0
         total += G.sum(axis=0)
         total_sq += (G ** 2).sum(axis=0)
+        fallbacks += redone
         done += b
     mean = total / trials
     var = np.maximum(total_sq - trials * mean ** 2, 0.0) / (trials - 1)
@@ -102,7 +152,7 @@ def _reference_verify_wishart(n, d, trials, seed):
     verdict = "pass" if np.all(dev <= 4.0 * se) else "fail"
     return WishartReport(
         n=n, d=d, trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
-        max_abs_z=max_abs_z, verdict=verdict,
+        max_abs_z=max_abs_z, verdict=verdict, pinv_fallbacks=fallbacks,
     )
 
 
@@ -217,86 +267,188 @@ def test_verify_projection_tensor_matches_serial_loop(trials):
                         _reference_verify_projection_tensor(2, 5, trials, seed=6))
 
 
-@pytest.mark.parametrize("chunk", [1, 2])  # the caller's chunk of a pair, the helper's of the next
+def _planting(monkeypatch, plant):
+    """Make linear_gap's chunk loop pass each chunk's draw through ``plant(chunk, X)``
+    before its work runs; return the list it appends each ``(start, result)`` to."""
+    seen = []
+
+    def planted(trials, draw, work):
+        def planted_draw(b):
+            drawn = draw(b)
+            plant(len(seen), drawn[0])
+            return drawn
+
+        for start, result in _chunked(trials, planted_draw, work):
+            seen.append((start, result))
+            yield start, result
+
+    monkeypatch.setattr(linear_gap, "_chunked", planted)
+    return seen
+
+
+# the workload shapes of linear-mc: (n, d) and, for a gap, its kind of config
+_GAP_SHAPES = {
+    (10, 4): ("symmetric 2", "direct_sum trivial 3 + sign", None),
+    (6, 12): ("cyclic 12", "natural_permutation", None),
+    (12, 3): ("symmetric 3", "natural_permutation", "natural_permutation"),
+    (2, 4): ("dihedral 4", "natural_permutation", "natural_permutation"),
+}
+
+
+def _shape_config(n, d, trials):
+    group_name, rep_name, out_name = _GAP_SHAPES[(n, d)]
+    rep = build_representation(build_group(group_name), rep_name)
+    assert rep.dim == d
+    if out_name is None:
+        theta = build_psi(rep, build_representation(rep.group, "trivial 1")).apply(np.ones((d, 1)))
+        return invariant_config(rep, theta / np.linalg.norm(theta), n, trials=trials, seed=21)
+    rep_out = build_representation(rep.group, out_name)
+    theta = random_equivariant_target(build_psi(rep, rep_out), np.random.default_rng(4), fro_norm=1.0)
+    return LinearGapConfig(phi=rep, psi=rep_out, theta=theta, n=n, trials=trials, seed=21)
+
+
+def _pinv_gaps(config):
+    """The per-trial gaps with every trial solved by pinv, as before the Gram solve."""
+    rng = np.random.default_rng(config.seed)
+    rcond = np.finfo(float).eps * max(config.n, config.d)
+    gaps = []
+    for start in range(0, config.trials, _CHUNK):
+        b = min(_CHUNK, config.trials - start)
+        X = config.sigma_x * rng.standard_normal((b, config.n, config.d))
+        Y = X @ config.theta + config.sigma_xi * rng.standard_normal((b, config.n, config.k))
+        W_perp = config.tensor.complement_batch(np.linalg.pinv(X, rcond=rcond) @ Y)
+        gaps.append(config.sigma_x ** 2 * (W_perp ** 2).sum(axis=(1, 2)))
+    return np.concatenate(gaps)
+
+
+@pytest.mark.parametrize("n, d", list(_GAP_SHAPES))
+def test_gram_solve_gaps_agree_with_pinv_on_the_workload_shapes(monkeypatch, n, d):
+    config = _shape_config(n, d, 4 * _CHUNK)
+    seen = _planting(monkeypatch, lambda chunk, X: None)
+    report = monte_carlo_gap(config)
+    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _, _) in seen])
+    want = _pinv_gaps(config)
+    assert report.metadata["pinv_fallbacks"] == 0
+    np.testing.assert_allclose(gaps, want, rtol=1e-10, atol=0)
+    assert report.mc_gap_mean == pytest.approx(float(want.mean()), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("n, d", [(20, 3), (2, 6)])
+def test_gram_solve_wishart_entries_agree_with_pinv(n, d):
+    trials = 4 * _CHUNK
+    rng = np.random.default_rng(5)
+    rcond = np.finfo(float).eps * max(n, d)
+    total = np.zeros((d, d))
+    for start in range(0, trials, _CHUNK):
+        P = np.linalg.pinv(rng.standard_normal((min(_CHUNK, trials - start), n, d)), rcond=rcond)
+        total += (P @ P.transpose(0, 2, 1)).sum(axis=0)
+    report = verify_wishart(n, d, trials, seed=5)
+    assert report.pinv_fallbacks == 0
+    np.testing.assert_allclose(report.entry_mean, total / trials, rtol=1e-10, atol=0)
+
+
+def _plant_two(rows_repeat):
+    """Chunk 1's trial 5 gets a repeated column (a repeated row when ``rows_repeat``),
+    so its Gram is singular, and its trial 9 a nearly repeated one, so its Gram's
+    kappa_1 is far above KAPPA_MAX."""
+
+    def plant(chunk, X):
+        if chunk != 1:
+            return
+        for t, eps in ((5, 0.0), (9, 1e-6)):
+            Z = X[t].T if rows_repeat else X[t]
+            Z[:, -1] = Z[:, 0] + eps * Z[:, 1]
+
+    return plant
+
+
+@pytest.mark.parametrize("kind", ["invariant", "equivariant"])
+def test_gate_sends_a_singular_and_an_ill_conditioned_trial_to_pinv(monkeypatch, kind):
+    config = _config(kind, 3 * _CHUNK)
+    plant = _plant_two(rows_repeat=config.n < config.d)
+    drawn = []
+    seen = _planting(monkeypatch, lambda chunk, X: (plant(chunk, X), drawn.append(X.copy())))
+    report = monte_carlo_gap(config)
+    reference, reference_gaps = _reference_monte_carlo_gap(config, plant)
+    _assert_same_report(report, reference)
+    assert report.metadata["pinv_fallbacks"] == 2
+    assert report.metadata["failed_trials"] == 0
+    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _, _) in seen])
+    assert np.array_equal(gaps, reference_gaps)
+    # replay the draws: X then xi, chunk by chunk
+    rng = np.random.default_rng(config.seed)
+    rcond = np.finfo(float).eps * max(config.n, config.d)
+    for chunk in range(2):
+        rng.standard_normal((_CHUNK, config.n, config.d))
+        xi = config.sigma_xi * rng.standard_normal((_CHUNK, config.n, config.k))
+    for t in (5, 9):
+        X = drawn[1][t]
+        A = X.T @ X if config.n > config.d else X @ X.T
+        assert np.linalg.cond(A, 1) > KAPPA_MAX
+        w_perp = config.tensor.complement(np.linalg.pinv(X, rcond=rcond) @ (X @ config.theta + xi[t]))
+        assert gaps[_CHUNK + t] == pytest.approx(config.sigma_x ** 2 * float((w_perp ** 2).sum()), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(20, 3), (2, 6)])
+def test_gate_counts_wishart_fallbacks(monkeypatch, n, d):
+    plant = _plant_two(rows_repeat=n < d)
+    _planting(monkeypatch, plant)
+    report = verify_wishart(n, d, 3 * _CHUNK, seed=5)
+    assert report.pinv_fallbacks == 2
+    _assert_same_report(report, _reference_verify_wishart(n, d, 3 * _CHUNK, seed=5, plant=plant))
+
+
+@pytest.mark.parametrize("chunk", [1, 3])  # a middle chunk, the last one
 def test_svd_failure_drops_one_trial_and_keeps_the_rest(monkeypatch, chunk):
     config = _config("invariant", 4 * _CHUNK)
-    # replay the draws to know the chunk's inputs: X then xi, chunk by chunk
-    rng = np.random.default_rng(config.seed)
-    for _ in range(chunk):
-        rng.standard_normal((_CHUNK, config.n, config.d))
-        rng.standard_normal((_CHUNK, config.n, config.k))
-    bad = config.sigma_x * rng.standard_normal((_CHUNK, config.n, config.d))
-    failing_threads = set()
+
+    def plant(index, X):
+        if index == chunk:
+            X[7][:, -1] = X[7][:, 0]  # a singular Gram, so pinv is called on it
+
+    drawn = []
+    seen = _planting(monkeypatch, lambda index, X: (plant(index, X), drawn.append(X.copy())))
     pinv = np.linalg.pinv
 
     def flaky_pinv(a, *args, **kwargs):
-        # stateless, so the two threads may call it in either order
-        if np.array_equal(a, bad) or np.array_equal(a, bad[7]):
-            failing_threads.add(threading.current_thread() is threading.main_thread())
+        if len(drawn) > chunk and np.array_equal(a, drawn[chunk][7]):
             raise np.linalg.LinAlgError("SVD did not converge")
         return pinv(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", flaky_pinv)
-    seen = []
-
-    def spy(trials, draw, work):
-        for start, result in _chunked(trials, draw, work):
-            seen.append((start, result))
-            yield start, result
-
-    monkeypatch.setattr(linear_gap, "_chunked", spy)
     report = monte_carlo_gap(config)
-    assert failing_threads == {chunk % 2 == 1}  # odd chunks run on the caller
-    reference, reference_gaps = _reference_monte_carlo_gap(config)
+    reference, reference_gaps = _reference_monte_carlo_gap(config, plant)
     assert report.metadata["failed_trials"] == 1
-    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _) in seen])
+    assert report.metadata["pinv_fallbacks"] == 1
+    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _, _) in seen])
     assert [start for start, _ in seen] == list(range(0, config.trials, _CHUNK))
     assert np.flatnonzero(np.isnan(gaps)).tolist() == [chunk * _CHUNK + 7]
     assert np.array_equal(gaps, reference_gaps, equal_nan=True)
     _assert_same_report(report, reference)
 
 
-def _numbered_draws():
+def test_wishart_svd_failure_in_the_fallback_raises(monkeypatch):
+    _planting(monkeypatch, _plant_two(rows_repeat=False))
+
+    def failing_pinv(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        verify_wishart(20, 3, 3 * _CHUNK, seed=5)
+
+
+def test_chunks_come_back_in_order_each_drawn_just_before_its_work():
     drawn = []
 
     def draw(b):
         drawn.append(b)
         return len(drawn) - 1, b
 
-    return drawn, draw
-
-
-def test_chunks_come_back_in_order_with_serial_draws_and_two_in_flight():
-    drawn, draw = _numbered_draws()
-    threads = {}
-
-    def work(index, b):
-        threads[index] = threading.current_thread() is threading.main_thread()
-        return index, b
-
     results = []
-    for start, result in _chunked(3 * _CHUNK + 1, draw, work):
-        assert len(drawn) - len(results) <= 2  # drawn lazily, never ahead of the pair
+    for start, result in _chunked(3 * _CHUNK + 1, draw, lambda index, b: (index, b)):
+        assert len(drawn) == len(results) + 1  # drawn lazily, one chunk at a time
         results.append((start, result))
     assert drawn == [_CHUNK, _CHUNK, _CHUNK, 1]
     assert results == [(0, (0, _CHUNK)), (_CHUNK, (1, _CHUNK)),
                        (2 * _CHUNK, (2, _CHUNK)), (3 * _CHUNK, (3, 1))]
-    assert threads == {0: False, 1: True, 2: False, 3: True}
-
-
-def test_helper_error_reaches_the_caller_and_no_thread_is_left():
-    before = threading.active_count()
-    drawn, draw = _numbered_draws()
-    assert len(list(_chunked(5 * _CHUNK, draw, lambda index, b: index))) == 5
-    assert threading.active_count() == before
-
-    def work(index, b):
-        if index == 2:  # the helper's chunk of the second pair
-            assert threading.current_thread() is not threading.main_thread()
-            raise ValueError("chunk 2")
-        return index
-
-    drawn, draw = _numbered_draws()
-    with pytest.raises(ValueError, match="chunk 2"):
-        list(_chunked(5 * _CHUNK, draw, work))
-    assert threading.active_count() == before
