@@ -318,6 +318,10 @@ def empirical_rademacher(
     raise ValueError(f"unknown rademacher mode {mode!r}")
 
 
+# rows of the sample whose f_bar, f_perp and inner products are held at once
+_INNER_BLOCK_ROWS = 8192
+
+
 def verify_operator_identities(
     rep_in: Representation,
     rep_out: Representation | None = None,
@@ -335,9 +339,10 @@ def verify_operator_identities(
     Qf under each generator s, psi(s) Qf(x) = Qf(phi(s) x) on 1000 points:
     (|S|+1)|G| predictor calls, not |G|^2.  The intertwining fixed point is
     also checked on the generators only.  Qf is averaged once over all
-    n_samples points; the reconstruction f = Qf + (f - Qf) through
-    antisym_part is checked on the same 1000 points.  Below two samples the
-    standard error is NaN and the verdict fails.
+    n_samples points, in blocks of rows; the reconstruction
+    f = Qf + (f - Qf) through antisym_part is checked on the same 1000
+    points.  Below two samples the standard error is NaN and the verdict
+    fails.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -372,15 +377,20 @@ def verify_operator_identities(
     pred = lambda X: np.tanh(X @ B + c)
     op = apply_Q(pred, rep_in, rep_out)
     X = rng.standard_normal((n_samples, d))
-    f_bar = op.symmetric_part(X)
-    f_perp = pred(X) - f_bar  # antisym_part(X) without a second average over every point
+    inner = np.empty(n_samples)
+    for start in range(0, n_samples, _INNER_BLOCK_ROWS):
+        rows = X[start:start + _INNER_BLOCK_ROWS]
+        f_bar = op.symmetric_part(rows)
+        f_perp = pred(rows) - f_bar  # antisym_part(rows) without a second average
+        inner[start:start + len(rows)] = (
+            np.asarray(f_bar).reshape(len(rows), -1) * np.asarray(f_perp).reshape(len(rows), -1)
+        ).sum(axis=1)
     small = X[:1000]
     q_small = op.symmetric_part(small)
     dev_reconstruct = float(np.max(np.abs(pred(small) - q_small - op.antisym_part(small))))
     dev_q_idem = max((float(np.max(np.abs(
         op.symmetric_part(small @ rep_in.matrices[s].T) - q_small @ rep_out.matrices[s].T
     ))) for s in rep_in.group.generators), default=0.0)
-    inner = (np.asarray(f_bar).reshape(n_samples, -1) * np.asarray(f_perp).reshape(n_samples, -1)).sum(axis=1)
     inner_mean = float(inner.mean())
     inner_se = standard_error(inner)
 

@@ -40,7 +40,7 @@ from .orbits import (
 )
 from .sampling import gaussian, sphere
 
-CSV_VERSION = "# symlab-csv v4"
+CSV_VERSION = "# symlab-csv v5"
 CSV_COLUMNS = (
     "experiment", "d", "k", "n", "group", "dim_A", "sigma_x", "sigma_xi",
     "trials", "mc_mean", "mc_se", "closed_form", "verdict",

@@ -283,8 +283,9 @@ _CHECK_BLOCK_ENTRIES = 1 << 16
 def _validate_representation(rep: Representation) -> None:
     """Check the identity, each generator's homomorphism property and orthogonality.
 
-    Both checks run over blocks of elements, so no temporary is larger than
-    one block or one element's matrix, whichever is larger.
+    A non-finite entry is refused first.  Every check runs over blocks of
+    elements, so no temporary is larger than one block or one element's
+    matrix, whichever is larger.
     """
     group, mats = rep.group, rep.matrices
     m, d = group.order, rep.dim
@@ -292,6 +293,10 @@ def _validate_representation(rep: Representation) -> None:
         raise ValueError(f"representation dim must be >= 1, got {d}")
     if mats.shape != (m, d, d):
         raise ValueError(f"matrices have shape {mats.shape}, expected {(m, d, d)} for {group.name}")
+    step = min(m, max(1, _CHECK_BLOCK_ENTRIES // (d * d)))
+    # before any product: inf - inf in one would warn where it should refuse
+    if not all(np.isfinite(mats[start:start + step]).all() for start in range(0, m, step)):
+        raise ValueError("matrices are not a homomorphism: an entry is not finite")
     identity = mats[group.identity]
     diagonal = identity.reshape(-1)[::d + 1]  # views of the stored array, which becomes exactly I
     diagonal -= 1.0
@@ -302,7 +307,6 @@ def _validate_representation(rep: Representation) -> None:
 
     # with rho(e) = I, rho(s*g) = rho(s) rho(g) for each generator s gives it for all of G
     dev = orth_dev = 0.0
-    step = min(m, max(1, _CHECK_BLOCK_ENTRIES // (d * d)))
     buffer = np.empty((step, d, d))
     for start in range(0, m, step):
         block = slice(start, min(start + step, m))

@@ -21,20 +21,29 @@ estimate.  The gap experiment and its noiseless bias estimate run one trial
 loop.  A standard error over fewer than two values is NaN, so a 4-SE
 verdict on it fails.
 
-fit_krr factors and solves through LAPACK's dpotrf/dpotrs directly, the
-calls scipy's cho_factor/cho_solve make, without their argument checks.
-A non-finite Gram therefore fails the factorization and raises
-np.linalg.LinAlgError, where scipy's finiteness check raised ValueError.
+The trial loop runs in chunks of trials, each fitted with one stacked Gram
+and factorization and predicted with one stacked Gram; the Gram callables,
+fit_krr and KrrModel.predict take a stack (..., n, d) of samples as well as
+one sample.  Each chunk draws from its own stream, keyed by the experiment
+seed, the loop's purpose and the chunk index.  The calling thread runs the
+even chunks and one helper thread the odd ones, each writing its own
+trials, so the results depend neither on scheduling nor on the number of
+cores.
+
+fit_krr checks that K + rho I is positive definite by np.linalg.cholesky,
+raising the diagonal when it is not, and solves the system with
+np.linalg.solve; the package needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .averaging import build_phi, group_average
 from .groups import Representation
@@ -61,6 +70,14 @@ __all__ = [
 SWITCH_VERIFY_TOL = 1e-9
 SWITCH_REFUTE_TOL = 1e-6
 MIN_PAIRS = 1000  # estimate_N's least number of pairs
+
+# Gram entries (trials x n x 2 n_test) one chunk of KRR trials predicts at once;
+# shorter chunks spend their time handing the interpreter lock between workers
+_CHUNK_ENTRIES = 1 << 18
+# purposes of the gap's and the bias estimate's chunk streams (seed, purpose, chunk).
+# A seed sequence pads its key with zeros, so chunk 0 draws the stream of
+# (seed, purpose): neither may be the purpose of another key, 7, 55 or 101
+_GAP_TRIALS, _BIAS_TRIALS = 11, 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +112,7 @@ def _validate_kernel(spec: KernelSpec) -> KernelSpec:
 
 
 def linear_kernel(action: Representation, Mk: float | None = None) -> KernelSpec:
-    return _validate_kernel(KernelSpec("linear", action, lambda A, B: A @ B.T, Mk))
+    return _validate_kernel(KernelSpec("linear", action, lambda A, B: A @ np.swapaxes(B, -1, -2), Mk))
 
 
 def gaussian_kernel(action: Representation, bandwidth: float, Mk: float = 1.0) -> KernelSpec:
@@ -108,11 +125,11 @@ def gaussian_kernel(action: Representation, bandwidth: float, Mk: float = 1.0) -
         # exp(-max((|a|^2 + |b|^2) - 2ab, 0) / 2h^2) in two buffers, with the
         # one-line expression's operations in its order; x / -c is -x / c bit
         # for bit, since rounding to nearest is symmetric in sign
-        ab = A @ B.T
+        ab = A @ np.swapaxes(B, -1, -2)
         ab *= 2.0
-        a2 = (A ** 2).sum(axis=1)
-        b2 = a2 if B is A else (B ** 2).sum(axis=1)
-        sq = a2[:, None] + b2[None, :]
+        a2 = (A ** 2).sum(axis=-1)
+        b2 = a2 if B is A else (B ** 2).sum(axis=-1)
+        sq = a2[..., :, None] + b2[..., None, :]
         np.subtract(sq, ab, out=sq)
         np.maximum(sq, 0.0, out=sq)
         np.divide(sq, minus_two_h2, out=sq)
@@ -127,7 +144,7 @@ def explicit_bilinear_kernel(
     A = np.asarray(matrix, dtype=np.float64)
     if A.shape != (action.dim, action.dim) or np.max(np.abs(A - A.T)) > 1e-12:
         raise ValueError("bilinear kernel matrix must be symmetric (d, d)")
-    return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ Y.T, Mk))
+    return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ np.swapaxes(Y, -1, -2), Mk))
 
 
 def _pair_values(gram, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -233,7 +250,11 @@ def estimate_N(
 
 @dataclass(frozen=True, eq=False)
 class KrrModel:
-    """Fitted kernel ridge regression: alpha = (K + rho I)^{-1} Y."""
+    """Fitted kernel ridge regression: alpha = (K + rho I)^{-1} Y.
+
+    X is one sample (n, d) with alpha (n,), or a stack (..., n, d) with
+    alpha (..., n); predict takes points (m, d), or (..., m, d) for a stack.
+    """
 
     kernel: KernelSpec
     X: np.ndarray
@@ -241,63 +262,75 @@ class KrrModel:
     rho: float
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:
-        return self.kernel.gram(self.X, X_new).T @ self.alpha
+        return _combine(self.kernel.gram(self.X, X_new), self.alpha)
 
     def predict_averaged(self, X_new: np.ndarray, averaged: AveragedKernel) -> np.ndarray:
         # exact group average of the fitted function via kbar on the representers
-        return averaged.gram_bar(self.X, X_new).T @ self.alpha
+        return _combine(averaged.gram_bar(self.X, X_new), self.alpha)
+
+
+def _combine(K: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """sum_i alpha_i K[i, j] per sample of a stack; on one sample it is K.T @ alpha bit for bit."""
+    return (np.swapaxes(K, -1, -2) @ alpha[..., None])[..., 0]
+
+
+def _diagonals(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each (n, n) matrix of a C-contiguous stack, one row each."""
+    n = a.shape[-1]
+    return a.reshape(-1, n * n)[:, ::n + 1]
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a by LAPACK dpotrf, as scipy's
-    cho_factor(a, lower=True) computes it; a itself is left unchanged and
-    the upper triangle of the result is not zeroed."""
-    c, info = dpotrf(a, lower=1, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf failed: info={info}")
-    return c
+    """Lower Cholesky factors of a stack of symmetric matrices, by
+    np.linalg.cholesky; raises np.linalg.LinAlgError when any of them is
+    not positive definite.  A module-level name, so that the benchmark's
+    probes can count the factorizations."""
+    return np.linalg.cholesky(a)
 
 
 def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> KrrModel:
     """Solve (K + rho I) alpha = Y by Cholesky with jitter escalation.
 
-    The factor comes from cho_factor (LAPACK dpotrf) and the solve from
-    dpotrs, bit for bit what scipy's cho_factor/cho_solve return.  A failed
-    factorization is retried with the diagonal raised by 1, 2 and 3 times
-    1e-12 * trace(K) / n.  A NaN in X or Y raises np.linalg.LinAlgError,
+    X is one sample (n, d) with targets Y (n,), or a stack (..., n, d) of
+    samples with targets (..., n), fitted with one stacked Gram, one stacked
+    factorization and one stacked solve.  cho_factor decides that each
+    K + rho I is positive definite; when any factorization of a stack
+    fails, all are retried with each diagonal raised by 1, 2 and 3 times
+    1e-12 * trace(K_t) / n.  A NaN in X or Y raises np.linalg.LinAlgError,
     from the factorization or from the residual check.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    n = X.shape[0]
+    n = X.shape[-2]
     K = kernel.gram(X, X)
-    # K + rho * I: equal values, but only the diagonal is touched
+    # K + rho * I: equal values, but only the diagonals are touched
     base = K.copy()
-    base.flat[::n + 1] += rho
+    _diagonals(base)[...] += rho
     alpha = None
     for attempt in range(4):
         shifted = base
         if attempt:
             shifted = base.copy()
-            shifted.flat[::n + 1] += attempt * (1e-12 * float(np.trace(K)) / n)
+            jitter = 1e-12 * np.trace(K, axis1=-2, axis2=-1) / n
+            _diagonals(shifted)[...] += attempt * np.reshape(jitter, (-1, 1))
         try:
-            factor = cho_factor(shifted)
+            cho_factor(shifted)
         except np.linalg.LinAlgError:
             continue
-        alpha, info = dpotrs(factor, Y, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dpotrs failed: info={info}")
+        # numpy has no triangular solve: one LU solve of the shifted stack
+        # costs less than two general solves against its factor
+        alpha = np.linalg.solve(shifted, Y[..., None])[..., 0]
         break
     if alpha is None:
         raise np.linalg.LinAlgError(
-            f"Gram factorization failed; condition estimate {np.linalg.cond(base):.3e}"
+            f"Gram factorization failed; largest condition estimate {np.max(np.linalg.cond(base)):.3e}"
         )
-    residual = np.linalg.norm(base @ alpha - Y)
+    residual = np.linalg.norm((base @ alpha[..., None])[..., 0] - Y, axis=-1)
     # written so that a NaN residual fails
-    if not residual <= 1e-8 * max(1.0, np.linalg.norm(Y)):
-        raise np.linalg.LinAlgError(f"KRR solve residual too large: {residual:.3e}")
+    if not np.all(residual <= 1e-8 * np.maximum(1.0, np.linalg.norm(Y, axis=-1))):
+        raise np.linalg.LinAlgError(f"KRR solve residual too large: {np.max(residual):.3e}")
     return KrrModel(kernel=kernel, X=X, alpha=alpha, rho=rho)
 
 
@@ -336,45 +369,71 @@ class KrrGapConfig:
                 raise ValueError(f"f_star is not invariant under the action: deviation {dev:.3e}")
 
 
-def _perp_sq(config: KrrGapConfig, X, y, rng) -> float:
-    """Fit KRR on (X, y); estimate the mean square of its anti-symmetric part
-    as half the mean square change of the fit from fresh points t to g t,
-    with one Haar-drawn g per point."""
-    model = fit_krr(config.kernel, X, y, config.rho)
-    X_test = config.mu.sample(config.n_test, rng)
+def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndarray:
+    """`size` trials drawn from rng: fit KRR on fresh samples labelled by f_star,
+    plus sigma-scaled noise when noisy; estimate each fit's mean square
+    anti-symmetric part as half the mean square change of the fit from fresh
+    points t to g t, with one Haar-drawn g per point."""
+    n, n_test, d = config.n, config.n_test, config.kernel.dim
+    X = config.mu.sample(size * n, rng)
+    y = np.asarray(config.f_star(X)).reshape(size, n)
+    if noisy:
+        y = y + config.sigma * rng.standard_normal((size, n))
+    model = fit_krr(config.kernel, X.reshape(size, n, d), y, config.rho)
+    X_test = config.mu.sample(size * n_test, rng).reshape(size, n_test, d)
     action = config.kernel.action
-    g = rng.integers(action.group.order, size=config.n_test)
-    moved = np.einsum("tij,tj->ti", action.matrices[g], X_test)
-    f = model.predict(np.concatenate([X_test, moved]))
-    return float(0.5 * ((f[:config.n_test] - f[config.n_test:]) ** 2).mean())
+    g = rng.integers(action.group.order, size=(size, n_test))
+    moved = np.einsum("btij,btj->bti", action.matrices[g], X_test)
+    f = model.predict(np.concatenate([X_test, moved], axis=1))
+    return 0.5 * ((f[:, :n_test] - f[:, n_test:]) ** 2).mean(axis=1)
 
 
-def _perp_sq_trials(config: KrrGapConfig, trials: int, rng, noisy: bool) -> tuple[float, float]:
-    """The mean of _perp_sq over `trials` fits on fresh draws from rng, and its
-    standard error; the labels are f_star, plus sigma-scaled noise when noisy."""
+def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: int, noisy: bool) -> np.ndarray:
+    """Each of `trials` fits' estimate of |f_perp|^2, in chunks of trials.
+
+    Chunk c draws from default_rng((seed, purpose, c)).  The calling thread
+    runs the even chunks and a helper thread, started for this loop, the odd
+    ones, each writing its own trials.  An error in either stops the other
+    before its next chunk and reaches the caller once both have returned.
+    A helper held across loops would not survive a fork: the child's next
+    loop would wait for it forever.
+    """
+    size = max(1, _CHUNK_ENTRIES // (config.n * 2 * config.n_test))
     per_trial = np.empty(trials)
-    for t in range(trials):
-        X = config.mu.sample(config.n, rng)
-        y = np.asarray(config.f_star(X)).reshape(-1)
-        if noisy:
-            y = y + config.sigma * rng.standard_normal(config.n)
-        per_trial[t] = _perp_sq(config, X, y, rng)
-    return float(per_trial.mean()), standard_error(per_trial)
+    failed = threading.Event()
+
+    def work(first: int) -> None:
+        try:
+            for start in range(first * size, trials, 2 * size):
+                if failed.is_set():
+                    return
+                rng = np.random.default_rng((config.seed, purpose, start // size))
+                stop = min(start + size, trials)
+                per_trial[start:stop] = _chunk_perp_sq(config, stop - start, rng, noisy)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="symlab-krr") as pool:
+        helper = pool.submit(work, 1)
+        work(0)
+    helper.result()
+    return per_trial
 
 
 def estimate_bias_term(config: KrrGapConfig) -> tuple[float, float]:
     """Noiseless sub-procedure: fit KRR on f_star(X_i) and Monte-Carlo the
     squared anti-symmetric part of the fit on fresh points."""
-    rng = np.random.default_rng((config.seed, 77))
-    return _perp_sq_trials(config, config.bias_trials, rng, noisy=False)
+    per_trial = _perp_sq_trials(config, config.bias_trials, _BIAS_TRIALS, noisy=False)
+    return float(per_trial.mean()), standard_error(per_trial)
 
 
 def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     """Estimate E[R[f] - R[f_bar]] for KRR under group averaging and compare
     against the invariance lower bound (estimated bias + variance term)."""
     averaged = build_averaged_kernel(config.kernel)
-    rng = np.random.default_rng(config.seed)
-    mean, se = _perp_sq_trials(config, config.trials, rng, noisy=True)
+    per_trial = _perp_sq_trials(config, config.trials, _GAP_TRIALS, noisy=True)
+    mean, se = float(per_trial.mean()), standard_error(per_trial)
 
     mk = config.kernel.Mk
     if mk is None:

@@ -4,6 +4,8 @@ import functools
 import gc
 import inspect
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -39,7 +41,7 @@ def test_run_writes_versioned_csv_and_json(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     lines = csv_text.strip().split("\n")
-    assert lines[0] == "# symlab-csv v4"
+    assert lines[0] == "# symlab-csv v5"
     assert lines[1].split(",") == list(cli.CSV_COLUMNS)
     assert len(lines) == 2 + len(FAST_CONFIG["experiments"])
     rows = json.loads((tmp_path / "out" / "results.json").read_text())
@@ -431,6 +433,14 @@ def test_numerical_failure_exits_1_not_as_config_error(tmp_path, monkeypatch, ca
     assert "config error" not in err
 
 
+def test_importing_the_cli_loads_numpy_but_not_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, symlab.cli; print('numpy' in sys.modules, 'scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
+
+
 def test_threads_flag_is_gone(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", FAST_CONFIG)
     with pytest.raises(SystemExit):
@@ -639,8 +649,8 @@ ROW_EXPECTED = [
     "pass,,,,,,6581f66b83e8,3",
     "gap-equivariant,3,3,12,symmetric 3,7.0,2.0,1.0,300,0.8209128450954241,0.033485882452420644,"
     "0.875,pass,,,,,,d1ffb2952da9,4",
-    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.051105260401969665,0.013170875637345472,"
-    "0.03438081789853665,pass,1.0,1.0,0.053829475998985736,0.0290643264418467,"
+    "gap-kernel,2,1,8,cyclic 2,1.0,,1.0,20,0.10156470481381323,0.03216068581698331,"
+    "0.04543868366701156,pass,1.0,1.0,0.053829475998985736,0.04012219221032161,"
     "0.005316491456689949,9d53a806db68,5",
     "verify-wishart,3,,12,,,,,1000,0.12563210603648753,0.002251526189879003,0.125,"
     "pass,,,,,,381d78f89897,6",

@@ -5,18 +5,17 @@ A Haar average over a finite group is the mean over its ids: each
 the sum by their count, and a sampled one draws its ids with
 ``integers(order)`` from the seed's ``default_rng``.  The other references
 are the expressions the kernel trial path used before it shared its base
-Gram, built Gaussian Grams in place, called LAPACK without scipy's
-wrappers and normalised sphere draws inline.  The library must return the
-same bits, not merely close values.  The KRR trial's paired estimate of
-|f_perp|^2 is written from its definition, and a closed orbit ties it
-exactly to the full-orbit estimate.
+Gram, built Gaussian Grams in place, stacked its trials into chunks and
+normalised sphere draws inline.  The library must return the same bits, not
+merely close values.  The KRR trial's paired estimate of |f_perp|^2 is
+written from its definition, one trial and one fit at a time, and a closed
+orbit ties it exactly to the full-orbit estimate.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from symlab import kernel_gap
 from symlab.averaging import apply_Q, build_phi, build_psi, group_average, haar_sample, tta_average
@@ -26,7 +25,7 @@ from symlab.kernel_gap import (
     SWITCH_VERIFY_TOL,
     KrrGapConfig,
     _pair_values,
-    _perp_sq,
+    _perp_sq_trials,
     build_averaged_kernel,
     check_switch_condition,
     fit_krr,
@@ -263,33 +262,31 @@ def _reference_gaussian_gram(A, B, bandwidth):
     return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth ** 2))
 
 
-def _reference_fit_alpha(kernel, X, Y, rho):
-    n = X.shape[0]
-    K = kernel.gram(X, X)
-    base = K + rho * np.eye(n)
-    jitter = 1e-12 * float(np.trace(K)) / n
-    for attempt in range(4):
-        try:
-            return cho_solve(cho_factor(base + attempt * jitter * np.eye(n), lower=True), Y)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("reference factorization failed")
-
-
 def _reference_sphere_sample(mu, n, rng):
     z = rng.standard_normal((n, mu.dim))
     return mu.scale * z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _reference_perp_sq(config, X, y, rng):
-    # the definition: half the mean over fresh points t of (f(t) - f(g t))^2, one Haar g per t
-    model = fit_krr(config.kernel, X, y, config.rho)
-    X_test = _reference_sphere_sample(config.mu, config.n_test, rng)
+def _reference_perp_sq_trials(config, trials, purpose):
+    # the definition, one noisy trial at a time: half the mean over fresh points t of
+    # (f(t) - f(g t))^2, one Haar g per t, each chunk of trials drawn from its own stream
+    size = max(1, kernel_gap._CHUNK_ENTRIES // (config.n * 2 * config.n_test))
     group, mats = config.kernel.action.group, config.kernel.action.matrices
-    draws = rng.integers(group.order, size=config.n_test)
-    moved = np.stack([mats[g] @ t for g, t in zip(draws, X_test)])
-    diff = model.predict(X_test) - model.predict(moved)
-    return float(0.5 * (diff ** 2).mean())
+    n, n_test, d = config.n, config.n_test, config.kernel.dim
+    out = []
+    for start in range(0, trials, size):
+        rng = np.random.default_rng((config.seed, purpose, start // size))
+        b = min(size, trials - start)
+        X = _reference_sphere_sample(config.mu, b * n, rng).reshape(b, n, d)
+        y = config.f_star(X) + config.sigma * rng.standard_normal((b, n))
+        X_test = _reference_sphere_sample(config.mu, b * n_test, rng).reshape(b, n_test, d)
+        draws = rng.integers(group.order, size=(b, n_test))
+        for t in range(b):
+            model = fit_krr(config.kernel, X[t], y[t], config.rho)
+            moved = np.stack([mats[g] @ x for g, x in zip(draws[t], X_test[t])])
+            diff = model.predict(X_test[t]) - model.predict(moved)
+            out.append(float(0.5 * (diff ** 2).mean()))
+    return np.array(out)
 
 
 def _gap_config(d, ktype, n=16, rho=0.1):
@@ -338,21 +335,15 @@ def test_pair_values_is_bitwise_the_one_shot_diagonal(ktype):
 @pytest.mark.parametrize("d", [4, 8])
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])
 def test_paired_trial_is_bitwise_the_definition(d, ktype):
-    # every (n, rho) of the quick suite's gap-kernel grid
+    # every (n, rho) of the quick suite's gap-kernel grid, over three chunks, the last one short
     for n, rho in ((16, 0.1), (16, 1.0), (64, 0.1), (64, 1.0)):
         config = _gap_config(d, ktype, n=n, rho=rho)
-        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
-        for _ in range(3):
-            X = config.mu.sample(config.n, rng)
-            y = config.f_star(X) + rng.standard_normal(config.n)
-            X_ref = _reference_sphere_sample(config.mu, config.n, ref_rng)
-            y_ref = config.f_star(X_ref) + ref_rng.standard_normal(config.n)
-            assert np.array_equal(X, X_ref)
-            assert np.array_equal(fit_krr(config.kernel, X, y, config.rho).alpha,
-                                  _reference_fit_alpha(config.kernel, X_ref, y_ref, config.rho))
-            assert _perp_sq(config, X, y, rng) == _reference_perp_sq(config, X_ref, y_ref, ref_rng)
+        size = kernel_gap._CHUNK_ENTRIES // (n * 2 * config.n_test)
+        trials = 2 * size + 3
+        expected = _reference_perp_sq_trials(config, trials, purpose=5)
+        assert np.array_equal(_perp_sq_trials(config, trials, 5, noisy=True), expected)
     averaged = build_averaged_kernel(config.kernel)
-    A, B = rng.standard_normal((2, 40, d))
+    A, B = np.random.default_rng(23).standard_normal((2, 40, d))
     expected = config.kernel.gram(A, B) - _reference_gram_bar(config.kernel, A, B)
     assert np.array_equal(averaged.gram_perp(A, B), expected)
 
@@ -383,11 +374,12 @@ def test_paired_mean_over_a_closed_orbit_is_the_averaged_predictors_distance(gro
 
 
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])
-def test_fit_krr_retry_is_bitwise_scipy_on_the_jittered_matrix(monkeypatch, ktype):
+def test_fit_krr_retry_solves_the_jittered_matrix(monkeypatch, ktype):
+    # a failed factorization of a stack retries every trial, each with its own jitter
     config = _gap_config(8, ktype, n=64, rho=0.1)
     rng = np.random.default_rng(24)
-    X = config.mu.sample(config.n, rng)
-    y = config.f_star(X) + rng.standard_normal(config.n)
+    X = config.mu.sample(3 * config.n, rng).reshape(3, config.n, 8)
+    y = config.f_star(X) + rng.standard_normal((3, config.n))
     calls = []
     factor = kernel_gap.cho_factor
 
@@ -401,12 +393,13 @@ def test_fit_krr_retry_is_bitwise_scipy_on_the_jittered_matrix(monkeypatch, ktyp
     alpha = fit_krr(config.kernel, X, y, config.rho).alpha
     assert len(calls) == 2
     n = config.n
-    K = config.kernel.gram(X, X)
-    base = K + config.rho * np.eye(n)
-    jitter = 1e-12 * float(np.trace(K)) / n
-    assert np.array_equal(calls[0], base)
-    assert np.array_equal(calls[1], base + jitter * np.eye(n))
-    assert np.array_equal(alpha, cho_solve(cho_factor(base + jitter * np.eye(n), lower=True), y))
+    for t in range(3):
+        K = config.kernel.gram(X[t], X[t])
+        base = K + config.rho * np.eye(n)
+        jittered = base + 1e-12 * float(np.trace(K)) / n * np.eye(n)
+        assert np.array_equal(calls[0][t], base)
+        assert np.array_equal(calls[1][t], jittered)
+        assert np.array_equal(alpha[t], np.linalg.solve(jittered, y[t]))
 
 
 def test_near_identity_explicit_rep_is_stored_with_exact_identity():

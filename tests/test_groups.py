@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ def test_a_nan_matrix_is_rejected():
     mats[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="not a homomorphism"):
         build_representation(g, "explicit", matrices=mats)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("element", [0, 1])
+def test_a_non_finite_matrix_is_refused_before_any_product(entry, element):
+    # an inf used to reach the block products, where inf - inf warns under -W error
+    g = build_group("cyclic 2")
+    mats = np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    mats[element, 0, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="not a homomorphism: an entry is not finite"):
+            build_representation(g, "explicit", matrices=mats)
 
 
 def test_explicit_non_homomorphism_rejected():

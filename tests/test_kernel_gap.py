@@ -6,14 +6,21 @@ inputs, the scalar KRR solve, and the ridgeless limits of the zeta moments.
 """
 
 import math
+import os
+import signal
+import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from symlab import kernel_gap
 from symlab.averaging import build_phi
 from symlab.groups import build_group, build_representation
 from symlab.kernel_gap import (
     KrrGapConfig,
+    _perp_sq_trials,
     build_averaged_kernel,
     check_switch_condition,
     estimate_N,
@@ -241,6 +248,32 @@ def test_fit_krr_leaves_inputs_unchanged():
     assert np.array_equal(model.X, X0)
 
 
+@pytest.mark.parametrize("ktype", ["linear", "gaussian", "bilinear"])
+def test_stacked_fit_and_predict_match_per_sample_calls(ktype):
+    rep = _perm_rep("cyclic 4")
+    kernel = {
+        "linear": lambda: linear_kernel(rep),
+        "gaussian": lambda: gaussian_kernel(rep, bandwidth=2.0),
+        "bilinear": lambda: explicit_bilinear_kernel(rep, build_phi(rep).matrix + np.eye(4)),
+    }[ktype]()
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((5, 16, 4))
+    y = rng.standard_normal((5, 16))
+    T = rng.standard_normal((5, 24, 4))
+    stacked = fit_krr(kernel, X, y, rho=0.1)
+    f = stacked.predict(T)
+    averaged = stacked.predict_averaged(T, build_averaged_kernel(kernel))
+    assert stacked.alpha.shape == (5, 16) and f.shape == (5, 24) and averaged.shape == (5, 24)
+    for t in range(5):
+        single = fit_krr(kernel, X[t], y[t], rho=0.1)
+        for got, want in (
+            (stacked.alpha[t], single.alpha),
+            (f[t], single.predict(T[t])),
+            (averaged[t], single.predict_averaged(T[t], build_averaged_kernel(kernel))),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------- gap experiment
 
 
@@ -329,6 +362,105 @@ def test_repeated_gap_runs_in_one_process_agree():
     assert (second.mc_gap_mean, second.mc_gap_se) == (first.mc_gap_mean, first.mc_gap_se)
     assert second.closed_form == first.closed_form
     assert second.metadata == first.metadata
+
+
+class _InlinePool:
+    """A one-worker pool that runs each submitted call at once on the calling thread."""
+
+    def __init__(self, max_workers, thread_name_prefix=""):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as error:
+            future.set_exception(error)
+        return future
+
+
+def _trial_config(trials):
+    rep = _perm_rep("cyclic 4")
+    theta = np.ones(4) / 2.0
+    # n * 2 n_test = 2^12 Gram entries, so chunks of 64 trials
+    return KrrGapConfig(
+        kernel=gaussian_kernel(rep, bandwidth=2.0), f_star=lambda X: X @ theta, mu=sphere(4),
+        n=16, sigma=1.0, rho=0.1, trials=trials, seed=30, n_test=128,
+    )
+
+
+def test_trials_do_not_depend_on_the_helper_thread(monkeypatch):
+    config = _trial_config(5 * 64 + 7)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between the workers as often as it can
+    try:
+        threaded = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    finally:
+        sys.setswitchinterval(previous)
+    monkeypatch.setattr(kernel_gap, "ThreadPoolExecutor", _InlinePool)
+    inline = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    assert np.array_equal(threaded, inline)
+    assert np.all(inline > 0)
+
+
+@pytest.mark.parametrize("failing", [2, 3])  # a chunk of the caller's, one of the helper's
+def test_an_error_on_either_worker_reaches_the_caller_and_stops_both(monkeypatch, failing):
+    config = _trial_config(12 * 64)  # six chunks for each worker
+    lock, raised = threading.Lock(), threading.Event()
+    running, started = set(), []
+    chunk = kernel_gap._chunk_perp_sq
+
+    def tracked(config, size, rng, noisy):
+        index = rng.bit_generator.seed_seq.entropy[2]
+        with lock:
+            started.append(index)
+            running.add(index)
+        try:
+            if index == failing:
+                raised.set()
+                raise np.linalg.LinAlgError(f"planted failure in chunk {index}")
+            if index % 2 != failing % 2:
+                # the other worker's chunk is still running when the error is raised
+                assert raised.wait(timeout=30)
+            return chunk(config, size, rng, noisy)
+        finally:
+            with lock:
+                running.discard(index)
+
+    monkeypatch.setattr(kernel_gap, "_chunk_perp_sq", tracked)
+    with pytest.raises(np.linalg.LinAlgError, match=f"chunk {failing}"):
+        _perp_sq_trials(config, config.trials, 11, noisy=True)
+    assert running == set()
+    assert failing in started
+    # the other worker stops before its next chunk, or the one after if it read the
+    # flag just before the failing worker set it: not all six of its chunks run
+    assert len([index for index in started if index % 2 != failing % 2]) <= 2
+    assert not [t for t in threading.enumerate() if t.name.startswith("symlab-krr")]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_its_own_trial_loop():
+    config = _trial_config(4 * 64)
+    parent = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child runs the loop again and writes its bytes, or hangs until the alarm
+        signal.alarm(60)
+        try:
+            os.write(write, _perp_sq_trials(config, config.trials, 11, noisy=True).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        child = pipe.read()
+    os.waitpid(pid, 0)
+    assert child == parent.tobytes()
 
 
 def test_f_star_invariance_enforced():
