@@ -21,14 +21,15 @@ estimate.  The gap experiment and its noiseless bias estimate run one trial
 loop.  A standard error over fewer than two values is NaN, so a 4-SE
 verdict on it fails.
 
-The trial loop runs in chunks of trials, each fitted with one stacked Gram
-and factorization and predicted with one stacked Gram; the Gram callables,
-fit_krr and KrrModel.predict take a stack (..., n, d) of samples as well as
-one sample.  Each chunk draws from its own stream, keyed by the experiment
-seed, the loop's purpose and the chunk index.  The calling thread runs the
-even chunks and one helper thread the odd ones, each writing its own
-trials, so the results depend neither on scheduling nor on the number of
-cores.
+The trial loop runs in chunks of trials.  Each trial of a chunk is fitted
+by its own fit_krr call, so that one fit is one trial and its jitter retry
+depends on no other trial, and the chunk's fits are predicted with one
+stacked Gram; the Gram callables, fit_krr and KrrModel.predict take a
+stack (..., n, d) of samples as well as one sample.  Each chunk draws from
+its own stream, keyed by the experiment seed, the loop's purpose and the
+chunk index.  The calling thread runs the even chunks and one helper thread
+the odd ones, each writing its own trials, so the results depend neither on
+scheduling nor on the number of cores.
 
 fit_krr checks that K + rho I is positive definite by np.linalg.cholesky,
 raising the diagonal when it is not, and solves the system with
@@ -327,10 +328,14 @@ def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> Krr
         raise np.linalg.LinAlgError(
             f"Gram factorization failed; largest condition estimate {np.max(np.linalg.cond(base)):.3e}"
         )
-    residual = np.linalg.norm((base @ alpha[..., None])[..., 0] - Y, axis=-1)
-    # written so that a NaN residual fails
-    if not np.all(residual <= 1e-8 * np.maximum(1.0, np.linalg.norm(Y, axis=-1))):
-        raise np.linalg.LinAlgError(f"KRR solve residual too large: {np.max(residual):.3e}")
+    residual = (base @ alpha[..., None])[..., 0]
+    residual -= Y
+    # |r|^2 <= (1e-8 max(1, |Y|))^2, written so that a NaN residual fails; one
+    # fit per trial makes this check a hot path, hence the bare ufunc reductions
+    residual_sq = np.add.reduce(residual * residual, axis=-1)
+    bound_sq = 1e-16 * np.maximum(1.0, np.add.reduce(Y * Y, axis=-1))
+    if not np.logical_and.reduce(residual_sq <= bound_sq, axis=None):
+        raise np.linalg.LinAlgError(f"KRR solve residual too large: {math.sqrt(np.max(residual_sq)):.3e}")
     return KrrModel(kernel=kernel, X=X, alpha=alpha, rho=rho)
 
 
@@ -371,15 +376,18 @@ class KrrGapConfig:
 
 def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndarray:
     """`size` trials drawn from rng: fit KRR on fresh samples labelled by f_star,
-    plus sigma-scaled noise when noisy; estimate each fit's mean square
-    anti-symmetric part as half the mean square change of the fit from fresh
-    points t to g t, with one Haar-drawn g per point."""
+    plus sigma-scaled noise when noisy, one fit_krr call per trial; estimate
+    each fit's mean square anti-symmetric part as half the mean square change
+    of the fit from fresh points t to g t, with one Haar-drawn g per point,
+    predicting all of the chunk's fits with one stacked Gram."""
     n, n_test, d = config.n, config.n_test, config.kernel.dim
     X = config.mu.sample(size * n, rng)
     y = np.asarray(config.f_star(X)).reshape(size, n)
     if noisy:
         y = y + config.sigma * rng.standard_normal((size, n))
-    model = fit_krr(config.kernel, X.reshape(size, n, d), y, config.rho)
+    X = X.reshape(size, n, d)
+    alpha = np.stack([fit_krr(config.kernel, X[t], y[t], config.rho).alpha for t in range(size)])
+    model = KrrModel(kernel=config.kernel, X=X, alpha=alpha, rho=config.rho)
     X_test = config.mu.sample(size * n_test, rng).reshape(size, n_test, d)
     action = config.kernel.action
     g = rng.integers(action.group.order, size=(size, n_test))

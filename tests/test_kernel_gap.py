@@ -409,6 +409,24 @@ def test_trials_do_not_depend_on_the_helper_thread(monkeypatch):
     assert np.all(inline > 0)
 
 
+def test_each_trial_is_its_own_fit_and_a_retry_moves_that_trial_alone(monkeypatch):
+    config = _trial_config(10)  # one chunk, on the caller
+    plain = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    factored, factor = [], kernel_gap.cho_factor
+
+    def third_fails(a):
+        factored.append(a.shape)
+        if len(factored) == 3:
+            raise np.linalg.LinAlgError("planted failure")
+        return factor(a)
+
+    monkeypatch.setattr(kernel_gap, "cho_factor", third_fails)
+    retried = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    # trial 2 is factored twice, every other trial once, one (n, n) matrix each time
+    assert factored == [(config.n, config.n)] * (config.trials + 1)
+    assert np.flatnonzero(retried != plain).tolist() == [2]
+
+
 @pytest.mark.parametrize("failing", [2, 3])  # a chunk of the caller's, one of the helper's
 def test_an_error_on_either_worker_reaches_the_caller_and_stops_both(monkeypatch, failing):
     config = _trial_config(12 * 64)  # six chunks for each worker
