@@ -2,13 +2,15 @@
 
 The Haar measure of a finite group is uniform, so the operator Q's Haar
 average is the mean of F(g) over the group's ids.  ``group_average`` is the
-one place that mean is taken, over the whole group or over a seeded draw
-from ``haar_sample``.  Beside it: exact averaging on linear maps (the projection
-matrix Phi and the 4-index intertwiner tensor Psi), black-box predictor
-averaging, test-time augmentation, and the empirical Rademacher
-complexity used by the sandwich check.  Q on a black-box predictor has one
-implementation, ``DecomposedPredictor``; test-time augmentation is its
-symmetric part with a trivial output representation.
+one place that mean is taken.  Exact or sampled is only a matter of the ids
+it is given: ``elements=None`` everywhere means the whole group, and a
+Monte-Carlo average is given the seeded draw ``haar_sample(group, n, seed)``.
+Beside it: exact averaging on linear maps (the projection matrix Phi and the
+4-index intertwiner tensor Psi), black-box predictor averaging, test-time
+augmentation, and the empirical Rademacher complexity used by the sandwich
+check.  Q on a black-box predictor has one implementation,
+``DecomposedPredictor``; test-time augmentation is its symmetric part with
+a trivial output representation.
 
 Conventions: a batched predictor maps an (m, d_in) array of row vectors
 to an (m, d_out) array.  For a linear predictor f_W(x) = W^T x with
@@ -46,9 +48,6 @@ MAX_TENSOR_SIDE = 1000
 
 _PROJECTION_TOL = 1e-9
 
-# tta_average's mode names and the DecomposedPredictor modes they select
-_TTA_MODES = {"exact": "exact_sum", "monte_carlo": "monte_carlo"}
-
 
 def group_average(fn: Callable, elements):
     """The mean of fn(g) over the ids in ``elements``, e.g. ``group.elements()``
@@ -80,16 +79,9 @@ class ProjectionMatrix:
     matrix: np.ndarray
 
     @property
-    def group(self):
-        return self.rep.group
-
-    @property
     def dim_invariant(self) -> float:
         # trace of a projection counts its rank
         return float(np.trace(self.matrix))
-
-    def complement(self) -> np.ndarray:
-        return np.eye(self.rep.dim) - self.matrix
 
 
 def build_phi(rep: Representation) -> ProjectionMatrix:
@@ -117,10 +109,6 @@ class IntertwinerTensor:
     rep_in: Representation   # phi, dim d
     rep_out: Representation  # psi, dim k
     tensor: np.ndarray       # (d, k, d, k)
-
-    @property
-    def group(self):
-        return self.rep_in.group
 
     @property
     def trace(self) -> float:
@@ -188,29 +176,26 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 class DecomposedPredictor:
     """Splits a black-box predictor into f = f_bar + f_perp.
 
-    symmetric_part computes Q f, the mean of psi(g^-1) f(phi(g) x) over g,
-    either by the exact group sum or by a fixed Monte-Carlo draw of
-    group elements (the draw happens once at construction, so repeated
-    evaluations are consistent).  antisym_part is f - Qf, so pointwise
+    symmetric_part computes Q f, the mean of psi(g^-1) f(phi(g) x) over
+    the ids in ``elements``: the whole group when it is None, or a fixed
+    Monte-Carlo draw such as ``haar_sample(group, n, seed)``, so repeated
+    evaluations are consistent.  antisym_part is f - Qf, so pointwise
     reconstruction is exact by construction.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
     rep_in: Representation
     rep_out: Representation
-    mode: str = "exact_sum"  # or "monte_carlo"
-    n_samples: int = 10_000
-    seed: int = 0
-    _draw: Sequence[int] | None = field(default=None, repr=False)
+    elements: Sequence[int] | None = None
     _flat: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rep_in.group is not self.rep_out.group:
             raise ValueError("input and output representations live on different groups")
-        if self.mode not in ("exact_sum", "monte_carlo"):
-            raise ValueError(f"unknown averaging mode {self.mode!r}")
-        n = self.n_samples if self.mode == "monte_carlo" else None
-        object.__setattr__(self, "_draw", haar_sample(self.rep_in.group, n, self.seed))
+        if self.elements is None:
+            object.__setattr__(self, "elements", self.rep_in.group.elements())
+        elif len(self.elements) == 0:
+            raise ValueError("averaging needs at least one group element")
         probe = np.zeros((2, self.rep_in.dim))
         out = np.asarray(self.base(probe))
         if out.shape not in ((2, self.rep_out.dim), (2,)):
@@ -227,7 +212,7 @@ class DecomposedPredictor:
             vals = np.asarray(self.base(X @ phi[g].T), dtype=np.float64)
             return vals.reshape(len(X), -1) @ psi_inv[g].T
 
-        acc = group_average(term, self._draw)
+        acc = group_average(term, self.elements)
         return acc[:, 0] if self._flat and self.rep_out.dim == 1 else acc
 
     def symmetric_part(self, x: np.ndarray) -> np.ndarray:
@@ -245,48 +230,41 @@ def apply_Q(
     pred: Callable[[np.ndarray], np.ndarray],
     rep_in: Representation,
     rep_out: Representation,
-    mode: str = "exact_sum",
-    n_samples: int = 10_000,
-    seed: int = 0,
+    elements: Sequence[int] | None = None,
 ) -> DecomposedPredictor:
-    """Decompose a batched predictor into symmetric and anti-symmetric parts."""
-    return DecomposedPredictor(
-        base=pred, rep_in=rep_in, rep_out=rep_out, mode=mode, n_samples=n_samples, seed=seed
-    )
+    """Decompose a batched predictor into symmetric and anti-symmetric parts,
+    averaging over ``elements`` (None: the whole group)."""
+    return DecomposedPredictor(base=pred, rep_in=rep_in, rep_out=rep_out, elements=elements)
 
 
 def tta_average(
     pred: Callable[[np.ndarray], np.ndarray],
     rep_in: Representation,
-    n: int,
-    seed: int,
-    mode: str = "monte_carlo",
+    elements: Sequence[int] | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Test-time augmentation: average predictions over group transforms.
 
     Invariance case only: Q with the trivial output representation of the
-    predictor's output width.  "monte_carlo" draws n group elements i.i.d.
-    from the Haar measure once and reuses them on every call; "exact" sums
-    over the whole group and ignores n.
+    predictor's output width, averaged over the ids in ``elements`` on every
+    call.  None sums over the whole group; ``haar_sample(group, n, seed)``
+    gives n ids drawn i.i.d. from the Haar measure.
     """
-    if mode not in _TTA_MODES:
-        raise ValueError(f"unknown tta mode {mode!r}")
     width = np.asarray(pred(np.zeros((2, rep_in.dim)))).reshape(2, -1).shape[1]
     trivial = build_representation(rep_in.group, f"trivial {width}")
-    return apply_Q(pred, rep_in, trivial, mode=_TTA_MODES[mode], n_samples=n, seed=seed).symmetric_part
+    return apply_Q(pred, rep_in, trivial, elements).symmetric_part
 
 
 def empirical_rademacher(
     funcs: list,
     points: np.ndarray,
-    mode: str = "enumerate",
-    m_samples: int = 10_000,
+    m_samples: int | None = None,
     seed: int = 0,
 ) -> float:
     """Rad(F) = E_s[ sup_f | (1/n) sum_i s_i f(x_i) | ] over sign vectors s.
 
-    "enumerate" averages over all 2^n sign vectors exactly (n <= 20);
-    "sample" uses m_samples Monte-Carlo draws.
+    With m_samples None, the mean over all 2^n sign vectors, exactly
+    (n <= 20); otherwise over m_samples sign vectors drawn by
+    default_rng(seed).
     """
     if not funcs:
         raise ValueError("empty function class")
@@ -300,22 +278,21 @@ def empirical_rademacher(
     for i, f in enumerate(funcs):
         values[i] = np.asarray(f(X), dtype=np.float64).reshape(n)
 
-    if mode == "enumerate":
-        if n > 20:
-            raise ValueError(f"enumerate mode caps at 20 points, got {n}")
-        total = 0.0
-        bit = np.arange(n)
-        block = 4096
-        for start in range(0, 1 << n, block):
-            idx = np.arange(start, min(start + block, 1 << n))
-            signs = 2.0 * ((idx[:, None] >> bit) & 1) - 1.0
-            total += np.abs(signs @ values.T).max(axis=1).sum()
-        return total / (1 << n) / n
-    if mode == "sample":
-        rng = np.random.default_rng(seed)
-        signs = rng.choice([-1.0, 1.0], size=(m_samples, n))
+    if m_samples is not None:
+        if m_samples < 1:
+            raise ValueError(f"sampled complexity needs m_samples >= 1, got {m_samples}")
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(m_samples, n))
         return float(np.abs(signs @ values.T).max(axis=1).mean() / n)
-    raise ValueError(f"unknown rademacher mode {mode!r}")
+    if n > 20:
+        raise ValueError(f"enumerating sign vectors caps at 20 points, got {n}; pass m_samples")
+    total = 0.0
+    bit = np.arange(n)
+    block = 4096
+    for start in range(0, 1 << n, block):
+        idx = np.arange(start, min(start + block, 1 << n))
+        signs = 2.0 * ((idx[:, None] >> bit) & 1) - 1.0
+        total += np.abs(signs @ values.T).max(axis=1).sum()
+    return total / (1 << n) / n
 
 
 # rows of the sample whose f_bar, f_perp and inner products are held at once

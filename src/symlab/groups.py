@@ -283,9 +283,9 @@ _CHECK_BLOCK_ENTRIES = 1 << 16
 def _validate_representation(rep: Representation) -> None:
     """Check the identity, each generator's homomorphism property and orthogonality.
 
-    A non-finite entry is refused first.  Every check runs over blocks of
-    elements, so no temporary is larger than one block or one element's
-    matrix, whichever is larger.
+    A non-finite entry, or one above 1 in absolute value, is refused first.
+    Every check runs over blocks of elements, so no temporary is larger than
+    one block or one element's matrix, whichever is larger.
     """
     group, mats = rep.group, rep.matrices
     m, d = group.order, rep.dim
@@ -294,9 +294,14 @@ def _validate_representation(rep: Representation) -> None:
     if mats.shape != (m, d, d):
         raise ValueError(f"matrices have shape {mats.shape}, expected {(m, d, d)} for {group.name}")
     step = min(m, max(1, _CHECK_BLOCK_ENTRIES // (d * d)))
-    # before any product: inf - inf in one would warn where it should refuse
-    if not all(np.isfinite(mats[start:start + step]).all() for start in range(0, m, step)):
-        raise ValueError("matrices are not a homomorphism: an entry is not finite")
+    # before any product: inf - inf or a huge entry in one would warn where it
+    # should refuse; an orthogonal matrix has no entry above 1 in absolute value
+    for start in range(0, m, step):
+        peak = np.max(np.abs(mats[start:start + step]))
+        if not np.isfinite(peak):
+            raise ValueError("matrices are not a homomorphism: an entry is not finite")
+        if peak > 1.0 + HOMOMORPHISM_TOL:
+            raise ValueError(f"representation is not orthogonal: an entry of size {peak:.3e} exceeds 1")
     identity = mats[group.identity]
     diagonal = identity.reshape(-1)[::d + 1]  # views of the stored array, which becomes exactly I
     diagonal -= 1.0

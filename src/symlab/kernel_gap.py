@@ -260,7 +260,6 @@ class KrrModel:
     kernel: KernelSpec
     X: np.ndarray
     alpha: np.ndarray
-    rho: float
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:
         return _combine(self.kernel.gram(self.X, X_new), self.alpha)
@@ -336,7 +335,7 @@ def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> Krr
     bound_sq = 1e-16 * np.maximum(1.0, np.add.reduce(Y * Y, axis=-1))
     if not np.logical_and.reduce(residual_sq <= bound_sq, axis=None):
         raise np.linalg.LinAlgError(f"KRR solve residual too large: {math.sqrt(np.max(residual_sq)):.3e}")
-    return KrrModel(kernel=kernel, X=X, alpha=alpha, rho=rho)
+    return KrrModel(kernel=kernel, X=X, alpha=alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +386,7 @@ def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndar
         y = y + config.sigma * rng.standard_normal((size, n))
     X = X.reshape(size, n, d)
     alpha = np.stack([fit_krr(config.kernel, X[t], y[t], config.rho).alpha for t in range(size)])
-    model = KrrModel(kernel=config.kernel, X=X, alpha=alpha, rho=config.rho)
+    model = KrrModel(kernel=config.kernel, X=X, alpha=alpha)
     X_test = config.mu.sample(size * n_test, rng).reshape(size, n_test, d)
     action = config.kernel.action
     g = rng.integers(action.group.order, size=(size, n_test))
@@ -499,16 +498,15 @@ def linear_kernel_bound(
         raise ValueError("linear kernel bound needs d > 1")
     phi = np.asarray(phi_matrix, dtype=np.float64)
     fro2 = float((phi ** 2).sum())
-    rng = np.random.default_rng(seed)
-    z1 = np.empty(trials)
-    z2 = np.empty(trials)
-    for t in range(trials):
-        Z = rng.standard_normal((n, d))
-        X = math.sqrt(d) * Z / np.linalg.norm(Z, axis=1, keepdims=True)
-        gamma = np.linalg.eigvalsh(X @ X.T)
-        ratio = gamma / (gamma + rho)
-        z1[t] = float((ratio ** 2).sum())
-        z2[t] = float(ratio.sum() ** 2)
+    Z = np.random.default_rng(seed).standard_normal((trials, n, d))
+    X = math.sqrt(d) * Z / np.linalg.norm(Z, axis=2, keepdims=True)
+    Xt = np.swapaxes(X, 1, 2)
+    # X^T X and X X^T share their nonzero eigenvalues, and a zero one adds
+    # nothing to either moment: take the smaller Gram
+    gamma = np.linalg.eigvalsh(Xt @ X if n > d else X @ Xt)
+    ratio = gamma / (gamma + rho)
+    z1 = (ratio ** 2).sum(axis=1)
+    z2 = ratio.sum(axis=1) ** 2
     zeta1 = float(z1.mean())
     zeta2 = float(z2.mean())
     bias = theta_norm ** 2 * (d * zeta1 - zeta2) * (d - fro2) / (d * (d + 2) * (d - 1))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .averaging import build_phi, group_average
 from .groups import Representation, build_group, build_representation
-from .kernel_gap import build_averaged_kernel, fit_krr, gaussian_kernel
+from .kernel_gap import KernelSpec, build_averaged_kernel, fit_krr, gaussian_kernel
 from .sampling import gaussian
 
 __all__ = [
@@ -126,16 +126,13 @@ def build_cross_section(kind: str, dim: int | None = None) -> CrossSection:
 def averaged_loss(
     loss: Callable[[np.ndarray, np.ndarray], float],
     rep: Representation,
-    nu: str | np.ndarray = "haar",
+    nu: np.ndarray | None = None,
 ) -> Callable[[np.ndarray, np.ndarray], float]:
-    """lbar(y, y') = sum_g nu(g) loss(psi(g) y, psi(g) y'); for the Haar
-    measure, the mean over the group."""
+    """lbar(y, y') = sum_g nu(g) loss(psi(g) y, psi(g) y'); with nu None,
+    the Haar measure: the mean over the group."""
     group = rep.group
-    if isinstance(nu, str):
-        if nu != "haar":
-            raise ValueError("nu must be 'haar' or an explicit weight vector")
-        weights = None
-    else:
+    weights = None
+    if nu is not None:
         weights = np.asarray(nu, dtype=np.float64)
         if weights.shape != (group.order,) or np.any(weights < 0):
             raise ValueError("nu must be a non-negative vector of length |G|")
@@ -174,8 +171,6 @@ class FittedPredictor:
 def _fit_averaged_krr(action: Representation, X, Y, rho: float) -> FittedPredictor:
     # fit in the invariant RKHS: both the training Gram and the representers
     # use kbar, so the fitted function ignores where points sit on their orbit
-    from .kernel_gap import KernelSpec
-
     base = gaussian_kernel(action, bandwidth=math.sqrt(action.dim))
     ak = build_averaged_kernel(base)
     bar = KernelSpec(name="averaged_" + base.name, action=action, gram=ak.gram_bar, Mk=base.Mk)

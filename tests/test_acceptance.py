@@ -280,11 +280,9 @@ def test_rademacher_complexity_sandwich_exact_enumeration():
     directions = rng.standard_normal((4, 3, 1))
     funcs = [lambda X, a=a: np.tanh(X @ a) for a in directions]
     split = [apply_Q(f, nat, triv) for f in funcs]
-    rad_full = empirical_rademacher(funcs, points, mode="enumerate")
-    rad_bar = empirical_rademacher([s.symmetric_part for s in split], points,
-                                   mode="enumerate")
-    rad_perp = empirical_rademacher([s.antisym_part for s in split], points,
-                                    mode="enumerate")
+    rad_full = empirical_rademacher(funcs, points)
+    rad_bar = empirical_rademacher([s.symmetric_part for s in split], points)
+    rad_perp = empirical_rademacher([s.antisym_part for s in split], points)
     assert rad_full - rad_bar >= -1e-12
     assert rad_full - rad_bar <= rad_perp + 1e-12
     assert time.perf_counter() - start <= 10.0

@@ -211,7 +211,7 @@ def test_apply_q_q_of_qf_is_qf():
 def test_apply_q_monte_carlo_mode_close_to_exact():
     rep = _s3_natural()
     exact = apply_Q(lambda X: np.tanh(X), rep, rep)
-    mc = apply_Q(lambda X: np.tanh(X), rep, rep, mode="monte_carlo", n_samples=20000, seed=11)
+    mc = apply_Q(lambda X: np.tanh(X), rep, rep, haar_sample(rep.group, 20000, seed=11))
     X = np.random.default_rng(9).standard_normal((10, 3))
     assert np.max(np.abs(mc.symmetric_part(X) - exact.symmetric_part(X))) < 0.05
     # fixed draw: repeated evaluation is identical
@@ -270,7 +270,7 @@ def test_averaging_contracts_norm():
 def test_tta_invariant_predictor_fixed():
     rep = _s3_natural()
     f = lambda X: X.sum(axis=1)
-    out = tta_average(f, rep, n=17, seed=0)
+    out = tta_average(f, rep, haar_sample(rep.group, 17, seed=0))
     X = np.random.default_rng(14).standard_normal((10, 3))
     assert np.allclose(out(X), f(X), atol=1e-12)
 
@@ -279,7 +279,7 @@ def test_tta_monte_carlo_concentrates():
     g = build_group("cyclic 2")
     rep = build_representation(g, "explicit", matrices=np.stack([np.eye(1), -np.eye(1)]))
     f = lambda X: X[:, 0]
-    out = tta_average(f, rep, n=10**5, seed=1)
+    out = tta_average(f, rep, haar_sample(g, 10**5, seed=1))
     # average of +-1 over 1e5 draws, 3 sigma bound
     assert abs(out(np.array([1.0]))) <= 0.02
 
@@ -287,7 +287,7 @@ def test_tta_monte_carlo_concentrates():
 def test_tta_exact_mode():
     rep = _s3_natural()
     f = lambda X: X[:, 0] ** 2
-    out = tta_average(f, rep, n=1, seed=0, mode="exact")
+    out = tta_average(f, rep)
     X = np.random.default_rng(15).standard_normal((10, 3))
     assert np.allclose(out(X), (X ** 2).mean(axis=1), atol=1e-12)
 
@@ -295,7 +295,7 @@ def test_tta_exact_mode():
 def test_tta_rejects_zero_samples():
     rep = _s3_natural()
     with pytest.raises(ValueError):
-        tta_average(lambda X: X[:, 0], rep, n=0, seed=0)
+        tta_average(lambda X: X[:, 0], rep, haar_sample(rep.group, 0, seed=0))
 
 
 def test_rademacher_singleton():
@@ -328,8 +328,8 @@ def test_rademacher_sample_mode_close():
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((8, 2))
     funcs = [(lambda X, a=a: X @ a) for a in [rng.standard_normal(2) for _ in range(3)]]
-    exact = empirical_rademacher(funcs, pts, mode="enumerate")
-    approx = empirical_rademacher(funcs, pts, mode="sample", m_samples=200000, seed=18)
+    exact = empirical_rademacher(funcs, pts)
+    approx = empirical_rademacher(funcs, pts, m_samples=200000, seed=18)
     assert abs(exact - approx) < 0.01
 
 
@@ -339,7 +339,9 @@ def test_rademacher_rejects_bad_input():
     with pytest.raises(ValueError):
         empirical_rademacher([lambda X: X[:, 0]], np.zeros((0, 1)))
     with pytest.raises(ValueError):
-        empirical_rademacher([lambda X: X[:, 0]], np.zeros((21, 1)), mode="enumerate")
+        empirical_rademacher([lambda X: X[:, 0]], np.zeros((21, 1)))
+    with pytest.raises(ValueError, match="m_samples >= 1"):
+        empirical_rademacher([lambda X: X[:, 0]], np.ones((3, 1)), m_samples=0)
 
 
 @pytest.mark.parametrize("descriptor", ["cyclic 1", "symmetric 7"])
@@ -360,7 +362,7 @@ def test_q_that_is_no_projection_fails_on_q_idempotence_alone(monkeypatch):
     draws = haar_sample(rep.group, 3, seed=34)
     assert np.all(draws == rep.group.identity)
     monkeypatch.setattr(averaging, "apply_Q", lambda pred, rep_in, rep_out: apply_Q(
-        pred, rep_in, rep_out, mode="monte_carlo", n_samples=3, seed=34))
+        pred, rep_in, rep_out, draws))
     out = verify_operator_identities(rep, n_samples=2000, seed=4)
     assert out["verdict"] == "fail"
     assert out["dev_q_idempotent"] > 0.1

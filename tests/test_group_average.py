@@ -75,6 +75,11 @@ def _reference_switch(kernel, n_pairs, seed):
     return "unchecked", violation
 
 
+def _draw(group, mode, n, seed):
+    # the ids a test's mode stands for: the whole group, or a seeded Haar draw
+    return None if mode in ("exact_sum", "exact") else haar_sample(group, n, seed)
+
+
 def _reference_symmetric_part(base, rep_in, rep_out, X, mode, n_samples, seed):
     group = rep_in.group
     phi = rep_in.matrices
@@ -168,7 +173,7 @@ def test_apply_q_is_bitwise_the_reference_loop(mode, flat):
     A = rng.standard_normal((3, 3))
     base = (lambda X: np.tanh(X @ A[0])) if flat else (lambda X: np.tanh(X @ A.T))
     X = rng.standard_normal((40, 3))
-    dec = apply_Q(base, rep, rep_out, mode=mode, n_samples=37, seed=9)
+    dec = apply_Q(base, rep, rep_out, _draw(rep.group, mode, 37, 9))
     expected = _reference_symmetric_part(base, rep, rep_out, X, mode, 37, 9)
     assert np.array_equal(dec.symmetric_part(X), expected)
     assert np.array_equal(dec.antisym_part(X), base(X) - expected)
@@ -179,7 +184,7 @@ def test_tta_average_is_bitwise_the_reference_loop(mode):
     rep = _rep("cyclic 3", "rotation_block 1")
     pred = lambda X: np.sin(X[:, 0]) + X[:, 1] ** 3
     X = np.random.default_rng(7).standard_normal((30, 2))
-    out = tta_average(pred, rep, n=23, seed=3, mode=mode)
+    out = tta_average(pred, rep, _draw(rep.group, mode, 23, 3))
     assert np.array_equal(out(X), _reference_tta(pred, rep, 23, 3, mode, X))
 
 
@@ -191,7 +196,7 @@ def test_tta_average_of_an_m_by_k_predictor_is_bitwise_the_reference_loop(group,
     B = np.random.default_rng(8).standard_normal((rep.dim, 3))
     pred = lambda X: np.tanh(X @ B) - 0.5
     X = np.random.default_rng(9).standard_normal((30, rep.dim))
-    out = tta_average(pred, rep, n=23, seed=3, mode=mode)
+    out = tta_average(pred, rep, _draw(rep.group, mode, 23, 3))
     expected = _reference_tta(pred, rep, 23, 3, mode, X)
     assert out(X).shape == (30, 3)
     assert np.array_equal(out(X), expected)
@@ -243,11 +248,17 @@ def test_group_average_is_the_mean_in_element_order():
 def test_sampled_averaging_still_rejects_fewer_than_one_element():
     rep = _rep("symmetric 3")
     with pytest.raises(ValueError, match="n >= 1"):
-        apply_Q(np.tanh, rep, rep, mode="monte_carlo", n_samples=0)
+        apply_Q(np.tanh, rep, rep, haar_sample(rep.group, 0))
     with pytest.raises(ValueError, match="n >= 1"):
-        tta_average(lambda X: X[:, 0], rep, n=0, seed=0)
+        tta_average(lambda X: X[:, 0], rep, haar_sample(rep.group, 0, seed=0))
     with pytest.raises(ValueError, match="n >= 1"):
         haar_sample(rep.group, -3)
+    # ids handed over directly: none at all is refused too
+    for empty in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="at least one group element"):
+            apply_Q(np.tanh, rep, rep, empty)
+        with pytest.raises(ValueError, match="at least one group element"):
+            tta_average(lambda X: X[:, 0], rep, empty)
 
 
 # ------------------------------------------------------ KRR trial path

@@ -215,6 +215,17 @@ def test_a_non_finite_matrix_is_refused_before_any_product(entry, element):
             build_representation(g, "explicit", matrices=mats)
 
 
+def test_a_huge_finite_entry_is_refused_before_any_product():
+    # finite, so the finiteness scan passed it, and its products overflowed
+    g = build_group("cyclic 2")
+    mats = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    mats[1, 0, 1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="not orthogonal: an entry of size 1.000e\\+200 exceeds 1"):
+            build_representation(g, "explicit", matrices=mats)
+
+
 def test_explicit_non_homomorphism_rejected():
     g = build_group("cyclic 2")
     mats = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 1.0]])])

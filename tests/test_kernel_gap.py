@@ -572,6 +572,34 @@ def test_linear_bound_zeta_inequality_and_variance_term():
     assert out["bound"] == pytest.approx(out["bias_bound"] + out["variance_bound"], rel=1e-12)
 
 
+def _reference_linear_zetas(d, n, rho, trials, seed):
+    # one (n, d) sphere draw and one n x n Gram per trial, in stream order
+    rng = np.random.default_rng(seed)
+    z1, z2 = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        Z = rng.standard_normal((n, d))
+        X = math.sqrt(d) * Z / np.linalg.norm(Z, axis=1, keepdims=True)
+        gamma = np.linalg.eigvalsh(X @ X.T)
+        ratio = gamma / (gamma + rho)
+        z1[t] = (ratio ** 2).sum()
+        z2[t] = ratio.sum() ** 2
+    return z1, z2
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0])
+@pytest.mark.parametrize("n", [6, 16, 64])
+@pytest.mark.parametrize("d", [4, 8])
+def test_linear_bound_zetas_match_the_per_trial_loop(d, n, rho):
+    # the acceptance grid, plus n = 6, which puts d = 8 on the n x n Gram; an
+    # SE divides per-trial rounding by a spread far below its mean: a wider rel
+    out = linear_kernel_bound(d, n, rho, 1.0, np.ones((d, d)) / d, trials=300, seed=109)
+    z1, z2 = _reference_linear_zetas(d, n, rho, 300, 109)
+    assert out["zeta1"] == pytest.approx(z1.mean(), rel=1e-12)
+    assert out["zeta2"] == pytest.approx(z2.mean(), rel=1e-12)
+    assert out["zeta1_se"] == pytest.approx(z1.std(ddof=1) / math.sqrt(300), rel=1e-8)
+    assert out["zeta2_se"] == pytest.approx(z2.std(ddof=1) / math.sqrt(300), rel=1e-8)
+
+
 def test_linear_bound_requires_d_above_one():
     with pytest.raises(ValueError):
         linear_kernel_bound(d=1, n=2, rho=1.0, theta_norm=1.0, phi_matrix=np.eye(1), trials=10, seed=0)
