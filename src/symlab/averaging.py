@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import Representation, build_representation, character_inner
-from .sampling import standard_error
+from .sampling import standard_error, stream
 
 __all__ = [
     "MAX_TENSOR_SIDE",
@@ -332,7 +332,7 @@ def verify_operator_identities(
 
     op_psi = build_psi(rep_in, rep_out)
     d, k = rep_in.dim, rep_out.dim
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "main")
     dev_psi_idem = 0.0
     dev_intertwine = 0.0
     for W in rng.standard_normal((3, d, k)):

@@ -38,9 +38,9 @@ from .orbits import (
     LEARNER_NAMES, METRICS, CrossSection, PointCloud, build_cross_section, covering_number,
     equivalence_demo,
 )
-from .sampling import gaussian, sphere
+from .sampling import gaussian, sphere, stream
 
-CSV_VERSION = "# symlab-csv v5"
+CSV_VERSION = "# symlab-csv v6"
 CSV_COLUMNS = (
     "experiment", "d", "k", "n", "group", "dim_A", "sigma_x", "sigma_xi",
     "trials", "mc_mean", "mc_se", "closed_form", "verdict",
@@ -138,7 +138,7 @@ def _run_gap_equivariant(
     theta_norm: float = 1.0, sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
 ) -> dict:
     theta = random_equivariant_target(
-        build_psi(rep_in, rep_out), np.random.default_rng((seed, 13)), fro_norm=theta_norm,
+        build_psi(rep_in, rep_out), stream(seed, "target"), fro_norm=theta_norm,
     )
     config = LinearGapConfig(
         phi=rep_in, psi=rep_out, theta=theta, n=n,
@@ -219,7 +219,7 @@ def _run_covering(
     elif points is not None:
         cloud = PointCloud(np.asarray(points, dtype=np.float64), metric=metric)
     else:
-        cloud = PointCloud(np.random.default_rng(seed).standard_normal((n, dim)), metric=metric)
+        cloud = PointCloud(stream(seed, "main").standard_normal((n, dim)), metric=metric)
     size = covering_number(cloud, eps)
     return {
         "d": cloud.points.shape[1], "n": cloud.points.shape[0], "mc_mean": float(size),
@@ -242,7 +242,7 @@ def _run_layer_project(
     if weights_files is not None:
         weights = tuple(_load_matrix(p) for p in weights_files)
     else:
-        rng = np.random.default_rng(seed)
+        rng = stream(seed, "weights")
         weights = tuple(
             rng.standard_normal((reps[i + 1].dim, reps[i].dim)) for i in range(len(reps) - 1)
         )
@@ -267,7 +267,7 @@ def _run_regularisation_bound(
     seed: int, *, group: FiniteGroup, rep_in: Representation, rep_out: Representation,
     activation: Literal[BOUND_ACTIVATIONS] = "relu", sigma: float = 1.0, samples: int = 10_000,
 ) -> dict:
-    W = np.random.default_rng(seed).standard_normal((rep_out.dim, rep_in.dim))
+    W = stream(seed, "weights").standard_normal((rep_out.dim, rep_in.dim))
     out = check_regularisation_bound(
         W, rep_in, rep_out, activation=activation, sigma=sigma, samples=samples, seed=seed,
     )
@@ -293,6 +293,8 @@ _RUNNERS = {
     "regularisation-bound": _run_regularisation_bound,
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
+# a seed is one 32-bit word of its stream keys: a wider one can draw another key's stream
+_SEED_LIMIT = 1 << 32
 # the least value of a key that the library would otherwise refuse only mid-run
 _MINIMUMS = {"gap-kernel": {"n_pairs": MIN_PAIRS}, "verify-wishart": {"trials": MIN_WISHART_TRIALS}}
 
@@ -473,9 +475,13 @@ def _validate_config(config: dict) -> None:
         if not isinstance(exp, dict) or "kind" not in exp:
             raise ConfigError(f"config error: experiments[{i}] missing required field 'kind'")
         _choice(f"experiments[{i}].kind", exp["kind"], EXPERIMENT_KINDS)
-        seed = exp.get("seed", 0)
+        # the seed the experiment runs at, as run_config computes it
+        seed = exp.get("seed", config["seed"] + i)
+        where = f"experiments[{i}].seed" if "seed" in exp else f"seed + {i}"
         if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"config error: experiments[{i}].seed must be an integer")
+            raise ConfigError(f"config error: {where} must be an integer")
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ConfigError(f"config error: {where} is {seed}, outside [0, 2**32)")
         kwargs = _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
         for key, least in _MINIMUMS.get(exp["kind"], {}).items():
             if key in kwargs and kwargs[key] < least:

@@ -26,10 +26,13 @@ by its own fit_krr call, so that one fit is one trial and its jitter retry
 depends on no other trial, and the chunk's fits are predicted with one
 stacked Gram; the Gram callables, fit_krr and KrrModel.predict take a
 stack (..., n, d) of samples as well as one sample.  Each chunk draws from
-its own stream, keyed by the experiment seed, the loop's purpose and the
-chunk index.  The calling thread runs the even chunks and one helper thread
-the odd ones, each writing its own trials, so the results depend neither on
-scheduling nor on the number of cores.
+its own stream, sampling.stream(seed, purpose, chunk), with the purpose
+"krr_trials" for the gap's noisy trials and "krr_bias" for the bias
+estimate's noiseless ones; the N estimate, the Mk probe and the check of
+f_star draw from their own purposes' streams.  The calling thread runs the
+even chunks and one helper thread the odd ones, each writing its own
+trials, so the results depend neither on scheduling nor on the number of
+cores.
 
 fit_krr checks that K + rho I is positive definite by np.linalg.cholesky,
 raising the diagonal when it is not, and solves the system with
@@ -49,7 +52,7 @@ import numpy as np
 from .averaging import build_phi, group_average
 from .groups import Representation
 from .linear_gap import GapReport
-from .sampling import Distribution, standard_error
+from .sampling import Distribution, standard_error, stream
 
 __all__ = [
     "KernelSpec",
@@ -75,10 +78,6 @@ MIN_PAIRS = 1000  # estimate_N's least number of pairs
 # Gram entries (trials x n x 2 n_test) one chunk of KRR trials predicts at once;
 # shorter chunks spend their time handing the interpreter lock between workers
 _CHUNK_ENTRIES = 1 << 18
-# purposes of the gap's and the bias estimate's chunk streams (seed, purpose, chunk).
-# A seed sequence pads its key with zeros, so chunk 0 draws the stream of
-# (seed, purpose): neither may be the purpose of another key, 7, 55 or 101
-_GAP_TRIALS, _BIAS_TRIALS = 11, 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +210,11 @@ class AveragedKernel:
         return K, Kbar
 
 
-def build_averaged_kernel(kernel: KernelSpec, n_pairs: int = 64, seed: int = 0) -> AveragedKernel:
+def build_averaged_kernel(kernel: KernelSpec, seed: int = 0) -> AveragedKernel:
     """Average the kernel over the group; record the switch-condition state."""
-    status, violation = check_switch_condition(kernel, n_pairs=n_pairs, seed=seed)
+    status, violation = check_switch_condition(kernel, seed=seed)
     ak = AveragedKernel(parent=kernel, switch_ok=status, switch_violation=violation)
-    rng = np.random.default_rng(seed + 1)
+    rng = stream(seed, "kernel_check")
     X, Y = rng.standard_normal((2, 8, kernel.dim))
     # invariance in the second argument holds by construction
     mats = kernel.action.matrices
@@ -237,12 +236,13 @@ def estimate_N(
     gram: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mu: Distribution,
     pairs: int,
-    seed: int | tuple[int, ...],
+    seed: int | np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate of N[j] = E[j(X, Y)^2] over independent X, Y ~ mu."""
+    """Monte-Carlo estimate of N[j] = E[j(X, Y)^2] over independent X, Y ~ mu,
+    drawn from the given generator, or from the main stream of an int seed."""
     if pairs < MIN_PAIRS:
         raise ValueError(f"estimate_N needs pairs >= {MIN_PAIRS}")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, "main")
     X = mu.sample(pairs, rng)
     Y = mu.sample(pairs, rng)
     vals = _pair_values(gram, X, Y) ** 2
@@ -363,7 +363,7 @@ class KrrGapConfig:
             raise ValueError("distribution dimension does not match the kernel action")
         if self.rho <= 0 or self.n < 1 or self.trials < 1 or self.sigma < 0:
             raise ValueError("need rho > 0, n >= 1, trials >= 1, sigma >= 0")
-        rng = np.random.default_rng((self.seed, 101))
+        rng = stream(self.seed, "f_star_check")
         X = self.mu.sample(32, rng)
         vals = np.asarray(self.f_star(X)).reshape(-1)
         mats = self.kernel.action.matrices
@@ -395,10 +395,10 @@ def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndar
     return 0.5 * ((f[:, :n_test] - f[:, n_test:]) ** 2).mean(axis=1)
 
 
-def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: int, noisy: bool) -> np.ndarray:
+def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: str, noisy: bool) -> np.ndarray:
     """Each of `trials` fits' estimate of |f_perp|^2, in chunks of trials.
 
-    Chunk c draws from default_rng((seed, purpose, c)).  The calling thread
+    Chunk c draws from stream(seed, purpose, c).  The calling thread
     runs the even chunks and a helper thread, started for this loop, the odd
     ones, each writing its own trials.  An error in either stops the other
     before its next chunk and reaches the caller once both have returned.
@@ -414,7 +414,7 @@ def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: int, noisy: bool
             for start in range(first * size, trials, 2 * size):
                 if failed.is_set():
                     return
-                rng = np.random.default_rng((config.seed, purpose, start // size))
+                rng = stream(config.seed, purpose, start // size)
                 stop = min(start + size, trials)
                 per_trial[start:stop] = _chunk_perp_sq(config, stop - start, rng, noisy)
         except BaseException:
@@ -431,7 +431,7 @@ def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: int, noisy: bool
 def estimate_bias_term(config: KrrGapConfig) -> tuple[float, float]:
     """Noiseless sub-procedure: fit KRR on f_star(X_i) and Monte-Carlo the
     squared anti-symmetric part of the fit on fresh points."""
-    per_trial = _perp_sq_trials(config, config.bias_trials, _BIAS_TRIALS, noisy=False)
+    per_trial = _perp_sq_trials(config, config.bias_trials, "krr_bias", noisy=False)
     return float(per_trial.mean()), standard_error(per_trial)
 
 
@@ -439,14 +439,15 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     """Estimate E[R[f] - R[f_bar]] for KRR under group averaging and compare
     against the invariance lower bound (estimated bias + variance term)."""
     averaged = build_averaged_kernel(config.kernel)
-    per_trial = _perp_sq_trials(config, config.trials, _GAP_TRIALS, noisy=True)
+    per_trial = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     mean, se = float(per_trial.mean()), standard_error(per_trial)
 
     mk = config.kernel.Mk
     if mk is None:
-        probe = config.mu.sample(2048, np.random.default_rng((config.seed, 55)))
+        probe = config.mu.sample(2048, stream(config.seed, "mk_probe"))
         mk = float(_pair_values(config.kernel.gram, probe, probe).max())
-    n_perp, n_perp_se = estimate_N(averaged.gram_perp, config.mu, config.n_pairs, seed=(config.seed, 7))
+    pairs = stream(config.seed, "pairs")
+    n_perp, n_perp_se = estimate_N(averaged.gram_perp, config.mu, config.n_pairs, pairs)
     variance_term = config.sigma ** 2 * n_perp / (math.sqrt(config.n) * mk + config.rho / math.sqrt(config.n)) ** 2
     bias_term, bias_se = estimate_bias_term(config)
     bound = bias_term + variance_term

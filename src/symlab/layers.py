@@ -18,7 +18,7 @@ import numpy as np
 
 from .averaging import apply_Q
 from .groups import Representation, character_inner
-from .sampling import standard_error
+from .sampling import standard_error, stream
 
 __all__ = [
     "LayerSpec",
@@ -184,7 +184,7 @@ def check_regularisation_bound(
         raise ValueError("relu requires a permutation-type output representation")
 
     _, W_perp = project_layer(W, psi_in, psi_out)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "main")
     X = rng.standard_normal((samples, d)) @ sqrt_cov
     f_W = lambda Z: act(Z @ W.T)
     f_perp = apply_Q(f_W, psi_in, psi_out).antisym_part(X)
@@ -238,7 +238,7 @@ def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -
     group = spec.reps[0].group
     in_mats = spec.reps[0].matrices
     out_mats = spec.reps[-1].matrices
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "main")
     X = rng.standard_normal((n_samples, spec.reps[0].dim))
     FX = spec.forward(X)
     violation = 0.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .averaging import IntertwinerTensor, build_psi
 from .groups import Representation, build_representation, character, character_inner
-from .sampling import standard_error
+from .sampling import standard_error, stream
 
 __all__ = [
     "LinearGapConfig",
@@ -228,7 +228,7 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     r = wishart_coefficient(n, d)
     if math.isinf(r):
         raise ValueError(f"(n={n}, d={d}) is in the divergent band [d-1, d+1]")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
@@ -293,7 +293,7 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
         raise ValueError("verify_projection_tensor needs 0 < n < d")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "main")
     a_t = np.empty(trials)
     b_t = np.empty(trials)
     g_t = np.empty(trials)
@@ -400,7 +400,7 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     the exact per-trial gap sigma_x^2 ||W - Psi(W)||_F^2; compare the mean
     against the closed form at 4 standard errors."""
     d, k, n = config.d, config.k, config.n
-    rng = np.random.default_rng(config.seed)
+    rng = stream(config.seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
     failed = fallbacks = 0

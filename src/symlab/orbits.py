@@ -18,7 +18,7 @@ import numpy as np
 from .averaging import build_phi, group_average
 from .groups import Representation, build_group, build_representation
 from .kernel_gap import KernelSpec, build_averaged_kernel, fit_krr, gaussian_kernel
-from .sampling import gaussian
+from .sampling import gaussian, stream
 
 __all__ = [
     "CrossSection",
@@ -167,35 +167,43 @@ class FittedPredictor:
         return self.predict(X)
 
 
-# learner name -> (output is an invariant function, fit procedure)
-def _fit_averaged_krr(action: Representation, X, Y, rho: float) -> FittedPredictor:
+# Each learner's prepare(action) builds what its fits share once and returns
+# fit(X, Y, rho) -> FittedPredictor.
+def _prepare_averaged_krr(action: Representation):
     # fit in the invariant RKHS: both the training Gram and the representers
     # use kbar, so the fitted function ignores where points sit on their orbit
     base = gaussian_kernel(action, bandwidth=math.sqrt(action.dim))
     ak = build_averaged_kernel(base)
     bar = KernelSpec(name="averaged_" + base.name, action=action, gram=ak.gram_bar, Mk=base.Mk)
-    model = fit_krr(bar, X, Y, rho)
-    return FittedPredictor("averaged_krr", model.predict)
+    return lambda X, Y, rho: FittedPredictor("averaged_krr", fit_krr(bar, X, Y, rho).predict)
 
 
-def _fit_invariant_ls(action: Representation, X, Y, rho: float) -> FittedPredictor:
+def _prepare_invariant_ls(action: Representation):
     phi = build_phi(action).matrix.copy()
     # snap float dust to zero so a trivial invariant subspace yields the
     # zero predictor instead of amplified noise in the least-squares solve
     phi[np.abs(phi) < 1e-12] = 0.0
-    coef, *_ = np.linalg.lstsq(X @ phi.T, Y, rcond=None)
-    return FittedPredictor("invariant_least_squares", lambda T: (T @ phi.T) @ coef, coef)
+
+    def fit(X, Y, rho: float) -> FittedPredictor:
+        coef, *_ = np.linalg.lstsq(X @ phi.T, Y, rcond=None)
+        return FittedPredictor("invariant_least_squares", lambda T: (T @ phi.T) @ coef, coef)
+
+    return fit
 
 
-def _fit_raw_ls(action: Representation, X, Y, rho: float) -> FittedPredictor:
-    coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    return FittedPredictor("raw_least_squares", lambda T: T @ coef, coef)
+def _prepare_raw_ls(action: Representation):
+    def fit(X, Y, rho: float) -> FittedPredictor:
+        coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
+        return FittedPredictor("raw_least_squares", lambda T: T @ coef, coef)
+
+    return fit
 
 
+# learner name -> (output is an invariant function, prepare)
 _LEARNERS = {
-    "averaged_krr": (True, _fit_averaged_krr),
-    "invariant_least_squares": (True, _fit_invariant_ls),
-    "raw_least_squares": (False, _fit_raw_ls),
+    "averaged_krr": (True, _prepare_averaged_krr),
+    "invariant_least_squares": (True, _prepare_invariant_ls),
+    "raw_least_squares": (False, _prepare_raw_ls),
 }
 LEARNER_NAMES = tuple(_LEARNERS)
 
@@ -203,7 +211,7 @@ LEARNER_NAMES = tuple(_LEARNERS)
 def fit_learner(name: str, action: Representation, X, Y, rho: float = 0.1) -> FittedPredictor:
     if name not in _LEARNERS:
         raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_NAMES}")
-    return _LEARNERS[name][1](action, np.asarray(X, float), np.asarray(Y, float), rho)
+    return _LEARNERS[name][1](action)(np.asarray(X, float), np.asarray(Y, float), rho)
 
 
 def default_invariant_target(action: Representation) -> Callable[[np.ndarray], np.ndarray]:
@@ -248,8 +256,9 @@ def equivalence_demo(
         raise ValueError("need n >= 16 and trials >= 1")
     if learner not in _LEARNERS:
         raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
-    invariant_expected = _LEARNERS[learner][0]
+    invariant_expected, prepare = _LEARNERS[learner]
     action = cross_section.action
+    fit = prepare(action)
     d = action.dim
     mu = gaussian(d)
     if f_star is None:
@@ -263,13 +272,13 @@ def equivalence_demo(
     pred_dev = 0.0
     meta_dev = 0.0
     for t in range(trials):
-        rng = np.random.default_rng((seed, t))
+        rng = stream(seed, "orbit_trial", t)
         X = mu.sample(n, rng)
         Y = f_star(X) + sigma * rng.standard_normal(n)
         T = mu.sample(512, rng)
         truth = f_star(T)
-        p1 = fit_learner(learner, action, X, Y, rho)
-        p2 = fit_learner(learner, action, cross_section.project_batch(X), Y, rho)
+        p1 = fit(X, Y, rho)
+        p2 = fit(cross_section.project_batch(X), Y, rho)
         r1 = float(np.mean((p1(T) - truth) ** 2))
         r2 = float(np.mean((p2(T) - truth) ** 2))
         risk1_acc[t], risk2_acc[t] = r1, r2
@@ -278,11 +287,11 @@ def equivalence_demo(
         # metamorphic: move each training point along its orbit
         gs = rng.integers(0, action.group.order, size=n)
         Xg = np.einsum("nij,nj->ni", action.matrices[gs], X)
-        p3 = fit_learner(learner, action, Xg, Y, rho)
+        p3 = fit(Xg, Y, rho)
         meta_dev = max(meta_dev, float(np.max(np.abs(p1(T) - p3(T)))))
         for level, m in enumerate(curve_ns):
-            q1 = fit_learner(learner, action, X[:m], Y[:m], rho)
-            q2 = fit_learner(learner, action, cross_section.project_batch(X[:m]), Y[:m], rho)
+            q1 = fit(X[:m], Y[:m], rho)
+            q2 = fit(cross_section.project_batch(X[:m]), Y[:m], rho)
             curve_acc[t, level, 0] = float(np.mean((q1(T) - truth) ** 2))
             curve_acc[t, level, 1] = float(np.mean((q2(T) - truth) ** 2))
 

@@ -1,8 +1,11 @@
-"""Input distributions for Monte-Carlo estimates of mu-inner products, and
-the standard error every Monte-Carlo estimate reports.
+"""Input distributions for Monte-Carlo estimates of mu-inner products, the
+standard error every Monte-Carlo estimate reports, and the random streams
+an experiment draws from its seed.
 
 Only distributions invariant under orthogonal actions are constructed
-here: the isotropic Gaussian and the uniform sphere.
+here: the isotropic Gaussian and the uniform sphere.  Every draw an
+experiment makes from its seed goes through stream(seed, purpose, index),
+so each purpose has its own stream and no two purposes share one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Distribution", "gaussian", "sphere", "standard_error"]
+__all__ = ["Distribution", "STREAMS", "gaussian", "sphere", "standard_error", "stream"]
+
+# purpose -> the code that keys its streams (seed, code, index); no code is used twice,
+# and a seed below 2**32 is one word of the key, so no two keys draw the same stream.
+# A seed sequence pads its key with zeros, so (seed, 0, 0) draws default_rng(seed) and
+# (seed, c, 0) draws default_rng((seed, c)).
+STREAMS = {
+    "main": 0,  # an experiment's own draws
+    "pairs": 7,  # estimate_N's pairs
+    "krr_trials": 11,  # the KRR gap's chunks of noisy trials, one index per chunk
+    "krr_bias": 12,  # the KRR bias estimate's chunks of noiseless trials
+    "target": 13,  # gap-equivariant's random target
+    "weights": 14,  # the CLI's random layer weights
+    "orbit_trial": 15,  # equivalence_demo's trials, one index per trial
+    "kernel_check": 16,  # build_averaged_kernel's checks of the averaged kernel
+    "mk_probe": 55,  # the points that estimate sup k(x, x)
+    "f_star_check": 101,  # KrrGapConfig's invariance check of f_star
+}
 
 
 @dataclass(frozen=True)
@@ -41,6 +61,11 @@ def sphere(dim: int, radius: float | None = None) -> Distribution:
     if radius is None:
         radius = float(np.sqrt(dim))
     return Distribution("sphere", dim, radius)
+
+
+def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
+    """The generator of the index-th stream of `purpose` under an experiment's seed."""
+    return np.random.default_rng((seed, STREAMS[purpose], index))
 
 
 def standard_error(values: np.ndarray) -> float:

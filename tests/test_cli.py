@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symlab import cli
+from symlab import cli, sampling
 
 
 def _write_config(path, payload):
@@ -41,7 +41,7 @@ def test_run_writes_versioned_csv_and_json(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     lines = csv_text.strip().split("\n")
-    assert lines[0] == "# symlab-csv v5"
+    assert lines[0] == "# symlab-csv v6"
     assert lines[1].split(",") == list(cli.CSV_COLUMNS)
     assert len(lines) == 2 + len(FAST_CONFIG["experiments"])
     rows = json.loads((tmp_path / "out" / "results.json").read_text())
@@ -392,6 +392,28 @@ def test_non_integer_seed_exits_2(tmp_path):
     assert cli.main(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize("top,own,message", [
+    (-3, None, "seed + 0 is -3, outside [0, 2**32)"),
+    (2 ** 32 - 1, None, "seed + 1 is 4294967296, outside [0, 2**32)"),
+    (1, 2 ** 32 + 7 * 2 ** 64, f"experiments[1].seed is {2 ** 32 + 7 * 2 ** 64}, outside [0, 2**32)"),
+    (1, -1, "experiments[1].seed is -1, outside [0, 2**32)"),
+], ids=["negative", "top-level-plus-index", "own-too-wide", "own-negative"])
+def test_a_seed_outside_32_bits_exits_2_before_any_experiment_runs(tmp_path, capsys, top, own, message):
+    # a stream key is a tuple of 32-bit words: the key (2^32, 7, 0) and the seed 2^32 + 7 2^64
+    # draw the same stream, and a negative seed used to fail only once its experiment ran
+    second = {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5}
+    if own is not None:
+        second["seed"] = own
+    payload = {"seed": top, "experiments": [{"kind": "vc-bound", "group": "symmetric 3",
+                                             "reps": ["natural_permutation"] * 2}, second]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert captured.err.strip() == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -581,44 +603,66 @@ def test_suite_config_covers_every_kind():
     assert f["trials"] == 10 * q["trials"]
 
 
-# kernel_gap's probes of the kernel itself, each on the same fixed seed in every experiment
-_FIXED_PROBES = {"_validate_kernel", "check_switch_condition", "build_averaged_kernel"}
+# the construction probes, (module, function): each draws one fixed stream whatever the seed
+_FIXED_PROBES = {
+    ("symlab.averaging", "build_psi"),
+    ("symlab.kernel_gap", "_validate_kernel"),
+    ("symlab.kernel_gap", "check_switch_condition"),
+    ("symlab.kernel_gap", "build_averaged_kernel"),
+    ("symlab.layers", "__post_init__"),
+    ("symlab.orbits", "_spot_check_cross_section"),
+    ("symlab.orbits", "averaged_loss"),
+}
+# sizes at which each kind keys the same streams and draws few values from them
+_FEWER_DRAWS = {
+    "gap-linear": {"trials": 50},
+    "gap-equivariant": {"trials": 50},
+    "gap-kernel": {"trials": 2, "bias_trials": 2, "n_test": 8, "n_pairs": 1000},
+    "verify-wishart": {"trials": 1000},
+    "verify-projection-tensor": {"trials": 50},
+    "verify-operators": {"n_samples": 500},
+    "layer-project": {"n_samples": 50},
+    "regularisation-bound": {"samples": 100},
+}
 
 
-def test_kernel_gap_streams_differ_between_the_quick_suites_experiments(monkeypatch):
-    # experiment 11 seeded its N estimate with default_rng(20251 + 7): experiment 18's trial stream
+def test_no_two_streams_of_the_quick_suite_coincide(monkeypatch):
+    # regularisation-bound's sample X once started with its weights W bit for bit, and
+    # layer-project's X with its raw weights: two call sites drew default_rng(seed)
     config = cli.suite_config("quick")
     default_rng = np.random.default_rng
-    seeded, probes, current = {}, {}, []
+    sites, users, probes, current = {}, {}, {}, []
 
     def recording_rng(seed=None):
         rng = default_rng(seed)
         caller = sys._getframe(1)
-        if caller.f_globals["__name__"] == "symlab.kernel_gap":
-            # two generators draw the same stream exactly when their seed sequences' states agree
-            state = tuple(rng.bit_generator.seed_seq.generate_state(4))
-            where = probes if caller.f_code.co_name in _FIXED_PROBES else seeded
-            where.setdefault(current[-1], []).append(state)
+        if caller.f_code is sampling.stream.__code__:  # the call site is stream's caller
+            caller = caller.f_back
+        site = (caller.f_globals["__name__"], caller.f_code.co_name)
+        # two generators draw the same stream exactly when their seed sequences' states agree
+        state = tuple(rng.bit_generator.seed_seq.generate_state(4))
+        if site in _FIXED_PROBES:
+            probes.setdefault(site, set()).add(state)
+        else:
+            sites.setdefault(state, set()).add(site)
+            users.setdefault(state, set()).add(current[-1])
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     for idx, exp in enumerate(config["experiments"]):
-        if exp["kind"] == "gap-kernel":
-            # the streams' entropy depends on the seed alone, so fewer draws of each will do
-            params = dict(cli._experiment_params(exp), trials=2, bias_trials=2, n_test=8, n_pairs=1000)
-            current.append(idx)
-            cli.run_experiment(exp["kind"], params, config["seed"] + idx)
-    assert len(current) == 16 and set(seeded) == set(current)
-    # the trial, bias, N-estimator and target-check streams, each its own
-    assert all(len(set(states)) == len(states) >= 4 for states in seeded.values())
-    used_by = {}
-    for idx, states in seeded.items():
-        for state in states:
-            used_by.setdefault(state, []).append(idx)
-    assert {state: users for state, users in used_by.items() if len(users) > 1} == {}
-    # the fixed probes are the same in every experiment and share no stream with one
-    assert len({tuple(states) for states in probes.values()}) == 1
-    assert not set(used_by) & set(probes[current[0]])
+        params = dict(cli._experiment_params(exp), **_FEWER_DRAWS.get(exp["kind"], {}))
+        current.append(idx)
+        cli.run_experiment(exp["kind"], params, config["seed"] + idx)
+    # every experiment but vc-bound draws from its seed, and each gap-kernel from four streams
+    drawn = Counter(idx for experiments in users.values() for idx in experiments)
+    kinds = [exp["kind"] for exp in config["experiments"]]
+    assert set(drawn) == {idx for idx, kind in enumerate(kinds) if kind != "vc-bound"}
+    assert all(drawn[idx] >= 4 for idx, kind in enumerate(kinds) if kind == "gap-kernel")
+    assert {state: where for state, where in sites.items() if len(where) > 1} == {}
+    assert {state: who for state, who in users.items() if len(who) > 1} == {}
+    # a probe draws the same stream in every experiment, and none that an experiment draws
+    assert all(len(states) == 1 for states in probes.values())
+    assert not set(users) & set().union(*probes.values())
 
 
 # one experiment of each kind, several leaving keys to their defaults
@@ -658,13 +702,13 @@ ROW_EXPECTED = [
     "0.39999999999999997,pass,,,,,,430f2a77ea28,7",
     "verify-operators,2,4,,cyclic 4,,,,500,0.008125552003186398,0.01294522104638557,0.0,"
     "pass,,,,,,0f1c5ae2447a,8",
-    "orbit-equivalence,2,,16,cyclic 2,,,,2,0.02232800539513579,0.0,0.02232800539513579,"
+    "orbit-equivalence,2,,16,cyclic 2,,,,2,0.02041323998329691,0.0,0.02041323998329691,"
     "pass,,,,,,26abaa2957ec,9",
     "covering,2,,40,,,,,,8.0,,,pass,,,,,,71ef571c0353,10",
-    "layer-project,3,3,,symmetric 3,,,,50,2.636779683484747e-16,,0.0,pass,,,,,,99d71359a00d,11",
+    "layer-project,3,3,,symmetric 3,,,,50,6.938893903907228e-17,,0.0,pass,,,,,,99d71359a00d,11",
     "vc-bound,3,3,,symmetric 3,,,,,15.075197125170574,,,pass,,,,,,806af7c6a44c,12",
-    "regularisation-bound,3,3,,symmetric 3,,1.0,,1000,6.057069143933699,0.30615415073911934,"
-    "33.838015937207224,pass,,,,,,a97decb22b56,13",
+    "regularisation-bound,3,3,,symmetric 3,,1.0,,1000,1.526994732157877,0.07225070024824289,"
+    "9.199438162438014,pass,,,,,,a97decb22b56,13",
 ]
 STATISTICS = {"mc_mean", "mc_se", "closed_form", "Mk", "N_kperp", "bound_bias", "bound_variance"}
 

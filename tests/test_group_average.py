@@ -32,7 +32,7 @@ from symlab.kernel_gap import (
     gaussian_kernel,
     linear_kernel,
 )
-from symlab.sampling import sphere
+from symlab.sampling import sphere, stream
 from symlab.layers import ACTIVATIONS, check_regularisation_bound, project_layer
 from symlab.linear_gap import (
     LinearGapConfig,
@@ -286,7 +286,7 @@ def _reference_perp_sq_trials(config, trials, purpose):
     n, n_test, d = config.n, config.n_test, config.kernel.dim
     out = []
     for start in range(0, trials, size):
-        rng = np.random.default_rng((config.seed, purpose, start // size))
+        rng = stream(config.seed, purpose, start // size)
         b = min(size, trials - start)
         X = _reference_sphere_sample(config.mu, b * n, rng).reshape(b, n, d)
         y = config.f_star(X) + config.sigma * rng.standard_normal((b, n))
@@ -351,8 +351,8 @@ def test_paired_trial_is_bitwise_the_definition(d, ktype):
         config = _gap_config(d, ktype, n=n, rho=rho)
         size = kernel_gap._CHUNK_ENTRIES // (n * 2 * config.n_test)
         trials = 2 * size + 3
-        expected = _reference_perp_sq_trials(config, trials, purpose=5)
-        assert np.array_equal(_perp_sq_trials(config, trials, 5, noisy=True), expected)
+        expected = _reference_perp_sq_trials(config, trials, purpose="krr_trials")
+        assert np.array_equal(_perp_sq_trials(config, trials, "krr_trials", noisy=True), expected)
     averaged = build_averaged_kernel(config.kernel)
     A, B = np.random.default_rng(23).standard_normal((2, 40, d))
     expected = config.kernel.gram(A, B) - _reference_gram_bar(config.kernel, A, B)

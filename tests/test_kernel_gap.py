@@ -400,18 +400,18 @@ def test_trials_do_not_depend_on_the_helper_thread(monkeypatch):
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between the workers as often as it can
     try:
-        threaded = _perp_sq_trials(config, config.trials, 11, noisy=True)
+        threaded = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     finally:
         sys.setswitchinterval(previous)
     monkeypatch.setattr(kernel_gap, "ThreadPoolExecutor", _InlinePool)
-    inline = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    inline = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     assert np.array_equal(threaded, inline)
     assert np.all(inline > 0)
 
 
 def test_each_trial_is_its_own_fit_and_a_retry_moves_that_trial_alone(monkeypatch):
     config = _trial_config(10)  # one chunk, on the caller
-    plain = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    plain = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     factored, factor = [], kernel_gap.cho_factor
 
     def third_fails(a):
@@ -421,7 +421,7 @@ def test_each_trial_is_its_own_fit_and_a_retry_moves_that_trial_alone(monkeypatc
         return factor(a)
 
     monkeypatch.setattr(kernel_gap, "cho_factor", third_fails)
-    retried = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    retried = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     # trial 2 is factored twice, every other trial once, one (n, n) matrix each time
     assert factored == [(config.n, config.n)] * (config.trials + 1)
     assert np.flatnonzero(retried != plain).tolist() == [2]
@@ -453,7 +453,7 @@ def test_an_error_on_either_worker_reaches_the_caller_and_stops_both(monkeypatch
 
     monkeypatch.setattr(kernel_gap, "_chunk_perp_sq", tracked)
     with pytest.raises(np.linalg.LinAlgError, match=f"chunk {failing}"):
-        _perp_sq_trials(config, config.trials, 11, noisy=True)
+        _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     assert running == set()
     assert failing in started
     # the other worker stops before its next chunk, or the one after if it read the
@@ -465,13 +465,13 @@ def test_an_error_on_either_worker_reaches_the_caller_and_stops_both(monkeypatch
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_its_own_trial_loop():
     config = _trial_config(4 * 64)
-    parent = _perp_sq_trials(config, config.trials, 11, noisy=True)
+    parent = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child runs the loop again and writes its bytes, or hangs until the alarm
         signal.alarm(60)
         try:
-            os.write(write, _perp_sq_trials(config, config.trials, 11, noisy=True).tobytes())
+            os.write(write, _perp_sq_trials(config, config.trials, "krr_trials", noisy=True).tobytes())
         finally:
             os._exit(0)
     os.close(write)
