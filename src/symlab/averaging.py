@@ -120,12 +120,16 @@ class IntertwinerTensor:
     def apply_batch(self, Ws: np.ndarray) -> np.ndarray:
         return np.einsum("abce,tce->tab", self.tensor, Ws)
 
-    def complement(self, W: np.ndarray) -> np.ndarray:
-        return W - self.apply(W)
-
     def complement_batch(self, Ws: np.ndarray) -> np.ndarray:
         out = self.apply_batch(Ws)
         return np.subtract(Ws, out, out=out)
+
+
+def _check_tensor_side(d: int, k: int) -> None:
+    if d * k > MAX_TENSOR_SIDE:
+        raise ValueError(
+            f"dense intertwiner storage cap exceeded: d*k = {d * k} > {MAX_TENSOR_SIDE}"
+        )
 
 
 def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTensor:
@@ -134,10 +138,7 @@ def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTen
     if rep_out.group is not group:
         raise ValueError("input and output representations live on different groups")
     d, k = rep_in.dim, rep_out.dim
-    if d * k > MAX_TENSOR_SIDE:
-        raise ValueError(
-            f"dense intertwiner storage cap exceeded: d*k = {d * k} > {MAX_TENSOR_SIDE}"
-        )
+    _check_tensor_side(d, k)
     psi_inv_t = rep_out.matrices[group.inverse].transpose(0, 2, 1)
     tensor = np.einsum("gac,gbe->abce", rep_in.matrices, psi_inv_t, order="C")
     tensor /= group.order
@@ -299,6 +300,14 @@ def empirical_rademacher(
 _INNER_BLOCK_ROWS = 8192
 
 
+def _check_verify_operator_identities(
+    rep_in: Representation, rep_out: Representation | None, n_samples: int
+) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_tensor_side(rep_in.dim, 1 if rep_out is None else rep_out.dim)
+
+
 def verify_operator_identities(
     rep_in: Representation,
     rep_out: Representation | None = None,
@@ -321,8 +330,7 @@ def verify_operator_identities(
     points.  Below two samples the standard error is NaN and the verdict
     fails.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_verify_operator_identities(rep_in, rep_out, n_samples)
     if rep_out is None:
         rep_out = build_representation(rep_in.group, "trivial 1")
     phi = build_phi(rep_in)

@@ -19,24 +19,24 @@ import sys
 import time
 from pathlib import Path
 from types import UnionType
-from typing import Literal, get_args, get_origin
+from typing import Callable, Literal, get_args, get_origin
 
 import numpy as np
 
-from .averaging import build_phi, build_psi, verify_operator_identities
-from .groups import FiniteGroup, Representation, build_group, build_representation, character_inner
-from .kernel_gap import MIN_PAIRS, KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
+from .averaging import _check_verify_operator_identities, build_phi, build_psi, verify_operator_identities
+from .groups import FiniteGroup, Representation, build_group, build_representation
+from .kernel_gap import KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
 from .layers import (
-    ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, check_regularisation_bound, equivariance_report,
-    project_spec, vc_bound,
+    ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, _check_equivariance_report, _check_regularisation_bound,
+    check_regularisation_bound, equivariance_report, project_spec, vc_bound,
 )
 from .linear_gap import (
-    MIN_WISHART_TRIALS, LinearGapConfig, invariant_config, monte_carlo_gap,
-    random_equivariant_target, verify_projection_tensor, verify_wishart, wishart_coefficient,
+    LinearGapConfig, _check_verify_projection_tensor, _check_verify_wishart, invariant_config,
+    monte_carlo_gap, random_equivariant_target, verify_projection_tensor, verify_wishart,
 )
 from .orbits import (
-    LEARNER_NAMES, METRICS, CrossSection, PointCloud, build_cross_section, covering_number,
-    equivalence_demo,
+    LEARNER_NAMES, METRICS, CrossSection, PointCloud, _check_covering_number, _check_equivalence_demo,
+    build_cross_section, covering_number, equivalence_demo,
 )
 from .sampling import gaussian, sphere, stream
 
@@ -94,6 +94,7 @@ _NESTED = {
     "mu": {"kind": "gaussian", "scale": 1.0, "radius": None},
 }
 _CHOICES = {"type": ("linear", "gaussian"), "kind": ("gaussian", "sphere")}
+_Run = Callable[[], dict]  # a prepared experiment: calling it runs it and returns its row
 
 
 def _mu_from(spec: dict, dim: int):
@@ -119,40 +120,39 @@ def _gap_row(report, rep, k: int, n: int, trials: int, **cells) -> dict:
     }
 
 
-# Each runner's keyword-only parameters are its kind's config keys, and their annotations
-# say how _runner_kwargs turns each value into the argument; no runner builds anything.
+# Each runner is its kind's prepare step: its keyword-only parameters are the kind's config keys,
+# typed as _runner_kwargs resolves them.  It builds the library objects that check the arguments,
+# or calls the library's own check, and returns the run; it builds no group or representation.
 def _run_gap_linear(
     seed: int, *, group: FiniteGroup, rep: Representation, n: int, theta=None,
     sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
-) -> dict:
+) -> _Run:
     config = invariant_config(
         rep, _invariant_theta(rep, theta), n,
         sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
-    report = monte_carlo_gap(config)
-    return _gap_row(report, rep, 1, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
+    return lambda: _gap_row(monte_carlo_gap(config), rep, 1, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
 
 
 def _run_gap_equivariant(
     seed: int, *, group: FiniteGroup, rep_in: Representation, rep_out: Representation, n: int,
     theta_norm: float = 1.0, sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
-) -> dict:
-    theta = random_equivariant_target(
-        build_psi(rep_in, rep_out), stream(seed, "target"), fro_norm=theta_norm,
-    )
+) -> _Run:
+    theta = random_equivariant_target(build_psi(rep_in, rep_out), stream(seed, "target"), theta_norm)
     config = LinearGapConfig(
         phi=rep_in, psi=rep_out, theta=theta, n=n,
         sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
-    report = monte_carlo_gap(config)
-    return _gap_row(report, rep_in, rep_out.dim, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi)
+    return lambda: _gap_row(
+        monte_carlo_gap(config), rep_in, rep_out.dim, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi,
+    )
 
 
 def _run_gap_kernel(
     seed: int, *, group: FiniteGroup, rep: Representation, n: int, rho: float,
     mu: dict = _NESTED["mu"], kernel: dict = _NESTED["kernel"], theta=None, sigma: float = 1.0,
     trials: int = 2000, n_test: int = 256, n_pairs: int = 4000, bias_trials: int = 200,
-) -> dict:
+) -> _Run:
     mu = _mu_from(mu, rep.dim)
     kernel = _kernel_from(kernel, rep, mu)
     theta = _invariant_theta(rep, theta)
@@ -160,70 +160,87 @@ def _run_gap_kernel(
         kernel=kernel, f_star=lambda X: X @ theta, mu=mu, n=n, sigma=sigma, rho=rho,
         trials=trials, seed=seed, n_test=n_test, n_pairs=n_pairs, bias_trials=bias_trials,
     )
-    report = krr_gap_experiment(config)
-    meta = report.metadata
-    bound = {key: meta[key] for key in ("rho", "Mk", "N_kperp", "bound_bias", "bound_variance")}
-    return _gap_row(report, rep, 1, n, trials, sigma_xi=sigma, **bound)
+
+    def run() -> dict:
+        report = krr_gap_experiment(config)
+        meta = report.metadata
+        bound = {key: meta[key] for key in ("rho", "Mk", "N_kperp", "bound_bias", "bound_variance")}
+        return _gap_row(report, rep, 1, n, trials, sigma_xi=sigma, **bound)
+    return run
 
 
-def _run_verify_wishart(seed: int, *, n: int, d: int, trials: int = 20_000) -> dict:
-    report = verify_wishart(n, d, trials, seed)
-    return {
-        "d": d, "n": n, "trials": trials,
-        "mc_mean": float(np.trace(report.entry_mean) / d),
-        "mc_se": float(np.mean(np.diagonal(report.entry_se))),
-        "closed_form": report.coefficient, "verdict": report.verdict,
-    }
+def _run_verify_wishart(seed: int, *, n: int, d: int, trials: int = 20_000) -> _Run:
+    _check_verify_wishart(n, d, trials)
+
+    def run() -> dict:
+        report = verify_wishart(n, d, trials, seed)
+        return {
+            "d": d, "n": n, "trials": trials, "mc_mean": float(np.trace(report.entry_mean) / d),
+            "mc_se": float(np.mean(np.diagonal(report.entry_se))),
+            "closed_form": report.coefficient, "verdict": report.verdict,
+        }
+    return run
 
 
-def _run_verify_projection_tensor(seed: int, *, n: int, d: int, trials: int = 20_000) -> dict:
-    report = verify_projection_tensor(n, d, trials, seed)
-    return {
-        "d": d, "n": n, "trials": trials, "mc_mean": report.alpha_hat, "mc_se": report.alpha_se,
-        "closed_form": report.alpha, "verdict": report.verdict,
-    }
+def _run_verify_projection_tensor(seed: int, *, n: int, d: int, trials: int = 20_000) -> _Run:
+    _check_verify_projection_tensor(n, d, trials)
+
+    def run() -> dict:
+        report = verify_projection_tensor(n, d, trials, seed)
+        return {
+            "d": d, "n": n, "trials": trials, "mc_mean": report.alpha_hat, "mc_se": report.alpha_se,
+            "closed_form": report.alpha, "verdict": report.verdict,
+        }
+    return run
 
 
 def _run_verify_operators(
     seed: int, *, group: FiniteGroup, rep: Representation, rep_out: Representation | None = None,
     n_samples: int = 100_000,
-) -> dict:
-    out = verify_operator_identities(rep, rep_out=rep_out, n_samples=n_samples, seed=seed)
-    return {
-        "d": rep.dim, "k": rep_out.dim if rep_out is not None else 1,
-        "group": group.name, "trials": n_samples,
-        "mc_mean": out["inner_mean"], "mc_se": out["inner_se"],
-        "closed_form": 0.0, "verdict": out["verdict"],
-    }
+) -> _Run:
+    _check_verify_operator_identities(rep, rep_out, n_samples)
+
+    def run() -> dict:
+        out = verify_operator_identities(rep, rep_out=rep_out, n_samples=n_samples, seed=seed)
+        return {
+            "d": rep.dim, "k": rep_out.dim if rep_out is not None else 1,
+            "group": group.name, "trials": n_samples, "mc_mean": out["inner_mean"],
+            "mc_se": out["inner_se"], "closed_form": 0.0, "verdict": out["verdict"],
+        }
+    return run
 
 
 # dim is read only to build cross_section, so it comes first
 def _run_orbit_equivalence(
     seed: int, *, dim: int | None = None, cross_section: CrossSection,
     learner: Literal[LEARNER_NAMES], n: int = 64, trials: int = 4, sigma: float = 0.1,
-) -> dict:
-    report = equivalence_demo(learner, cross_section, n=n, trials=trials, sigma=sigma, seed=seed)
-    return {
-        "d": cross_section.dim, "n": n, "group": cross_section.action.group.name, "trials": trials,
-        "mc_mean": report.risk_original, "mc_se": report.risk_deviation,
-        "closed_form": report.risk_projected, "verdict": report.verdict,
-    }
+) -> _Run:
+    _check_equivalence_demo(learner, n, trials)
+
+    def run() -> dict:
+        report = equivalence_demo(learner, cross_section, n=n, trials=trials, sigma=sigma, seed=seed)
+        return {
+            "d": cross_section.dim, "n": n, "group": cross_section.action.group.name, "trials": trials,
+            "mc_mean": report.risk_original, "mc_se": report.risk_deviation,
+            "closed_form": report.risk_projected, "verdict": report.verdict,
+        }
+    return run
 
 
 def _run_covering(
     seed: int, *, eps: float, points_file: Path | None = None, points=None,
     metric: Literal[METRICS] = "euclidean", n: int = 100, dim: int = 2,
-) -> dict:
+) -> _Run:
     if points_file is not None:
         cloud = PointCloud(_load_matrix(points_file), metric=metric)
     elif points is not None:
         cloud = PointCloud(np.asarray(points, dtype=np.float64), metric=metric)
     else:
         cloud = PointCloud(stream(seed, "main").standard_normal((n, dim)), metric=metric)
-    size = covering_number(cloud, eps)
-    return {
-        "d": cloud.points.shape[1], "n": cloud.points.shape[0], "mc_mean": float(size),
-        "verdict": "pass",
+    _check_covering_number(eps)
+    return lambda: {
+        "d": cloud.points.shape[1], "n": cloud.points.shape[0],
+        "mc_mean": float(covering_number(cloud, eps)), "verdict": "pass",
     }
 
 
@@ -238,26 +255,27 @@ def _run_layer_project(
     seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...],
     weights_files: tuple[Path, ...] | None = None, activation: Literal[tuple(ACTIVATIONS)] = "relu",
     n_samples: int = 1000,
-) -> dict:
+) -> _Run:
     if weights_files is not None:
         weights = tuple(_load_matrix(p) for p in weights_files)
     else:
         rng = stream(seed, "weights")
-        weights = tuple(
-            rng.standard_normal((reps[i + 1].dim, reps[i].dim)) for i in range(len(reps) - 1)
-        )
-    tied = project_spec(LayerSpec(reps=reps, weights=weights, activation=activation))
-    report = equivariance_report(tied, n_samples=n_samples, seed=seed)
-    verdict = "pass" if report.violation <= 1e-8 else "fail"
-    return {
-        "d": reps[0].dim, "k": reps[-1].dim,
-        "group": group.name, "trials": report.samples,
-        "mc_mean": report.violation, "closed_form": 0.0, "verdict": verdict,
-    }
+        weights = tuple(rng.standard_normal((b.dim, a.dim)) for a, b in zip(reps, reps[1:]))
+    spec = LayerSpec(reps=reps, weights=weights, activation=activation)
+    _check_equivariance_report(n_samples)
+
+    def run() -> dict:
+        report = equivariance_report(project_spec(spec), n_samples=n_samples, seed=seed)
+        return {
+            "d": reps[0].dim, "k": reps[-1].dim, "group": group.name, "trials": report.samples,
+            "mc_mean": report.violation, "closed_form": 0.0,
+            "verdict": "pass" if report.violation <= 1e-8 else "fail",
+        }
+    return run
 
 
-def _run_vc_bound(seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...]) -> dict:
-    return {
+def _run_vc_bound(seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...]) -> _Run:
+    return lambda: {
         "d": reps[0].dim, "k": reps[-1].dim,
         "group": group.name, "mc_mean": vc_bound(reps), "verdict": "pass",
     }
@@ -266,17 +284,18 @@ def _run_vc_bound(seed: int, *, group: FiniteGroup, reps: tuple[Representation, 
 def _run_regularisation_bound(
     seed: int, *, group: FiniteGroup, rep_in: Representation, rep_out: Representation,
     activation: Literal[BOUND_ACTIVATIONS] = "relu", sigma: float = 1.0, samples: int = 10_000,
-) -> dict:
-    W = stream(seed, "weights").standard_normal((rep_out.dim, rep_in.dim))
-    out = check_regularisation_bound(
-        W, rep_in, rep_out, activation=activation, sigma=sigma, samples=samples, seed=seed,
-    )
-    return {
-        "d": rep_in.dim, "k": rep_out.dim,
-        "group": group.name, "sigma_x": sigma, "trials": samples,
-        "mc_mean": out["lhs_mean"], "mc_se": out["lhs_se"],
-        "closed_form": out["middle_bound"], "verdict": out["verdict"],
-    }
+) -> _Run:
+    _check_regularisation_bound(rep_in, rep_out, activation, sigma, samples)
+
+    def run() -> dict:
+        W = stream(seed, "weights").standard_normal((rep_out.dim, rep_in.dim))
+        out = check_regularisation_bound(W, rep_in, rep_out, activation, sigma, samples, seed)
+        return {
+            "d": rep_in.dim, "k": rep_out.dim, "group": group.name, "sigma_x": sigma, "trials": samples,
+            "mc_mean": out["lhs_mean"], "mc_se": out["lhs_se"],
+            "closed_form": out["middle_bound"], "verdict": out["verdict"],
+        }
+    return run
 
 
 _RUNNERS = {
@@ -295,8 +314,6 @@ _RUNNERS = {
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 # a seed is one 32-bit word of its stream keys: a wider one can draw another key's stream
 _SEED_LIMIT = 1 << 32
-# the least value of a key that the library would otherwise refuse only mid-run
-_MINIMUMS = {"gap-kernel": {"n_pairs": MIN_PAIRS}, "verify-wishart": {"trials": MIN_WISHART_TRIALS}}
 
 
 def _cast(where: str, value, cast):
@@ -379,8 +396,9 @@ def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
     lists its keys, a ``Path`` names an existing file, ``tuple[T, ...]`` is a
     list of T, ``T | None`` also takes null, and ``FiniteGroup``,
     ``CrossSection`` (at ``dim``) and ``Representation`` (on ``group``) are
-    built, each distinct descriptor once.  Validation calls this too and drops
-    what it built: holding it until the run would hold every experiment's.
+    built, each distinct descriptor once.  _validate_config calls this and the
+    prepare step for every experiment before any runs; run_experiment calls
+    both again for its own.
     """
     accepted = {
         name: param
@@ -418,28 +436,12 @@ def _config_hash(kind: str, params: dict, seed: int) -> str:
 def run_experiment(kind: str, params: dict, seed: int) -> dict:
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+    run = _RUNNERS[kind](seed, **_runner_kwargs(kind, params, "params"))
     row = {key: "" for key in CSV_COLUMNS}
-    row.update(_RUNNERS[kind](seed, **_runner_kwargs(kind, params, "params")))
+    row.update(run())
     # the params as written, so that filling in a default never moves a hash
     row.update(experiment=kind, config_hash=_config_hash(kind, params, seed), seed=seed)
     return row
-
-
-def _check_before_run(kind: str, kwargs: dict) -> None:
-    """Raise ValueError for what the library would otherwise refuse only mid-run:
-    an n in the divergent band [d-1, d+1] of the linear gaps and of the Wishart
-    check, a gap-equivariant pair of representations with no equivariant map
-    between them, and an explicit theta that is not an invariant vector of
-    the right length or a default one whose invariant subspace misses all-ones."""
-    if kind in ("gap-linear", "gap-equivariant", "verify-wishart"):
-        n = kwargs["n"]
-        d = kwargs["d"] if kind == "verify-wishart" else kwargs.get("rep", kwargs.get("rep_in")).dim
-        if math.isinf(wishart_coefficient(n, d)):
-            raise ValueError(f"n = {n} lies in the divergent band [d-1, d+1] = [{d - 1}, {d + 1}]")
-    if kind == "gap-equivariant" and round(character_inner(kwargs["rep_out"], kwargs["rep_in"])) == 0:
-        raise ValueError("rep_in and rep_out have no equivariant map between them: <chi_out, chi_in> = 0")
-    if kind in ("gap-linear", "gap-kernel"):
-        _invariant_theta(kwargs["rep"], kwargs.get("theta"))
 
 
 def _apply_override(config: dict, assignment: str) -> None:
@@ -462,6 +464,8 @@ def _apply_override(config: dict, assignment: str) -> None:
 
 
 def _validate_config(config: dict) -> None:
+    """Raise ConfigError for the first experiment that cannot run, before any runs: each is resolved
+    and prepared, and dropped, since holding it until its run would hold every experiment's."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     if "seed" not in config:
@@ -483,11 +487,8 @@ def _validate_config(config: dict) -> None:
         if not 0 <= seed < _SEED_LIMIT:
             raise ConfigError(f"config error: {where} is {seed}, outside [0, 2**32)")
         kwargs = _runner_kwargs(exp["kind"], _experiment_params(exp), f"experiments[{i}]")
-        for key, least in _MINIMUMS.get(exp["kind"], {}).items():
-            if key in kwargs and kwargs[key] < least:
-                raise ConfigError(f"config error: experiments[{i}].{key} is {kwargs[key]}, below {least}")
         try:
-            _check_before_run(exp["kind"], kwargs)
+            _RUNNERS[exp["kind"]](seed, **kwargs)
         except ValueError as err:
             raise ConfigError(f"config error: experiments[{i}]: {err}") from None
 
@@ -503,18 +504,16 @@ def _write_results(rows: list, out_dir: Path) -> None:
 
 def run_config(config: dict, out_dir: Path) -> int:
     _validate_config(config)
-    base_seed = config["seed"]
     rows = []
-    all_pass = True
     for idx, exp in enumerate(config["experiments"]):
-        seed = exp.get("seed", base_seed + idx)
+        seed = exp.get("seed", config["seed"] + idx)
         start = time.perf_counter()
         row = run_experiment(exp["kind"], _experiment_params(exp), seed)
         elapsed = time.perf_counter() - start
         rows.append(row)
-        all_pass &= row["verdict"] == "pass"
         print(f"{exp['kind']:<26} verdict={row['verdict']:<4} ({elapsed:.1f}s)")
     _write_results(rows, out_dir)
+    all_pass = all(row["verdict"] == "pass" for row in rows)
     print(f"SUITE: {'PASS' if all_pass else 'FAIL'} ({len(rows)} experiments)")
     return 0 if all_pass else 1
 
@@ -605,7 +604,7 @@ def main(argv: list | None = None) -> int:
                 raise ConfigError(f"config file not found: {path}")
             try:
                 config = json.loads(path.read_text())
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # undecodable text or JSON
                 raise ConfigError(f"config is not valid JSON: {err}") from err
             for assignment in args.set:
                 _apply_override(config, assignment)
@@ -616,12 +615,11 @@ def main(argv: list | None = None) -> int:
         print(str(err), file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as err:
-        # a ValueError subclass, but a failure of the run, not of its config
         print(f"numerical error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    except ValueError as err:  # validation made each refusal of a config a ConfigError
+        print(f"run error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

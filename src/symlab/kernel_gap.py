@@ -343,7 +343,8 @@ class KrrGapConfig:
     """Averaged-KRR gap experiment with an invariant target.
 
     f_star must be invariant under the kernel's action (checked on
-    samples); mu must be one of the invariant distributions.
+    samples); mu must be one of the invariant distributions.  Every size is
+    at least 1, and n_pairs at least MIN_PAIRS, as estimate_N needs.
     """
 
     kernel: KernelSpec
@@ -361,8 +362,12 @@ class KrrGapConfig:
     def __post_init__(self) -> None:
         if self.mu.dim != self.kernel.dim:
             raise ValueError("distribution dimension does not match the kernel action")
-        if self.rho <= 0 or self.n < 1 or self.trials < 1 or self.sigma < 0:
-            raise ValueError("need rho > 0, n >= 1, trials >= 1, sigma >= 0")
+        if not (self.rho > 0 and self.sigma >= 0):  # NaN fails too
+            raise ValueError("need rho > 0 and sigma >= 0")
+        sizes = {"n": 1, "trials": 1, "n_test": 1, "bias_trials": 1, "n_pairs": MIN_PAIRS}
+        for key, least in sizes.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} is {getattr(self, key)}, below {least}")
         rng = stream(self.seed, "f_star_check")
         X = self.mu.sample(32, rng)
         vals = np.asarray(self.f_star(X)).reshape(-1)

@@ -147,6 +147,31 @@ def _sqrt_psd(sigma: np.ndarray) -> np.ndarray:
     return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
 
 
+def _check_regularisation_bound(
+    psi_in: Representation, psi_out: Representation, activation: str, sigma, samples: int
+) -> np.ndarray:
+    """The covariance square root S, refusing what the bound does not cover."""
+    if activation not in BOUND_ACTIVATIONS:
+        raise ValueError("the bound is checked for relu or identity activations")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    d = psi_in.dim
+    if np.isscalar(sigma):
+        cov = float(sigma) ** 2 * np.eye(d)
+    else:
+        cov = np.asarray(sigma, dtype=np.float64)
+        if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-12:
+            raise ValueError("sigma must be a scalar or a symmetric (d, d) covariance")
+    sqrt_cov = _sqrt_psd(cov)
+    for g in psi_in.group.generators:
+        M = psi_in.matrices[g]
+        if np.max(np.abs(M @ cov @ M.T - cov)) > 1e-9:
+            raise ValueError("covariance is not invariant under the input representation")
+    if activation != "identity" and not _is_permutation_type(psi_out):
+        raise ValueError("relu requires a permutation-type output representation")
+    return sqrt_cov
+
+
 def check_regularisation_bound(
     W: np.ndarray,
     psi_in: Representation,
@@ -165,24 +190,9 @@ def check_regularisation_bound(
     left inequality allows 4 standard errors plus 64 eps mean |f_W|^2 of
     rounding, so that an exactly intertwining W, whose sides are both
     rounding dust, passes."""
-    if activation not in BOUND_ACTIVATIONS:
-        raise ValueError("the bound is checked for relu or identity activations")
+    sqrt_cov = _check_regularisation_bound(psi_in, psi_out, activation, sigma, samples)
     act = ACTIVATIONS[activation]
     d = psi_in.dim
-    if np.isscalar(sigma):
-        cov = float(sigma) ** 2 * np.eye(d)
-    else:
-        cov = np.asarray(sigma, dtype=np.float64)
-        if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("sigma must be a scalar or a symmetric (d, d) covariance")
-    sqrt_cov = _sqrt_psd(cov)
-    for g in psi_in.group.generators:
-        M = psi_in.matrices[g]
-        if np.max(np.abs(M @ cov @ M.T - cov)) > 1e-9:
-            raise ValueError("covariance is not invariant under the input representation")
-    if activation != "identity" and not _is_permutation_type(psi_out):
-        raise ValueError("relu requires a permutation-type output representation")
-
     _, W_perp = project_layer(W, psi_in, psi_out)
     rng = stream(seed, "main")
     X = rng.standard_normal((samples, d)) @ sqrt_cov
@@ -231,10 +241,16 @@ class EquivarianceReport:
     samples: int
 
 
+def _check_equivariance_report(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+
+
 def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -> EquivarianceReport:
     """The worst end-to-end equivariance violation
     max_{g,x} |F(phi(g) x) - psi(g) F(x)|_inf over samples; regularizer_value
     gives the per-layer residuals."""
+    _check_equivariance_report(n_samples)
     group = spec.reps[0].group
     in_mats = spec.reps[0].matrices
     out_mats = spec.reps[-1].matrices

@@ -126,8 +126,8 @@ class LinearGapConfig:
 
     Inputs are N(0, sigma_x^2 I_d), targets Y = Theta^T-style linear maps
     of X plus isotropic noise.  Theta must be equivariant for the given
-    representation pair; sample counts in the interpolation threshold
-    band [d-1, d+1] are rejected because the gap diverges there.
+    representation pair; sample counts in the divergent band [d-1, d+1]
+    are rejected because the gap diverges there.
     """
 
     phi: Representation
@@ -149,13 +149,9 @@ class LinearGapConfig:
         object.__setattr__(self, "theta", theta)
         if self.n < 1 or self.trials < 1:
             raise ValueError("n and trials must be >= 1")
-        if self.sigma_x <= 0 or self.sigma_xi < 0:
+        if not (self.sigma_x > 0 and self.sigma_xi >= 0):  # NaN fails too
             raise ValueError("sigma_x must be > 0 and sigma_xi >= 0")
-        if d - 1 <= self.n <= d + 1:
-            raise ValueError(
-                f"n = {self.n} lies in the interpolation threshold band [{d - 1}, {d + 1}] "
-                "where the gap diverges"
-            )
+        _check_outside_band(self.n, d)
         object.__setattr__(self, "tensor", build_psi(self.phi, self.psi))
         dev = float(np.max(np.abs(self.tensor.apply(theta) - theta)))
         if dev > 1e-10:
@@ -180,14 +176,20 @@ def invariant_config(phi: Representation, theta: np.ndarray, n: int, **kwargs) -
 def random_equivariant_target(
     tensor: IntertwinerTensor, rng: np.random.Generator, fro_norm: float | None = None
 ) -> np.ndarray:
-    """Draw a random equivariant Theta by projecting a Gaussian matrix."""
+    """Draw a random equivariant Theta by projecting a Gaussian matrix; a zero space of
+    equivariant maps, whose dimension <chi_out, chi_in> is the tensor's trace, is refused."""
+    if round(tensor.trace) == 0:
+        raise ValueError("rep_in and rep_out have no equivariant map between them: <chi_out, chi_in> = 0")
     theta = tensor.apply(rng.standard_normal((tensor.rep_in.dim, tensor.rep_out.dim)))
     if fro_norm is not None:
-        current = np.linalg.norm(theta)
-        if current < 1e-12:
-            raise ValueError("projected target vanished; the equivariant space may be trivial")
-        theta = theta * (fro_norm / current)
+        theta = theta * (fro_norm / np.linalg.norm(theta))
     return theta
+
+
+def _check_outside_band(n: int, d: int) -> None:
+    """Refuse an n in [d-1, d+1], where E[(X^T X)^+] and the gap diverge."""
+    if d - 1 <= n <= d + 1:
+        raise ValueError(f"n = {n} lies in the divergent band [d-1, d+1] = [{d - 1}, {d + 1}]")
 
 
 def wishart_coefficient(n: int, d: int) -> float:
@@ -221,13 +223,19 @@ class WishartReport:
     pinv_fallbacks: int  # trials recomputed with pinv; see _min_norm
 
 
+def _check_verify_wishart(n: int, d: int, trials: int) -> float:
+    """r(n, d), refusing what verify_wishart cannot check: n or d below 1, an n
+    in the divergent band, or fewer than MIN_WISHART_TRIALS trials."""
+    if trials < MIN_WISHART_TRIALS:
+        raise ValueError(f"trials is {trials}, below {MIN_WISHART_TRIALS}")
+    r = wishart_coefficient(n, d)
+    _check_outside_band(n, d)
+    return r
+
+
 def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     """Monte-Carlo check that E[(X^T X)^+] = r(n, d) I, entrywise within 4 SE."""
-    if trials < MIN_WISHART_TRIALS:
-        raise ValueError(f"verify_wishart needs trials >= {MIN_WISHART_TRIALS}")
-    r = wishart_coefficient(n, d)
-    if math.isinf(r):
-        raise ValueError(f"(n={n}, d={d}) is in the divergent band [d-1, d+1]")
+    r = _check_verify_wishart(n, d, trials)
     rng = stream(seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
     total = np.zeros((d, d))
@@ -278,6 +286,13 @@ class ProjectionTensorReport:
     verdict: str
 
 
+def _check_verify_projection_tensor(n: int, d: int, trials: int) -> None:
+    if not 0 < n < d:
+        raise ValueError("verify_projection_tensor needs 0 < n < d")
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+
+
 def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> ProjectionTensorReport:
     """Check the second moment of random orthogonal projections.
 
@@ -289,10 +304,7 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     constants n^2, n, n for every sample, so the triple fitted from them
     pins (alpha, beta, gamma) exactly and only float jitter is tolerated.
     """
-    if not 0 < n < d:
-        raise ValueError("verify_projection_tensor needs 0 < n < d")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
+    _check_verify_projection_tensor(n, d, trials)
     rng = stream(seed, "main")
     a_t = np.empty(trials)
     b_t = np.empty(trials)
@@ -372,27 +384,26 @@ def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
     d - tr(Phi) and J = tr(Phi) + 1.
     """
     d, k, n = config.d, config.k, config.n
+    _check_outside_band(n, d)
     inner = character_inner(config.psi, config.phi)
     codim = d * k - inner
     if n > d + 1:
         return config.sigma_xi ** 2 * codim / (n - d - 1)
-    if n < d - 1:
-        group = config.phi.group
-        chi_phi = character(config.phi)
-        ids = np.arange(group.order)
-        squares = group.compose(ids, ids)
-        psi = config.psi.matrices
-        j_mat = (chi_phi[:, None, None] * psi).mean(axis=0) + psi[squares].mean(axis=0)
-        theta = config.theta
-        fro_sq = float(np.sum(theta ** 2))
-        signal = (
-            config.sigma_x ** 2
-            * n * (d - n) / (d * (d - 1) * (d + 2))
-            * ((d + 1) * fro_sq - float(np.trace(j_mat @ theta.T @ theta)))
-        )
-        noise = config.sigma_xi ** 2 * n * codim / (d * (d - n - 1))
-        return signal + noise
-    raise ValueError("interpolation threshold regime: the gap diverges")
+    group = config.phi.group
+    chi_phi = character(config.phi)
+    ids = np.arange(group.order)
+    squares = group.compose(ids, ids)
+    psi = config.psi.matrices
+    j_mat = (chi_phi[:, None, None] * psi).mean(axis=0) + psi[squares].mean(axis=0)
+    theta = config.theta
+    fro_sq = float(np.sum(theta ** 2))
+    signal = (
+        config.sigma_x ** 2
+        * n * (d - n) / (d * (d - 1) * (d + 2))
+        * ((d + 1) * fro_sq - float(np.trace(j_mat @ theta.T @ theta)))
+    )
+    noise = config.sigma_xi ** 2 * n * codim / (d * (d - n - 1))
+    return signal + noise
 
 
 def monte_carlo_gap(config: LinearGapConfig) -> GapReport:

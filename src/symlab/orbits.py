@@ -235,8 +235,14 @@ class EquivalenceReport:
     prediction_deviation: float
     metamorphic_deviation: float
     metamorphic_flag: bool
-    learning_curve: tuple
     verdict: str
+
+
+def _check_equivalence_demo(learner: str, n: int, trials: int) -> None:
+    if n < 16 or trials < 1:
+        raise ValueError("need n >= 16 and trials >= 1")
+    if learner not in _LEARNERS:
+        raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
 
 
 def equivalence_demo(
@@ -252,10 +258,7 @@ def equivalence_demo(
     """Train on the sample and on its projection; invariant learners must
     produce float-identical risk estimates, and a group-perturbed retrain
     (the metamorphic test) must leave their predictions unchanged."""
-    if n < 16 or trials < 1:
-        raise ValueError("need n >= 16 and trials >= 1")
-    if learner not in _LEARNERS:
-        raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
+    _check_equivalence_demo(learner, n, trials)
     invariant_expected, prepare = _LEARNERS[learner]
     action = cross_section.action
     fit = prepare(action)
@@ -264,10 +267,8 @@ def equivalence_demo(
     if f_star is None:
         f_star = default_invariant_target(action)
 
-    curve_ns = sorted({max(4, n // 4), max(8, n // 2), n})
     risk1_acc = np.zeros(trials)
     risk2_acc = np.zeros(trials)
-    curve_acc = np.zeros((trials, len(curve_ns), 2))
     risk_dev = 0.0
     pred_dev = 0.0
     meta_dev = 0.0
@@ -289,21 +290,12 @@ def equivalence_demo(
         Xg = np.einsum("nij,nj->ni", action.matrices[gs], X)
         p3 = fit(Xg, Y, rho)
         meta_dev = max(meta_dev, float(np.max(np.abs(p1(T) - p3(T)))))
-        for level, m in enumerate(curve_ns):
-            q1 = fit(X[:m], Y[:m], rho)
-            q2 = fit(cross_section.project_batch(X[:m]), Y[:m], rho)
-            curve_acc[t, level, 0] = float(np.mean((q1(T) - truth) ** 2))
-            curve_acc[t, level, 1] = float(np.mean((q2(T) - truth) ** 2))
 
     flag = meta_dev > 1e-9
     if invariant_expected:
         ok = (risk_dev <= 1e-9) and not flag
     else:
         ok = flag
-    curve = tuple(
-        (curve_ns[i], float(curve_acc[:, i, 0].mean()), float(curve_acc[:, i, 1].mean()))
-        for i in range(len(curve_ns))
-    )
     return EquivalenceReport(
         learner=learner,
         invariant_expected=invariant_expected,
@@ -313,7 +305,6 @@ def equivalence_demo(
         prediction_deviation=pred_dev,
         metamorphic_deviation=meta_dev,
         metamorphic_flag=flag,
-        learning_curve=curve,
         verdict="pass" if ok else "fail",
     )
 
@@ -392,11 +383,15 @@ def _farthest_first_size(cloud: PointCloud, eps: float, start: int) -> int:
     return len(chosen)
 
 
+def _check_covering_number(eps: float) -> None:
+    if not eps > 0:  # NaN fails too
+        raise ValueError("eps must be > 0")
+
+
 def covering_number(cloud: PointCloud, eps: float) -> int:
     """Greedy covering / packing size, traversed from the medoid; the sandwich
     packing(2 eps) <= cover(eps) <= packing(eps) is asserted on every call."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    _check_covering_number(eps)
     start = cloud.medoid()
     size = _farthest_first_size(cloud, eps, start)
     doubled = _farthest_first_size(cloud, 2.0 * eps, start)

@@ -118,7 +118,7 @@ def test_psi_fixed_point():
     op = build_psi(rep, rep)
     W_eq = 1.7 * np.eye(3) + 0.3 * np.ones((3, 3))
     assert np.allclose(op.apply(W_eq), W_eq, atol=1e-10)
-    assert np.allclose(op.complement(W_eq), 0.0, atol=1e-10)
+    assert np.allclose(W_eq - op.apply(W_eq), 0.0, atol=1e-10)
 
 
 def test_psi_idempotent_on_random_matrices():

@@ -8,9 +8,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -109,7 +111,7 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
     cfg = _write_config(tmp_path / "cfg.json", payload)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    assert f"experiments[1].{key} is 999, below 1000" in captured.err
+    assert f"experiments[1]: {key} is 999, below 1000" in captured.err
     assert "verdict" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -137,10 +139,43 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
       "theta": [1, 2, 1, 2]}, "theta is not invariant"),
     ({"kind": "gap-kernel", "group": "cyclic 4", "rep": "natural_permutation", "n": 8, "rho": 1.0,
       "theta": {"a": 1}}, "not a list of numbers"),
+    # the limits below live in the library, which the prepare step of each kind calls
+    ({"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation", "n": 8, "rho": 1.0,
+      "n_test": 0}, "n_test is 0, below 1"),
+    ({"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation", "n": 8, "rho": 1.0,
+      "bias_trials": 0}, "bias_trials is 0, below 1"),
+    ({"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation", "n": 8, "rho": 0},
+     "need rho > 0 and sigma >= 0"),
+    ({"kind": "gap-linear", "group": "symmetric 3", "rep": "natural_permutation", "n": 10,
+      "trials": 0}, "n and trials must be >= 1"),
+    ({"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
+      "rep_out": "natural_permutation", "n": 12, "sigma_x": 0}, "sigma_x must be > 0"),
+    ({"kind": "covering", "eps": 0}, "eps must be > 0"),
+    ({"kind": "covering", "eps": 0.5, "n": -1}, "negative dimensions are not allowed"),
+    ({"kind": "covering", "eps": 0.5, "points": []}, "points must be a non-empty finite (n, d) array"),
+    ({"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate", "dim": 2,
+      "learner": "invariant_least_squares", "n": 8}, "need n >= 16"),
+    ({"kind": "layer-project", "group": "symmetric 3", "reps": ["natural_permutation"]},
+     "need L >= 1 weight matrices and L+1 representations"),
+    ({"kind": "layer-project", "group": "symmetric 3", "reps": ["natural_permutation"] * 2,
+      "n_samples": 0}, "n_samples must be >= 1, got 0"),
+    ({"kind": "regularisation-bound", "group": "symmetric 3", "rep_in": "natural_permutation",
+      "rep_out": "natural_permutation", "samples": 0}, "samples must be >= 1, got 0"),
+    ({"kind": "regularisation-bound", "group": "symmetric 3", "rep_in": "natural_permutation",
+      "rep_out": "sign"}, "relu requires a permutation-type output representation"),
+    ({"kind": "verify-projection-tensor", "n": 3, "d": 3}, "needs 0 < n < d"),
+    ({"kind": "verify-operators", "group": "symmetric 3", "rep": "natural_permutation",
+      "n_samples": 0}, "n_samples must be >= 1, got 0"),
+    ({"kind": "verify-operators", "group": "cyclic 2", "rep": "trivial 40", "rep_out": "trivial 40"},
+     "dense intertwiner storage cap exceeded: d*k = 1600 > 1000"),
 ], ids=["wishart-band", "gap-linear-band", "gap-equivariant-band", "gap-linear-theta",
         "gap-kernel-theta", "gap-equivariant-no-map", "gap-linear-theta-shape",
         "gap-linear-theta-not-invariant", "gap-kernel-theta-shape", "gap-kernel-theta-not-invariant",
-        "gap-kernel-theta-not-numbers"])
+        "gap-kernel-theta-not-numbers", "gap-kernel-n_test", "gap-kernel-bias_trials", "gap-kernel-rho",
+        "gap-linear-trials", "gap-equivariant-sigma_x", "covering-eps", "covering-n",
+        "covering-no-points", "orbit-equivalence-n", "layer-project-one-rep", "layer-project-n_samples",
+        "regularisation-bound-samples", "regularisation-bound-sign", "projection-tensor-n-is-d",
+        "verify-operators-n_samples", "verify-operators-tensor-cap"])
 def test_run_time_refusals_exit_2_before_any_experiment_runs(tmp_path, capsys, exp, message):
     # each used to be refused only when its experiment ran, after covering had printed its verdict
     payload = {"seed": 1, "experiments": [{"kind": "covering", "n": 30, "dim": 2, "eps": 0.5}, exp]}
@@ -151,6 +186,22 @@ def test_run_time_refusals_exit_2_before_any_experiment_runs(tmp_path, capsys, e
     assert captured.err.startswith("config error: experiments[1]: ")
     assert message in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_file_that_does_not_parse_exits_2_before_any_experiment_runs(tmp_path, capsys):
+    # a file's contents used to be read only when its experiment ran, after covering
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2\nthree 4\n")
+    for exp in ({"kind": "covering", "eps": 0.5, "points_file": str(bad)},
+                {"kind": "layer-project", "group": "symmetric 3", "reps": ["natural_permutation"] * 2,
+                 "weights_files": [str(bad)]}):
+        payload = {"seed": 1, "experiments": [{"kind": "covering", "n": 30, "dim": 2, "eps": 0.5}, exp]}
+        cfg = _write_config(tmp_path / "cfg.json", payload)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: experiments[1]: ")
+        assert not (tmp_path / "out").exists()
 
 
 def test_an_explicit_invariant_theta_runs_as_the_default_one(tmp_path, capsys):
@@ -324,9 +375,13 @@ def test_each_distinct_descriptor_is_built_once_per_resolution(tmp_path, monkeyp
         def spy(seed, **kwargs):
             before = sum(calls.values())
             received[kind] = kwargs
-            row = runner(seed, **kwargs)
-            assert sum(calls.values()) == before, f"{kind}'s runner built a descriptor"
-            return row
+            run = runner(seed, **kwargs)
+
+            def spied_run():
+                row = run()
+                assert sum(calls.values()) == before, f"{kind}'s runner built a descriptor"
+                return row
+            return spied_run
         return spy
 
     for kind in ("vc-bound", "gap-equivariant"):
@@ -430,7 +485,7 @@ def test_unknown_suite_exits_2(tmp_path):
 
 def test_failing_verdict_exits_1(tmp_path, monkeypatch):
     def rigged(seed, *, eps):
-        return {"experiment": "covering", "verdict": "fail"}
+        return lambda: {"experiment": "covering", "verdict": "fail"}
 
     monkeypatch.setitem(cli._RUNNERS, "covering", rigged)
     cfg = _write_config(
@@ -442,7 +497,9 @@ def test_failing_verdict_exits_1(tmp_path, monkeypatch):
 
 def test_numerical_failure_exits_1_not_as_config_error(tmp_path, monkeypatch, capsys):
     def singular(seed, *, eps):
-        raise np.linalg.LinAlgError("matrix is not positive definite")
+        def run():
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        return run
 
     monkeypatch.setitem(cli._RUNNERS, "covering", singular)
     cfg = _write_config(
@@ -453,6 +510,25 @@ def test_numerical_failure_exits_1_not_as_config_error(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert "numerical error: matrix is not positive definite" in err
     assert "config error" not in err
+
+
+def test_a_value_error_in_a_run_exits_1_naming_its_type(tmp_path, monkeypatch, capsys):
+    # the prepare step passed, so the config is not at fault: this used to exit 2 as a config error
+    def faulty(seed, *, eps):
+        def run():
+            raise ValueError("planted fault")
+        return run
+
+    monkeypatch.setitem(cli._RUNNERS, "covering", faulty)
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        {"seed": 5, "experiments": [{"kind": "covering", "eps": 0.5}]},
+    )
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ValueError: planted fault" in err
+    assert "config error" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_loads_numpy_but_not_scipy():
@@ -790,3 +866,84 @@ def test_verify_operators_below_one_sample_exits_2_naming_it(tmp_path, capsys, n
     ]})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"n_samples must be >= 1, got {n_samples}" in capsys.readouterr().err
+
+
+# a small experiment of each kind, every size key at 3 or more; gap-kernel twice, so that each
+# nested mu key is read: scale by the Gaussian, radius by the sphere
+FUZZ_BASES = [
+    {"kind": "gap-linear", "group": "symmetric 2", "rep": "direct_sum trivial 3 + sign", "n": 10,
+     "trials": 20},
+    {"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
+     "rep_out": "natural_permutation", "n": 12, "trials": 20},
+    {"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
+     "kernel": {"type": "gaussian", "bandwidth": 1.0}, "mu": {"kind": "sphere", "radius": 1.0},
+     "n": 4, "rho": 1.0, "trials": 4, "n_test": 4, "n_pairs": 1000, "bias_trials": 4},
+    {"kind": "gap-kernel", "group": "cyclic 2", "rep": "natural_permutation",
+     "kernel": {"type": "linear"}, "mu": {"kind": "gaussian", "scale": 1.0},
+     "n": 4, "rho": 1.0, "trials": 4, "n_test": 4, "n_pairs": 1000, "bias_trials": 4},
+    {"kind": "verify-wishart", "n": 12, "d": 3, "trials": 1000},
+    {"kind": "verify-projection-tensor", "n": 3, "d": 4, "trials": 20},
+    {"kind": "verify-operators", "group": "symmetric 3", "rep": "natural_permutation",
+     "n_samples": 20},
+    {"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate", "dim": 3,
+     "learner": "invariant_least_squares", "n": 16, "trials": 3},
+    {"kind": "covering", "n": 20, "dim": 3, "eps": 0.5},
+    {"kind": "layer-project", "group": "symmetric 3", "reps": ["natural_permutation"] * 3,
+     "n_samples": 20},
+    {"kind": "regularisation-bound", "group": "symmetric 3", "rep_in": "natural_permutation",
+     "rep_out": "natural_permutation", "samples": 20},
+]
+FUZZ_VALUES = (0, -1, 1, 2, 3, 0.5)
+FUZZ_FIRST = {"kind": "vc-bound", "group": "cyclic 2", "reps": ["trivial 1"] * 2}
+
+
+def _numeric_keys(kind: str) -> list:
+    """Each int or float key of a kind as _runner_kwargs reads it from the runner's signature,
+    as a path: (key,), or (object, key) for a float key of a nested kernel or mu object."""
+    keys = []
+    for name, param in inspect.signature(cli._RUNNERS[kind], eval_str=True).parameters.items():
+        if param.kind is not param.KEYWORD_ONLY:
+            continue
+        if param.annotation is dict:
+            keys += [(name, key) for key in param.default if key not in cli._CHOICES]
+        elif {int, float} & {param.annotation, *get_args(param.annotation)}:
+            keys.append((name,))
+    return keys
+
+
+def _set(exp: dict, path: tuple, value) -> dict:
+    exp = json.loads(json.dumps(exp))
+    node = exp
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return exp
+
+
+def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
+    # each value of a key is refused before any experiment runs, or every experiment runs to a
+    # verdict and a row; a refusal found only in a run used to lose vc-bound's row
+    assert {exp["kind"] for exp in FUZZ_BASES} | {FUZZ_FIRST["kind"]} == set(cli.EXPERIMENT_KINDS)
+    cases = [(exp, (), None) for exp in FUZZ_BASES]  # each base runs and passes
+    cases += [(exp, path, value) for exp in FUZZ_BASES for path in _numeric_keys(exp["kind"])
+              for value in FUZZ_VALUES]
+    outcomes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for i, (base, path, value) in enumerate(cases):
+            exp = _set(base, path, value) if path else base
+            out = tmp_path / str(i)
+            cfg = _write_config(tmp_path / "cfg.json", {"seed": 1, "experiments": [FUZZ_FIRST, exp]})
+            code = cli.main(["run", cfg, "--out", str(out)])
+            printed = capsys.readouterr().out
+            where = (base["kind"], path, value)
+            if not path:
+                assert code == 0, where
+            if code == 2:
+                assert "verdict=" not in printed and not out.exists(), where
+            else:
+                assert code in (0, 1) and printed.count("verdict=") == 2, where
+                assert len((out / "results.csv").read_text().splitlines()) == 4, where
+            outcomes[base["kind"], code == 2] += 1
+    # every kind with a numeric key has values on both sides of its limits
+    assert all(outcomes[exp["kind"], True] and outcomes[exp["kind"], False] for exp in FUZZ_BASES)

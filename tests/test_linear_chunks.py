@@ -385,7 +385,8 @@ def test_gate_sends_a_singular_and_an_ill_conditioned_trial_to_pinv(monkeypatch,
         X = drawn[1][t]
         A = X.T @ X if config.n > config.d else X @ X.T
         assert np.linalg.cond(A, 1) > KAPPA_MAX
-        w_perp = config.tensor.complement(np.linalg.pinv(X, rcond=rcond) @ (X @ config.theta + xi[t]))
+        W = np.linalg.pinv(X, rcond=rcond) @ (X @ config.theta + xi[t])
+        w_perp = W - config.tensor.apply(W)
         assert gaps[_CHUNK + t] == pytest.approx(config.sigma_x ** 2 * float((w_perp ** 2).sum()), rel=1e-12)
 
 

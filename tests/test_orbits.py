@@ -176,15 +176,6 @@ def test_raw_least_squares_flagged_by_metamorphic_test():
     assert report.verdict == "pass"
 
 
-def test_equivalence_demo_learning_curve():
-    cs = build_cross_section("quadrant_fold")
-    report = equivalence_demo("invariant_least_squares", cs, n=64, trials=1, seed=48)
-    ns = [row[0] for row in report.learning_curve]
-    assert ns == sorted(ns) and ns[-1] == 64
-    for _, r_orig, r_proj in report.learning_curve:
-        assert abs(r_orig - r_proj) <= 1e-9
-
-
 def test_equivalence_demo_rejections():
     cs = build_cross_section("quadrant_fold")
     with pytest.raises(ValueError):
