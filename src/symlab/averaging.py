@@ -2,9 +2,11 @@
 
 The Haar measure of a finite group is uniform, so the operator Q's Haar
 average is the mean of F(g) over the group's ids.  ``group_average`` is the
-one place that mean is taken.  Exact or sampled is only a matter of the ids
-it is given: ``elements=None`` everywhere means the whole group, and a
-Monte-Carlo average is given the seeded draw ``haar_sample(group, n, seed)``.
+one loop that takes that mean term by term; Phi and Psi are averaged in
+closed form, each as one vectorised mean over the stacked representation
+matrices.  Exact or sampled is only a matter of the ids it is given:
+``elements=None`` everywhere means the whole group, and a Monte-Carlo
+average is given the seeded draw ``haar_sample(group, n, seed)``.
 Beside it: exact averaging on linear maps (the projection matrix Phi and the
 4-index intertwiner tensor Psi), black-box predictor averaging, test-time
 augmentation, and the empirical Rademacher complexity used by the sandwich
@@ -61,11 +63,9 @@ def group_average(fn: Callable, elements):
     return acc / len(elements)
 
 
-def haar_sample(group, n: int | None = None, seed: int = 0):
-    """Ids for group_average: every id when n is None, else n ids drawn
-    uniformly, the Haar measure, by default_rng(seed)."""
-    if n is None:
-        return group.elements()
+def haar_sample(group, n: int, seed: int = 0):
+    """n ids for group_average, drawn uniformly, the Haar measure, by
+    default_rng(seed); the whole group is asked for as ``elements=None``."""
     if n < 1:
         raise ValueError(f"sampled averaging needs n >= 1 group elements, got {n}")
     return np.random.default_rng(seed).integers(group.order, size=n)
@@ -162,15 +162,11 @@ def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTen
     return op
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"input has dim {x.shape[0]}, expected {dim}")
-        return x[None, :], True
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"input has shape {x.shape}, expected (m, {dim})")
-    return x, False
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +177,8 @@ class DecomposedPredictor:
     the ids in ``elements``: the whole group when it is None, or a fixed
     Monte-Carlo draw such as ``haar_sample(group, n, seed)``, so repeated
     evaluations are consistent.  antisym_part is f - Qf, so pointwise
-    reconstruction is exact by construction.
+    reconstruction is exact by construction.  Both take an (m, d_in)
+    batch of row vectors; one vector x is the batch ``x[None]``.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
@@ -216,15 +213,12 @@ class DecomposedPredictor:
         acc = group_average(term, self.elements)
         return acc[:, 0] if self._flat and self.rep_out.dim == 1 else acc
 
-    def symmetric_part(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_batch(x, self.rep_in.dim)
-        out = self._average(X)
-        return out[0] if single else out
+    def symmetric_part(self, X: np.ndarray) -> np.ndarray:
+        return self._average(_as_batch(X, self.rep_in.dim))
 
-    def antisym_part(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_batch(x, self.rep_in.dim)
-        out = np.asarray(self.base(X), dtype=np.float64) - self._average(X)
-        return out[0] if single else out
+    def antisym_part(self, X: np.ndarray) -> np.ndarray:
+        X = _as_batch(X, self.rep_in.dim)
+        return np.asarray(self.base(X), dtype=np.float64) - self._average(X)
 
 
 def apply_Q(
@@ -248,7 +242,8 @@ def tta_average(
     Invariance case only: Q with the trivial output representation of the
     predictor's output width, averaged over the ids in ``elements`` on every
     call.  None sums over the whole group; ``haar_sample(group, n, seed)``
-    gives n ids drawn i.i.d. from the Haar measure.
+    gives n ids drawn i.i.d. from the Haar measure.  The returned callable
+    takes an (m, d_in) batch, as DecomposedPredictor.symmetric_part does.
     """
     width = np.asarray(pred(np.zeros((2, rep_in.dim)))).reshape(2, -1).shape[1]
     trivial = build_representation(rep_in.group, f"trivial {width}")

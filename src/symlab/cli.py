@@ -138,10 +138,10 @@ def _run_gap_equivariant(
     seed: int, *, group: FiniteGroup, rep_in: Representation, rep_out: Representation, n: int,
     theta_norm: float = 1.0, sigma_x: float = 1.0, sigma_xi: float = 1.0, trials: int = 10_000,
 ) -> _Run:
-    theta = random_equivariant_target(build_psi(rep_in, rep_out), stream(seed, "target"), theta_norm)
+    tensor = build_psi(rep_in, rep_out)
+    theta = random_equivariant_target(tensor, stream(seed, "target"), theta_norm)
     config = LinearGapConfig(
-        phi=rep_in, psi=rep_out, theta=theta, n=n,
-        sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
+        tensor, theta, n, sigma_x=sigma_x, sigma_xi=sigma_xi, trials=trials, seed=seed,
     )
     return lambda: _gap_row(
         monte_carlo_gap(config), rep_in, rep_out.dim, n, trials, sigma_x=sigma_x, sigma_xi=sigma_xi,

@@ -236,13 +236,12 @@ def estimate_N(
     gram: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mu: Distribution,
     pairs: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of N[j] = E[j(X, Y)^2] over independent X, Y ~ mu,
-    drawn from the given generator, or from the main stream of an int seed."""
+    drawn from rng, e.g. ``sampling.stream(seed, "pairs")``."""
     if pairs < MIN_PAIRS:
         raise ValueError(f"estimate_N needs pairs >= {MIN_PAIRS}")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, "main")
     X = mu.sample(pairs, rng)
     Y = mu.sample(pairs, rng)
     vals = _pair_values(gram, X, Y) ** 2
@@ -374,7 +373,7 @@ class KrrGapConfig:
         mats = self.kernel.action.matrices
         for g in self.kernel.action.group.generators:
             dev = np.max(np.abs(np.asarray(self.f_star(X @ mats[g].T)).reshape(-1) - vals))
-            if dev > 1e-9:
+            if not dev <= 1e-9:  # NaN fails too
                 raise ValueError(f"f_star is not invariant under the action: deviation {dev:.3e}")
 
 
@@ -460,7 +459,6 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     phi = build_phi(config.kernel.action)
     verdict = "pass" if mean + 4.0 * se >= bound else "fail"
     return GapReport(
-        experiment="gap-kernel",
         mc_gap_mean=mean,
         mc_gap_se=se,
         closed_form=bound,

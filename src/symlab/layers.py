@@ -77,6 +77,8 @@ class LayerSpec:
                     f"weights[{i}] has shape {w.shape}, expected "
                     f"({reps[i + 1].dim}, {reps[i].dim})"
                 )
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"weights[{i}] has an entry that is not finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation != "identity" and len(weights) > 1:
@@ -261,5 +263,5 @@ def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -
     ids = group.elements() if group.order <= 64 else rng.integers(0, group.order, 64)
     for g in ids:
         dev = np.max(np.abs(spec.forward(X @ in_mats[g].T) - FX @ out_mats[g].T))
-        violation = max(violation, float(dev))
+        violation = float(np.maximum(violation, dev))  # max() would drop a NaN dev
     return EquivarianceReport(violation=violation, samples=n_samples)

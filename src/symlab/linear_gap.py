@@ -111,7 +111,6 @@ def _min_norm(X: np.ndarray, Y: np.ndarray | None, rcond: float):
 class GapReport:
     """One experiment's outcome: Monte-Carlo estimate vs closed form."""
 
-    experiment: str
     mc_gap_mean: float
     mc_gap_se: float
     closed_form: float
@@ -125,20 +124,19 @@ class LinearGapConfig:
     """Random-design least-squares setup.
 
     Inputs are N(0, sigma_x^2 I_d), targets Y = Theta^T-style linear maps
-    of X plus isotropic noise.  Theta must be equivariant for the given
-    representation pair; sample counts in the divergent band [d-1, d+1]
+    of X plus isotropic noise.  ``tensor`` is Psi for the representation
+    pair (phi, psi), as build_psi gives it, and Theta must be equivariant,
+    a fixed point of it; sample counts in the divergent band [d-1, d+1]
     are rejected because the gap diverges there.
     """
 
-    phi: Representation
-    psi: Representation
+    tensor: IntertwinerTensor = field(repr=False)
     theta: np.ndarray
     n: int
     sigma_x: float = 1.0
     sigma_xi: float = 1.0
     trials: int = 10_000
     seed: int = 0
-    tensor: IntertwinerTensor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d, k = self.phi.dim, self.psi.dim
@@ -152,10 +150,17 @@ class LinearGapConfig:
         if not (self.sigma_x > 0 and self.sigma_xi >= 0):  # NaN fails too
             raise ValueError("sigma_x must be > 0 and sigma_xi >= 0")
         _check_outside_band(self.n, d)
-        object.__setattr__(self, "tensor", build_psi(self.phi, self.psi))
         dev = float(np.max(np.abs(self.tensor.apply(theta) - theta)))
-        if dev > 1e-10:
+        if not dev <= 1e-10:  # NaN fails too
             raise ValueError(f"theta is not equivariant: |Psi(theta) - theta|_max = {dev:.3e}")
+
+    @property
+    def phi(self) -> Representation:
+        return self.tensor.rep_in
+
+    @property
+    def psi(self) -> Representation:
+        return self.tensor.rep_out
 
     @property
     def d(self) -> int:
@@ -168,9 +173,9 @@ class LinearGapConfig:
 
 def invariant_config(phi: Representation, theta: np.ndarray, n: int, **kwargs) -> LinearGapConfig:
     """Invariant special case: scalar outputs via the trivial representation."""
-    psi = build_representation(phi.group, "trivial 1")
     theta = np.asarray(theta, dtype=np.float64).reshape(phi.dim, 1)
-    return LinearGapConfig(phi=phi, psi=psi, theta=theta, n=n, **kwargs)
+    tensor = build_psi(phi, build_representation(phi.group, "trivial 1"))
+    return LinearGapConfig(tensor, theta, n, **kwargs)
 
 
 def random_equivariant_target(
@@ -204,10 +209,6 @@ def wishart_coefficient(n: int, d: int) -> float:
     if n < d - 1:
         return n / (d * (d - n - 1))
     return math.inf
-
-
-def _is_trivial_scalar(rep: Representation) -> bool:
-    return rep.dim == 1 and bool(np.allclose(rep.matrices, 1.0, atol=1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,7 +439,6 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     closed = closed_form_gap_equivariant(config)
     verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
     return GapReport(
-        experiment="gap-linear" if _is_trivial_scalar(config.psi) else "gap-equivariant",
         mc_gap_mean=mean,
         mc_gap_se=se,
         closed_form=closed,

@@ -23,7 +23,6 @@ from .sampling import gaussian, stream
 __all__ = [
     "CrossSection",
     "PointCloud",
-    "FittedPredictor",
     "EquivalenceReport",
     "build_cross_section",
     "averaged_loss",
@@ -48,12 +47,6 @@ class CrossSection:
     @property
     def dim(self) -> int:
         return self.action.dim
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a vector of dimension {self.dim}, got shape {x.shape}")
-        return self.project_batch(x[None, :])[0]
 
     def project_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -157,25 +150,15 @@ def averaged_loss(
 # ------------------------------------------------------------- equivalence
 
 
-@dataclass(frozen=True, eq=False)
-class FittedPredictor:
-    name: str
-    predict: Callable[[np.ndarray], np.ndarray]
-    coefficients: np.ndarray | None = None
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X)
-
-
 # Each learner's prepare(action) builds what its fits share once and returns
-# fit(X, Y, rho) -> FittedPredictor.
+# fit(X, Y, rho), which returns the fitted predictor: a callable on (m, d) points.
 def _prepare_averaged_krr(action: Representation):
     # fit in the invariant RKHS: both the training Gram and the representers
     # use kbar, so the fitted function ignores where points sit on their orbit
     base = gaussian_kernel(action, bandwidth=math.sqrt(action.dim))
     ak = build_averaged_kernel(base)
     bar = KernelSpec(name="averaged_" + base.name, action=action, gram=ak.gram_bar, Mk=base.Mk)
-    return lambda X, Y, rho: FittedPredictor("averaged_krr", fit_krr(bar, X, Y, rho).predict)
+    return lambda X, Y, rho: fit_krr(bar, X, Y, rho).predict
 
 
 def _prepare_invariant_ls(action: Representation):
@@ -184,17 +167,17 @@ def _prepare_invariant_ls(action: Representation):
     # zero predictor instead of amplified noise in the least-squares solve
     phi[np.abs(phi) < 1e-12] = 0.0
 
-    def fit(X, Y, rho: float) -> FittedPredictor:
+    def fit(X, Y, rho: float) -> Callable[[np.ndarray], np.ndarray]:
         coef, *_ = np.linalg.lstsq(X @ phi.T, Y, rcond=None)
-        return FittedPredictor("invariant_least_squares", lambda T: (T @ phi.T) @ coef, coef)
+        return lambda T: (T @ phi.T) @ coef
 
     return fit
 
 
 def _prepare_raw_ls(action: Representation):
-    def fit(X, Y, rho: float) -> FittedPredictor:
+    def fit(X, Y, rho: float) -> Callable[[np.ndarray], np.ndarray]:
         coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-        return FittedPredictor("raw_least_squares", lambda T: T @ coef, coef)
+        return lambda T: T @ coef
 
     return fit
 
@@ -208,7 +191,10 @@ _LEARNERS = {
 LEARNER_NAMES = tuple(_LEARNERS)
 
 
-def fit_learner(name: str, action: Representation, X, Y, rho: float = 0.1) -> FittedPredictor:
+def fit_learner(
+    name: str, action: Representation, X, Y, rho: float = 0.1
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Fit the named learner to (X, Y) and return its predictor, a callable on (m, d) points."""
     if name not in _LEARNERS:
         raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_NAMES}")
     return _LEARNERS[name][1](action)(np.asarray(X, float), np.asarray(Y, float), rho)

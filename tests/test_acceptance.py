@@ -41,7 +41,7 @@ from symlab.linear_gap import (
     verify_wishart,
 )
 from symlab.orbits import build_cross_section, equivalence_demo
-from symlab.sampling import gaussian, sphere
+from symlab.sampling import gaussian, sphere, stream
 
 
 def _reflection_rep(total_dim: int):
@@ -89,7 +89,7 @@ def test_equivariant_regression_gap_matches_character_closed_form():
     assert tensor.trace == pytest.approx(2.0, abs=1e-10)
     assert character_inner(nat, nat) == pytest.approx(2.0, abs=1e-12)
     theta = random_equivariant_target(tensor, np.random.default_rng(7), fro_norm=1.0)
-    config = LinearGapConfig(phi=nat, psi=nat, theta=theta, n=12,
+    config = LinearGapConfig(tensor=tensor, theta=theta, n=12,
                              sigma_x=1.0, sigma_xi=1.0, trials=10_000, seed=103)
     report = monte_carlo_gap(config)
     expected = (9.0 - 2.0) / (12 - 3 - 1)
@@ -172,9 +172,9 @@ def test_kernel_switch_and_trace_decomposition():
     kernel = gaussian_kernel(s3, bandwidth=1.5)
     averaged = build_averaged_kernel(kernel, seed=107)
     mu = gaussian(3)
-    n_full, se_full = estimate_N(kernel.gram, mu, pairs=40_000, seed=1)
-    n_bar, se_bar = estimate_N(averaged.gram_bar, mu, pairs=40_000, seed=2)
-    n_perp, se_perp = estimate_N(averaged.gram_perp, mu, pairs=40_000, seed=3)
+    n_full, se_full = estimate_N(kernel.gram, mu, pairs=40_000, rng=stream(1, "main"))
+    n_bar, se_bar = estimate_N(averaged.gram_bar, mu, pairs=40_000, rng=stream(2, "main"))
+    n_perp, se_perp = estimate_N(averaged.gram_perp, mu, pairs=40_000, rng=stream(3, "main"))
     combined_se = se_full + se_bar + se_perp
     assert abs(n_full - (n_bar + n_perp)) <= 4.0 * combined_se
 
@@ -183,8 +183,8 @@ def test_kernel_switch_and_trace_decomposition():
     lin = linear_kernel(c6)
     lin_avg = build_averaged_kernel(lin, seed=107)
     dim_s = float(np.sum(build_phi(c6).matrix ** 2))
-    n_lin, se_lin = estimate_N(lin.gram, gaussian(6), pairs=40_000, seed=4)
-    n_lin_bar, se_lin_bar = estimate_N(lin_avg.gram_bar, gaussian(6), pairs=40_000, seed=5)
+    n_lin, se_lin = estimate_N(lin.gram, gaussian(6), pairs=40_000, rng=stream(4, "main"))
+    n_lin_bar, se_lin_bar = estimate_N(lin_avg.gram_bar, gaussian(6), pairs=40_000, rng=stream(5, "main"))
     assert abs(n_lin - 6.0) <= 4.0 * se_lin
     assert abs(n_lin_bar - dim_s) <= 4.0 * se_lin_bar
     assert time.perf_counter() - start <= 120.0

@@ -281,7 +281,7 @@ def test_tta_monte_carlo_concentrates():
     f = lambda X: X[:, 0]
     out = tta_average(f, rep, haar_sample(g, 10**5, seed=1))
     # average of +-1 over 1e5 draws, 3 sigma bound
-    assert abs(out(np.array([1.0]))) <= 0.02
+    assert abs(out(np.array([[1.0]]))[0]) <= 0.02
 
 
 def test_tta_exact_mode():

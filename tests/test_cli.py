@@ -17,7 +17,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from symlab import cli, sampling
+from symlab import averaging, cli, linear_gap, sampling
 
 
 def _write_config(path, payload):
@@ -400,6 +400,25 @@ def test_each_distinct_descriptor_is_built_once_per_resolution(tmp_path, monkeyp
     assert received["gap-equivariant"]["rep_in"] is received["gap-equivariant"]["rep_out"]
 
 
+def test_gap_equivariant_builds_psi_once_per_prepare(monkeypatch):
+    # the target's tensor is the one the config checks theta against, not a second build
+    built = []
+    build_psi = averaging.build_psi
+
+    def counted(rep_in, rep_out):
+        built.append((rep_in.name, rep_out.name))
+        return build_psi(rep_in, rep_out)
+
+    for module in (averaging, linear_gap, cli):
+        monkeypatch.setattr(module, "build_psi", counted)
+    kwargs = cli._runner_kwargs("gap-equivariant", {
+        "group": "symmetric 3", "rep_in": "natural_permutation", "rep_out": "natural_permutation",
+        "n": 12, "trials": 10,
+    }, "params")
+    cli._RUNNERS["gap-equivariant"](1, **kwargs)
+    assert built == [("natural_permutation", "natural_permutation")]
+
+
 def test_validation_frees_what_it_built_without_the_cycle_collector():
     # a reference cycle through the resolver would keep every validated
     # experiment's group and representations alive until a gc pass
@@ -614,6 +633,21 @@ def test_layer_project_loads_weights_from_matrix_files(tmp_path):
         seed=0,
     )
     assert row["verdict"] == "pass"
+
+
+def test_a_nan_layer_weight_exits_2_before_any_verdict(tmp_path, capsys):
+    # a NaN weight used to project to NaN and pass as a zero equivariance violation
+    (tmp_path / "w0.txt").write_text("nan 0 0\n0 1 0\n0 0 1\n")
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 0, "experiments": [
+        {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 2},
+        {"kind": "layer-project", "group": "symmetric 3",
+         "reps": ["natural_permutation"] * 2, "weights_files": [str(tmp_path / "w0.txt")]},
+    ]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert captured.err.strip() == "config error: experiments[1]: weights[0] has an entry that is not finite"
+    assert not (tmp_path / "out").exists()
 
 
 def test_layer_project_reads_a_one_column_weights_file_as_a_column(tmp_path):

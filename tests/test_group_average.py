@@ -201,7 +201,6 @@ def test_tta_average_of_an_m_by_k_predictor_is_bitwise_the_reference_loop(group,
     assert out(X).shape == (30, 3)
     assert np.array_equal(out(X), expected)
     assert np.array_equal(np.signbit(out(X)), np.signbit(expected))
-    assert np.array_equal(out(X[0]), _reference_tta(pred, rep, 23, 3, mode, X[:1])[0])
 
 
 def test_orbit_sums_are_bitwise_the_reference_sums():
@@ -226,7 +225,6 @@ def test_sampled_draw_is_the_default_rng_integers_stream():
     group = build_group("dihedral 4")
     expected = np.random.default_rng(12).integers(group.order, size=50)
     assert np.array_equal(haar_sample(group, 50, seed=12), expected)
-    assert haar_sample(group) == group.elements()
 
 
 def test_group_average_is_the_mean_in_element_order():
@@ -519,9 +517,9 @@ def test_group_means_equal_the_uniformly_weighted_sums(group, kind):
         if d - 1 <= n <= d + 1:
             continue
         inv = invariant_config(rep, build_phi(rep).matrix @ rng.standard_normal(d), n=n, trials=2)
+        tensor = build_psi(rep, rep)
         eqv = LinearGapConfig(
-            phi=rep, psi=rep, n=n, trials=2,
-            theta=random_equivariant_target(build_psi(rep, rep), rng, fro_norm=1.0),
+            tensor=tensor, n=n, trials=2, theta=random_equivariant_target(tensor, rng, fro_norm=1.0),
         )
         for config in (inv, eqv):
             assert abs(closed_form_gap_equivariant(config) - _weighted_closed_form(config)) <= 1e-12

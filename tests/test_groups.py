@@ -325,8 +325,9 @@ def test_large_symmetric_group_never_builds_its_table():
 
 
 def _equivariant_config(rep, n):
-    theta = random_equivariant_target(build_psi(rep, rep), np.random.default_rng(14))
-    return LinearGapConfig(phi=rep, psi=rep, theta=theta, n=n, trials=10)
+    tensor = build_psi(rep, rep)
+    theta = random_equivariant_target(tensor, np.random.default_rng(14))
+    return LinearGapConfig(tensor=tensor, theta=theta, n=n, trials=10)
 
 
 def test_equivariant_closed_form_on_product_group_is_unchanged():

@@ -32,7 +32,7 @@ from symlab.kernel_gap import (
     linear_kernel,
     linear_kernel_bound,
 )
-from symlab.sampling import gaussian, sphere
+from symlab.sampling import gaussian, sphere, stream
 
 
 def _perm_rep(descriptor, d=None):
@@ -142,7 +142,7 @@ def test_estimate_N_linear_kernel_is_d():
     d = 4
     rep = _perm_rep("cyclic 4")
     kernel = linear_kernel(rep)
-    mean, se = estimate_N(kernel.gram, gaussian(d), pairs=20_000, seed=9)
+    mean, se = estimate_N(kernel.gram, gaussian(d), pairs=20_000, rng=stream(9, "main"))
     assert abs(mean - d) <= 4.0 * se
 
 
@@ -150,18 +150,19 @@ def test_estimate_N_averaged_linear_is_dim_s():
     rep = _perm_rep("cyclic 4")
     ak = build_averaged_kernel(linear_kernel(rep))
     dim_s = build_phi(rep).dim_invariant
-    mean, se = estimate_N(ak.gram_bar, gaussian(4), pairs=20_000, seed=10)
+    mean, se = estimate_N(ak.gram_bar, gaussian(4), pairs=20_000, rng=stream(10, "main"))
     assert abs(mean - dim_s) <= 4.0 * se
 
 
 def test_estimate_N_zero_kernel():
-    mean, se = estimate_N(lambda A, B: np.zeros((A.shape[0], B.shape[0])), gaussian(3), pairs=1000, seed=0)
+    zero = lambda A, B: np.zeros((A.shape[0], B.shape[0]))
+    mean, se = estimate_N(zero, gaussian(3), pairs=1000, rng=stream(0, "main"))
     assert mean == 0.0 and se == 0.0
 
 
 def test_estimate_N_requires_1000_pairs():
     with pytest.raises(ValueError):
-        estimate_N(lambda A, B: A @ B.T, gaussian(2), pairs=999, seed=0)
+        estimate_N(lambda A, B: A @ B.T, gaussian(2), pairs=999, rng=stream(0, "main"))
 
 
 def test_N_decomposition():
@@ -169,9 +170,9 @@ def test_N_decomposition():
     kernel = gaussian_kernel(rep, bandwidth=math.sqrt(3.0))
     ak = build_averaged_kernel(kernel)
     mu = gaussian(3)
-    n_full, se_full = estimate_N(kernel.gram, mu, pairs=6000, seed=11)
-    n_bar, se_bar = estimate_N(ak.gram_bar, mu, pairs=6000, seed=12)
-    n_perp, se_perp = estimate_N(ak.gram_perp, mu, pairs=6000, seed=13)
+    n_full, se_full = estimate_N(kernel.gram, mu, pairs=6000, rng=stream(11, "main"))
+    n_bar, se_bar = estimate_N(ak.gram_bar, mu, pairs=6000, rng=stream(12, "main"))
+    n_perp, se_perp = estimate_N(ak.gram_perp, mu, pairs=6000, rng=stream(13, "main"))
     combined = math.sqrt(se_full ** 2 + se_bar ** 2 + se_perp ** 2)
     assert abs(n_full - (n_bar + n_perp)) <= 4.0 * combined
 
@@ -487,6 +488,22 @@ def test_f_star_invariance_enforced():
         KrrGapConfig(
             kernel=gaussian_kernel(rep, bandwidth=1.0),
             f_star=lambda X: X[:, 0],
+            mu=gaussian(3),
+            n=8,
+            sigma=0.1,
+            rho=0.5,
+            trials=2,
+            seed=0,
+        )
+
+
+def test_a_nan_f_star_is_refused():
+    # its deviation is NaN, which a "dev > tol" check lets through
+    rep = _perm_rep("symmetric 3")
+    with pytest.raises(ValueError, match="f_star is not invariant"):
+        KrrGapConfig(
+            kernel=gaussian_kernel(rep, bandwidth=1.0),
+            f_star=lambda X: np.full(len(X), np.nan),
             mu=gaussian(3),
             n=8,
             sigma=0.1,

@@ -174,6 +174,23 @@ def test_layer_spec_validation():
     )
 
 
+def test_layer_spec_refuses_a_non_finite_weight():
+    rep3 = _natural("symmetric 3")
+    for bad in (np.nan, np.inf):
+        W = np.eye(3)
+        W[0, 0] = bad
+        with pytest.raises(ValueError, match=r"weights\[1\] has an entry that is not finite"):
+            LayerSpec(reps=(rep3,) * 3, weights=(np.eye(3), W), activation="relu")
+
+
+def test_equivariance_report_keeps_a_nan_deviation(monkeypatch):
+    # a forward pass that yields NaN, as an overflowing stack can, is no zero violation
+    rep3 = _natural("symmetric 3")
+    spec = LayerSpec(reps=(rep3, rep3), weights=(np.eye(3),), activation="identity")
+    monkeypatch.setattr(LayerSpec, "forward", lambda self, X: np.full(X.shape, np.nan))
+    assert math.isnan(equivariance_report(spec, n_samples=10).violation)
+
+
 def test_projected_stack_is_equivariant():
     rep = _natural("symmetric 3")
     rng = np.random.default_rng(70)

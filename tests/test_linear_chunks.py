@@ -25,7 +25,6 @@ from symlab.linear_gap import (
     ProjectionTensorReport,
     WishartReport,
     _chunked,
-    _is_trivial_scalar,
     closed_form_gap_equivariant,
     invariant_config,
     monte_carlo_gap,
@@ -111,9 +110,8 @@ def _reference_monte_carlo_gap(config, plant=None):
     closed = closed_form_gap_equivariant(config)
     dim_a = d * k - character_inner(config.psi, config.phi)
     verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
-    experiment = "gap-linear" if _is_trivial_scalar(config.psi) else "gap-equivariant"
     report = GapReport(
-        experiment=experiment, mc_gap_mean=mean, mc_gap_se=se, closed_form=closed,
+        mc_gap_mean=mean, mc_gap_se=se, closed_form=closed,
         dim_A=float(dim_a), verdict=verdict,
         metadata={
             "group": config.phi.group.name, "d": d, "k": k, "n": n,
@@ -240,8 +238,9 @@ def _config(kind, trials):
     # n < d - 1: the overparameterised closed form
     group = build_group("dihedral 4")
     rep = build_representation(group, "natural_permutation")
-    theta = random_equivariant_target(build_psi(rep, rep), np.random.default_rng(3), fro_norm=1.0)
-    return LinearGapConfig(phi=rep, psi=rep, theta=theta, n=2, sigma_x=1.3, sigma_xi=0.7,
+    tensor = build_psi(rep, rep)
+    theta = random_equivariant_target(tensor, np.random.default_rng(3), fro_norm=1.0)
+    return LinearGapConfig(tensor=tensor, theta=theta, n=2, sigma_x=1.3, sigma_xi=0.7,
                            trials=trials, seed=12)
 
 
@@ -303,8 +302,9 @@ def _shape_config(n, d, trials):
         theta = build_psi(rep, build_representation(rep.group, "trivial 1")).apply(np.ones((d, 1)))
         return invariant_config(rep, theta / np.linalg.norm(theta), n, trials=trials, seed=21)
     rep_out = build_representation(rep.group, out_name)
-    theta = random_equivariant_target(build_psi(rep, rep_out), np.random.default_rng(4), fro_norm=1.0)
-    return LinearGapConfig(phi=rep, psi=rep_out, theta=theta, n=n, trials=trials, seed=21)
+    tensor = build_psi(rep, rep_out)
+    theta = random_equivariant_target(tensor, np.random.default_rng(4), fro_norm=1.0)
+    return LinearGapConfig(tensor=tensor, theta=theta, n=n, trials=trials, seed=21)
 
 
 def _pinv_gaps(config):

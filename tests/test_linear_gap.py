@@ -120,8 +120,9 @@ def test_closed_form_equivariant_s3():
 
     g = build_group("symmetric 3")
     nat = build_representation(g, "natural_permutation")
-    theta = random_equivariant_target(build_psi(nat, nat), np.random.default_rng(11))
-    config = LinearGapConfig(phi=nat, psi=nat, theta=theta, n=12, trials=10)
+    tensor = build_psi(nat, nat)
+    theta = random_equivariant_target(tensor, np.random.default_rng(11))
+    config = LinearGapConfig(tensor=tensor, theta=theta, n=12, trials=10)
     assert closed_form_gap_equivariant(config) == pytest.approx(7.0 / 8.0)
 
 
@@ -173,6 +174,13 @@ def test_config_rejects_non_equivariant_theta():
         invariant_config(rep, [1.0, 0.0, 0.0, 0.0], n=10, trials=10)
 
 
+def test_config_rejects_a_nan_theta():
+    # |Psi(theta) - theta| is NaN, which a "dev > tol" check lets through
+    rep = build_representation(build_group("cyclic 4"), "natural_permutation")
+    with pytest.raises(ValueError, match="theta is not equivariant"):
+        invariant_config(rep, [math.nan] * 4, 10)
+
+
 def test_monte_carlo_gap_invariant_overdetermined():
     rep = _reflection_rep(4)
     config = invariant_config(rep, [0.0, 1.0, 0.0, 0.0], n=10, trials=3000, seed=21)
@@ -181,7 +189,6 @@ def test_monte_carlo_gap_invariant_overdetermined():
     assert report.closed_form == pytest.approx(0.2)
     assert abs(report.mc_gap_mean - 0.2) <= 4 * report.mc_gap_se
     assert report.dim_A == pytest.approx(1.0)
-    assert report.experiment == "gap-linear"
 
 
 def test_monte_carlo_gap_equivariant_s3():
@@ -189,13 +196,13 @@ def test_monte_carlo_gap_equivariant_s3():
 
     g = build_group("symmetric 3")
     nat = build_representation(g, "natural_permutation")
-    theta = random_equivariant_target(build_psi(nat, nat), np.random.default_rng(13))
-    config = LinearGapConfig(phi=nat, psi=nat, theta=theta, n=12, trials=3000, seed=22)
+    tensor = build_psi(nat, nat)
+    theta = random_equivariant_target(tensor, np.random.default_rng(13))
+    config = LinearGapConfig(tensor=tensor, theta=theta, n=12, trials=3000, seed=22)
     report = monte_carlo_gap(config)
     assert report.verdict == "pass"
     assert report.closed_form == pytest.approx(0.875)
     assert report.dim_A == pytest.approx(7.0)
-    assert report.experiment == "gap-equivariant"
 
 
 def test_monte_carlo_noiseless_overdetermined_gap_zero():
