@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import gates
 from .groups import Representation, build_representation, character_inner
 from .sampling import standard_error, stream
 
@@ -313,9 +314,9 @@ def verify_operator_identities(
 
     Exact identities (projection idempotence and symmetry, intertwining
     fixed point, trace of the tensor vs the character inner product,
-    pointwise reconstruction, Q o Q = Q) are held to 1e-9; the L2
-    orthogonality of the two parts of a nonlinear predictor is a
-    Monte-Carlo estimate held to 3 standard errors.  Q fixes exactly the
+    pointwise reconstruction, Q o Q = Q) are held to gates' identity gate;
+    the L2 orthogonality of the two parts of a nonlinear predictor is a
+    Monte-Carlo estimate held to its orthogonality gate.  Q fixes exactly the
     equivariant functions, so Q o Q = Q is checked as the equivariance of
     Qf under each generator s, psi(s) Qf(x) = Qf(phi(s) x) on 1000 points:
     (|S|+1)|G| predictor calls, not |G|^2.  The intertwining fixed point is
@@ -340,11 +341,12 @@ def verify_operator_identities(
     dev_intertwine = 0.0
     for W in rng.standard_normal((3, d, k)):
         W_bar = op_psi.apply(W)
-        dev_psi_idem = max(dev_psi_idem, float(np.max(np.abs(op_psi.apply(W_bar) - W_bar))))
+        # np.maximum keeps a NaN deviation, which builtin max(0.0, nan) would drop
+        dev_psi_idem = float(np.maximum(dev_psi_idem, np.max(np.abs(op_psi.apply(W_bar) - W_bar))))
         for g in rep_in.group.generators:
             lhs = W_bar.T @ rep_in.matrices[g]
             rhs = rep_out.matrices[g] @ W_bar.T
-            dev_intertwine = max(dev_intertwine, float(np.max(np.abs(lhs - rhs))))
+            dev_intertwine = float(np.maximum(dev_intertwine, np.max(np.abs(lhs - rhs))))
     side = d * k
     flat = op_psi.tensor.reshape(side, side)
     dev_psi_sym = float(np.max(np.abs(flat - flat.T)))
@@ -368,17 +370,20 @@ def verify_operator_identities(
     small = X[:1000]
     q_small = op.symmetric_part(small)
     dev_reconstruct = float(np.max(np.abs(pred(small) - q_small - op.antisym_part(small))))
-    dev_q_idem = max((float(np.max(np.abs(
+    dev_q_idem = float(np.max([np.max(np.abs(
         op.symmetric_part(small @ rep_in.matrices[s].T) - q_small @ rep_out.matrices[s].T
-    ))) for s in rep_in.group.generators), default=0.0)
+    )) for s in rep_in.group.generators], initial=0.0))
     inner_mean = float(inner.mean())
     inner_se = standard_error(inner)
 
-    exact_ok = max(
+    exact = (
         dev_phi_idem, dev_phi_sym, dev_psi_idem, dev_psi_sym,
         dev_intertwine, dev_trace, dev_reconstruct, dev_q_idem,
-    ) <= 1e-9
-    ortho_ok = abs(inner_mean) <= 3.0 * max(inner_se, 1e-15)  # max(nan, x) is nan: fails
+    )
+    verdict = gates.verdict(
+        *(gates.holds("identity", dev) for dev in exact),
+        gates.holds("orthogonality", inner_mean, 0.0, inner_se),
+    )
     return {
         "group": rep_in.group.name,
         "rep_in": rep_in.name,
@@ -393,5 +398,5 @@ def verify_operator_identities(
         "dev_q_idempotent": dev_q_idem,
         "inner_mean": inner_mean,
         "inner_se": inner_se,
-        "verdict": "pass" if (exact_ok and ortho_ok) else "fail",
+        "verdict": verdict,
     }

@@ -23,6 +23,7 @@ from typing import Callable, Literal, get_args, get_origin
 
 import numpy as np
 
+from . import gates
 from .averaging import _check_verify_operator_identities, build_phi, build_psi, verify_operator_identities
 from .groups import FiniteGroup, Representation, build_group, build_representation
 from .kernel_gap import KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
@@ -240,7 +241,7 @@ def _run_covering(
     _check_covering_number(eps)
     return lambda: {
         "d": cloud.points.shape[1], "n": cloud.points.shape[0],
-        "mc_mean": float(covering_number(cloud, eps)), "verdict": "pass",
+        "mc_mean": float(covering_number(cloud, eps)), "verdict": gates.UNGATED,
     }
 
 
@@ -261,15 +262,14 @@ def _run_layer_project(
     else:
         rng = stream(seed, "weights")
         weights = tuple(rng.standard_normal((b.dim, a.dim)) for a, b in zip(reps, reps[1:]))
-    spec = LayerSpec(reps=reps, weights=weights, activation=activation)
+    projected = project_spec(LayerSpec(reps=reps, weights=weights, activation=activation))
     _check_equivariance_report(n_samples)
 
     def run() -> dict:
-        report = equivariance_report(project_spec(spec), n_samples=n_samples, seed=seed)
+        report = equivariance_report(projected, n_samples=n_samples, seed=seed)
         return {
             "d": reps[0].dim, "k": reps[-1].dim, "group": group.name, "trials": report.samples,
-            "mc_mean": report.violation, "closed_form": 0.0,
-            "verdict": "pass" if report.violation <= 1e-8 else "fail",
+            "mc_mean": report.violation, "closed_form": 0.0, "verdict": report.verdict,
         }
     return run
 
@@ -277,7 +277,7 @@ def _run_layer_project(
 def _run_vc_bound(seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...]) -> _Run:
     return lambda: {
         "d": reps[0].dim, "k": reps[-1].dim,
-        "group": group.name, "mc_mean": vc_bound(reps), "verdict": "pass",
+        "group": group.name, "mc_mean": vc_bound(reps), "verdict": gates.UNGATED,
     }
 
 
@@ -317,13 +317,17 @@ _SEED_LIMIT = 1 << 32
 
 
 def _cast(where: str, value, cast):
-    """``cast(value)``, refusing a bool, and for an int key a float with a fractional part."""
+    """``cast(value)``, refusing a bool, for an int key a float with a fractional part, and for a
+    float key a number that is not finite: JSON has none, but Python's json reads NaN and Infinity."""
     truncated = cast is int and isinstance(value, float) and not value.is_integer()
     try:
         if isinstance(value, bool) or truncated:
             raise ValueError  # int() would take either without a word
-        return cast(value)
-    except (TypeError, ValueError):
+        value = cast(value)
+        if cast is float and not math.isfinite(value):
+            raise ValueError
+        return value
+    except (TypeError, ValueError, OverflowError):  # float() of an int beyond the float range
         message = f"config error: {where} is {value!r}, not a valid {cast.__name__}"
         raise ConfigError(message) from None
 
@@ -513,7 +517,7 @@ def run_config(config: dict, out_dir: Path) -> int:
         rows.append(row)
         print(f"{exp['kind']:<26} verdict={row['verdict']:<4} ({elapsed:.1f}s)")
     _write_results(rows, out_dir)
-    all_pass = all(row["verdict"] == "pass" for row in rows)
+    all_pass = all(row["verdict"] == gates.PASS for row in rows)
     print(f"SUITE: {'PASS' if all_pass else 'FAIL'} ({len(rows)} experiments)")
     return 0 if all_pass else 1
 

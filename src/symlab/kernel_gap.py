@@ -49,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import gates
 from .averaging import build_phi, group_average
 from .groups import Representation
 from .linear_gap import GapReport
@@ -457,7 +458,7 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     bound = bias_term + variance_term
 
     phi = build_phi(config.kernel.action)
-    verdict = "pass" if mean + 4.0 * se >= bound else "fail"
+    verdict = gates.verdict(gates.holds("lower_bound", mean, bound, se))
     return GapReport(
         mc_gap_mean=mean,
         mc_gap_se=se,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gates
 from .averaging import apply_Q
 from .groups import Representation, character_inner
 from .sampling import standard_error, stream
@@ -38,8 +39,6 @@ ACTIVATIONS = {
 }
 # the activations whose Lipschitz constant C = 1 the regularisation bound assumes
 BOUND_ACTIVATIONS = ("relu", "identity")
-# the bound's left side may exceed its middle by this multiple of mean |f_W|^2
-_ROUNDING_ALLOWANCE = 64 * np.finfo(np.float64).eps
 
 
 def _is_permutation_type(rep: Representation) -> bool:
@@ -111,6 +110,8 @@ def project_layer(W: np.ndarray, psi_in: Representation, psi_out: Representation
 
     W_bar = (1/|G|) sum_g psi_out(g^{-1}) W psi_in(g) satisfies
     W_bar psi_in(g) = psi_out(g) W_bar for every g; W = W_bar + W_perp.
+    A W_bar that does not intertwine to 1e-9, as when W is so large that its
+    group mean overflows, raises ValueError.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (psi_out.dim, psi_in.dim):
@@ -120,8 +121,8 @@ def project_layer(W: np.ndarray, psi_in: Representation, psi_out: Representation
     W_bar = np.einsum("gik,kl,glj->ij", out_inv, W, psi_in.matrices, optimize=True) / group.order
     for g in group.generators:
         dev = np.max(np.abs(W_bar @ psi_in.matrices[g] - psi_out.matrices[g] @ W_bar))
-        if dev > 1e-9:
-            raise AssertionError(f"projected layer fails to intertwine: deviation {dev:.3e}")
+        if not dev <= 1e-9:  # NaN fails too
+            raise ValueError(f"projected layer fails to intertwine: deviation {dev:.3e}")
     return W_bar, W - W_bar
 
 
@@ -189,9 +190,10 @@ def check_regularisation_bound(
 
     with S the covariance square root and C = 1 for relu/identity.  The
     cross terms vanish because the group average of W_perp is zero.  The
-    left inequality allows 4 standard errors plus 64 eps mean |f_W|^2 of
-    rounding, so that an exactly intertwining W, whose sides are both
-    rounding dust, passes."""
+    left inequality is held to gates' upper_bound gate with a rounding
+    allowance at the scale mean |f_W|^2, so that an exactly intertwining W,
+    whose sides are both rounding dust, passes; the right one to its
+    bound_order gate."""
     sqrt_cov = _check_regularisation_bound(psi_in, psi_out, activation, sigma, samples)
     act = ACTIVATIONS[activation]
     d = psi_in.dim
@@ -206,15 +208,17 @@ def check_regularisation_bound(
     middle = 2.0 * float(((W_perp @ sqrt_cov) ** 2).sum())
     right = 2.0 * float((sqrt_cov ** 2).sum()) * float((W_perp ** 2).sum())
     # f - Qf of an exactly intertwining W is rounding dust, not an exact zero
-    dust = _ROUNDING_ALLOWANCE * float((f_W(X) ** 2).sum(axis=1).mean())
-    ok = lhs <= middle + 4.0 * lhs_se + dust and middle <= right + 1e-12
+    scale = float((f_W(X) ** 2).sum(axis=1).mean())
+    verdict = gates.verdict(
+        gates.holds("upper_bound", lhs, middle, lhs_se, scale),
+        gates.holds("bound_order", middle, right),
+    )
     return {
         "lhs_mean": lhs,
         "lhs_se": lhs_se,
         "middle_bound": middle,
         "right_bound": right,
-        "w_perp_sq": float((W_perp ** 2).sum()),
-        "verdict": "pass" if ok else "fail",
+        "verdict": verdict,
     }
 
 
@@ -241,6 +245,7 @@ def vc_bound(reps: tuple) -> float:
 class EquivarianceReport:
     violation: float
     samples: int
+    verdict: str
 
 
 def _check_equivariance_report(n_samples: int) -> None:
@@ -250,8 +255,8 @@ def _check_equivariance_report(n_samples: int) -> None:
 
 def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -> EquivarianceReport:
     """The worst end-to-end equivariance violation
-    max_{g,x} |F(phi(g) x) - psi(g) F(x)|_inf over samples; regularizer_value
-    gives the per-layer residuals."""
+    max_{g,x} |F(phi(g) x) - psi(g) F(x)|_inf over samples, held to gates'
+    equivariance gate; regularizer_value gives the per-layer residuals."""
     _check_equivariance_report(n_samples)
     group = spec.reps[0].group
     in_mats = spec.reps[0].matrices
@@ -264,4 +269,7 @@ def equivariance_report(spec: LayerSpec, n_samples: int = 1000, seed: int = 0) -
     for g in ids:
         dev = np.max(np.abs(spec.forward(X @ in_mats[g].T) - FX @ out_mats[g].T))
         violation = float(np.maximum(violation, dev))  # max() would drop a NaN dev
-    return EquivarianceReport(violation=violation, samples=n_samples)
+    return EquivarianceReport(
+        violation=violation, samples=n_samples,
+        verdict=gates.verdict(gates.holds("equivariance", violation)),
+    )

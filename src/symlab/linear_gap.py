@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gates
 from .averaging import IntertwinerTensor, build_psi
 from .groups import Representation, build_representation, character, character_inner
 from .sampling import standard_error, stream
@@ -235,7 +236,7 @@ def _check_verify_wishart(n: int, d: int, trials: int) -> float:
 
 
 def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
-    """Monte-Carlo check that E[(X^T X)^+] = r(n, d) I, entrywise within 4 SE."""
+    """Monte-Carlo check that E[(X^T X)^+] = r(n, d) I, entry by entry at gates' closed_form gate."""
     r = _check_verify_wishart(n, d, trials)
     rng = stream(seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
@@ -258,9 +259,9 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     mean = total / trials
     var = np.maximum(total_sq - trials * mean ** 2, 0.0) / (trials - 1)
     se = np.sqrt(var / trials)
-    dev = np.abs(mean - r * np.eye(d))
-    max_abs_z = float(np.max(dev / np.maximum(se, 1e-300)))
-    verdict = "pass" if np.all(dev <= 4.0 * se) else "fail"
+    expected = r * np.eye(d)
+    max_abs_z = float(np.max(np.abs(mean - expected) / np.maximum(se, 1e-300)))
+    verdict = gates.verdict(gates.holds("closed_form", mean, expected, se))
     return WishartReport(
         n=n, d=d, trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
         max_abs_z=max_abs_z, verdict=verdict, pinv_fallbacks=fallbacks,
@@ -303,7 +304,7 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     beta (P_ab^2, a != b) and gamma (P_ab P_ba, a != b) with honest Monte
     Carlo spread; the three contractions tr(P)^2, tr(P^T P), tr(P^2) are
     constants n^2, n, n for every sample, so the triple fitted from them
-    pins (alpha, beta, gamma) exactly and only float jitter is tolerated.
+    pins (alpha, beta, gamma) exactly and only rounding is allowed.
     """
     _check_verify_projection_tensor(n, d, trials)
     rng = stream(seed, "main")
@@ -352,16 +353,15 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     )
     fit = np.linalg.solve(system, np.array([tr2_mean, trptp_mean, trp2_mean]))
 
-    jitter = 64 * np.finfo(float).eps
-    ok = (
-        abs(alpha_hat - alpha) <= 4 * alpha_se
-        and abs(beta_hat - beta) <= 4 * beta_se
-        and abs(gamma_hat - gamma) <= 4 * gamma_se
-        # exact per sample: tolerate float jitter only
-        and abs(tr2_mean - n ** 2) <= 4 * tr2_se + jitter * n ** 2
-        and abs(trptp_mean - n) <= 4 * trptp_se + jitter * n
-        and abs(trp2_mean - n) <= 4 * trp2_se + jitter * n
-        and np.allclose(fit, [alpha, beta, gamma], rtol=1e-6, atol=1e-12)
+    verdict = gates.verdict(
+        gates.holds("closed_form", alpha_hat, alpha, alpha_se),
+        gates.holds("closed_form", beta_hat, beta, beta_se),
+        gates.holds("closed_form", gamma_hat, gamma, gamma_se),
+        # exact per sample: the rounding allowance at the contraction's own size
+        gates.holds("closed_form", tr2_mean, n ** 2, tr2_se, scale=n ** 2),
+        gates.holds("closed_form", trptp_mean, n, trptp_se, scale=n),
+        gates.holds("closed_form", trp2_mean, n, trp2_se, scale=n),
+        gates.holds("contraction_fit", fit, [alpha, beta, gamma]),
     )
     return ProjectionTensorReport(
         n=n, d=d, trials=trials,
@@ -371,7 +371,7 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
         gamma_hat=gamma_hat, gamma_se=gamma_se,
         contraction_fit=tuple(float(v) for v in fit),
         trace_sq_mean=tr2_mean, trace_sq_se=tr2_se,
-        verdict="pass" if ok else "fail",
+        verdict=verdict,
     )
 
 
@@ -410,7 +410,7 @@ def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
 def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     """Per trial: draw (X, Y), solve minimum-norm least squares, and measure
     the exact per-trial gap sigma_x^2 ||W - Psi(W)||_F^2; compare the mean
-    against the closed form at 4 standard errors."""
+    against the closed form at gates' closed_form gate."""
     d, k, n = config.d, config.k, config.n
     rng = stream(config.seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
@@ -437,7 +437,7 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     mean = float(valid.mean())
     se = standard_error(valid)
     closed = closed_form_gap_equivariant(config)
-    verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
+    verdict = gates.verdict(gates.holds("closed_form", mean, closed, se))
     return GapReport(
         mc_gap_mean=mean,
         mc_gap_se=se,

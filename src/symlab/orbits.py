@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import gates
 from .averaging import build_phi, group_average
 from .groups import Representation, build_group, build_representation
 from .kernel_gap import KernelSpec, build_averaged_kernel, fit_krr, gaussian_kernel
@@ -269,19 +270,20 @@ def equivalence_demo(
         r1 = float(np.mean((p1(T) - truth) ** 2))
         r2 = float(np.mean((p2(T) - truth) ** 2))
         risk1_acc[t], risk2_acc[t] = r1, r2
-        risk_dev = max(risk_dev, abs(r1 - r2))
-        pred_dev = max(pred_dev, float(np.max(np.abs(p1(T) - p2(T)))))
+        # np.maximum keeps a NaN deviation, which builtin max(0.0, nan) would drop
+        risk_dev = float(np.maximum(risk_dev, abs(r1 - r2)))
+        pred_dev = float(np.maximum(pred_dev, np.max(np.abs(p1(T) - p2(T)))))
         # metamorphic: move each training point along its orbit
         gs = rng.integers(0, action.group.order, size=n)
         Xg = np.einsum("nij,nj->ni", action.matrices[gs], X)
         p3 = fit(Xg, Y, rho)
-        meta_dev = max(meta_dev, float(np.max(np.abs(p1(T) - p3(T)))))
+        meta_dev = float(np.maximum(meta_dev, np.max(np.abs(p1(T) - p3(T)))))
 
-    flag = meta_dev > 1e-9
+    flag = gates.holds("metamorphic", meta_dev)
     if invariant_expected:
-        ok = (risk_dev <= 1e-9) and not flag
+        verdict = gates.verdict(gates.holds("identity", risk_dev), gates.holds("identity", meta_dev))
     else:
-        ok = flag
+        verdict = gates.verdict(flag)
     return EquivalenceReport(
         learner=learner,
         invariant_expected=invariant_expected,
@@ -291,7 +293,7 @@ def equivalence_demo(
         prediction_deviation=pred_dev,
         metamorphic_deviation=meta_dev,
         metamorphic_flag=flag,
-        verdict="pass" if ok else "fail",
+        verdict=verdict,
     )
 
 

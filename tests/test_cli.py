@@ -650,6 +650,25 @@ def test_a_nan_layer_weight_exits_2_before_any_verdict(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_layer_weights_exit_2_naming_the_projection(tmp_path, capsys):
+    # finite weights whose group mean overflows used to fail only at run time, after
+    # vc-bound's verdict, as a non-finite weight; the projection is now made in prepare
+    (tmp_path / "w0.txt").write_text("1e308 1e308 1e308\n" * 3)
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 0, "experiments": [
+        {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 2},
+        {"kind": "layer-project", "group": "symmetric 3",
+         "reps": ["natural_permutation"] * 2, "weights_files": [str(tmp_path / "w0.txt")]},
+    ]})
+    with pytest.warns(RuntimeWarning):  # the overflow of the mean, and inf - inf after it
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert captured.err.strip() == (
+        "config error: experiments[1]: projected layer fails to intertwine: deviation nan"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_layer_project_reads_a_one_column_weights_file_as_a_column(tmp_path):
     # three lines of one number each: the (3, 1) map from natural_permutation to trivial 1
     (tmp_path / "w0.txt").write_text("1.0\n1.0\n1.0\n")
@@ -927,7 +946,7 @@ FUZZ_BASES = [
     {"kind": "regularisation-bound", "group": "symmetric 3", "rep_in": "natural_permutation",
      "rep_out": "natural_permutation", "samples": 20},
 ]
-FUZZ_VALUES = (0, -1, 1, 2, 3, 0.5)
+FUZZ_VALUES = (0, -1, 1, 2, 3, 0.5, float("nan"), float("inf"), float("-inf"))
 FUZZ_FIRST = {"kind": "vc-bound", "group": "cyclic 2", "reps": ["trivial 1"] * 2}
 
 
@@ -952,6 +971,21 @@ def _set(exp: dict, path: tuple, value) -> dict:
         node = node.setdefault(key, {})
     node[path[-1]] = value
     return exp
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), 10 ** 400], ids=["nan", "beyond-float"])
+def test_a_non_finite_sigma_exits_2_before_any_verdict(tmp_path, capsys, sigma):
+    # Python's json reads NaN; a NaN sigma used to run orbit-equivalence to verdict=pass
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 1, "experiments": [
+        FUZZ_FIRST,
+        {"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate", "dim": 3,
+         "learner": "invariant_least_squares", "n": 16, "trials": 3, "sigma": sigma},
+    ]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert captured.err.startswith("config error: experiments[1].sigma is ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
