@@ -237,6 +237,9 @@ def _run_covering(
     elif points is not None:
         cloud = PointCloud(np.asarray(points, dtype=np.float64), metric=metric)
     else:
+        for key, size in (("n", n), ("dim", dim)):
+            if size < 1:
+                raise ValueError(f"{key} is {size}, below 1")
         cloud = PointCloud(stream(seed, "main").standard_normal((n, dim)), metric=metric)
     _check_covering_number(eps)
     return lambda: {

@@ -21,14 +21,20 @@ estimate.  The gap experiment and its noiseless bias estimate run one trial
 loop.  A standard error over fewer than two values is NaN, so a 4-SE
 verdict on it fails.
 
-The trial loop runs in chunks of trials.  Each trial of a chunk is fitted
-by its own fit_krr call, so that one fit is one trial and its jitter retry
-depends on no other trial, and the chunk's fits are predicted with one
-stacked Gram; the Gram callables, fit_krr and KrrModel.predict take a
-stack (..., n, d) of samples as well as one sample.  Each chunk draws from
-its own stream, sampling.stream(seed, purpose, chunk), with the purpose
-"krr_trials" for the gap's noisy trials and "krr_bias" for the bias
-estimate's noiseless ones; the N estimate, the Mk probe and the check of
+The trial loop runs in chunks of trials, and the chunk is the stream unit.
+A chunk takes one stacked Gram of its samples, and fits each trial by its
+own fit_krr call on that trial's slice of it, so that one fit is one trial
+and its jitter retry depends on no other trial.  It predicts its fits in
+blocks of trials, the memory unit: the fits' Gram, and a block's gathered
+group matrices and its Gram, each hold at most _BLOCK_ENTRIES entries, or
+one trial's when a trial needs more.  So the fits' Gram too is taken in
+blocks when the samples outnumber the test points (n above n_test), and
+no value depends on where the blocks fall.  The Gram callables, fit_krr
+and KrrModel.predict take a stack (..., n, d) of samples as well as one
+sample.  Each chunk draws from its own stream,
+sampling.stream(seed, purpose, chunk), with the purpose "krr_trials" for
+the gap's noisy trials and "krr_bias" for the bias estimate's noiseless
+ones; the N estimate, the Mk probe and the check of
 f_star draw from their own purposes' streams.  The calling thread runs the
 even chunks and one helper thread the odd ones, each writing its own
 trials, so the results depend neither on scheduling nor on the number of
@@ -76,9 +82,14 @@ SWITCH_VERIFY_TOL = 1e-9
 SWITCH_REFUTE_TOL = 1e-6
 MIN_PAIRS = 1000  # estimate_N's least number of pairs
 
-# Gram entries (trials x n x 2 n_test) one chunk of KRR trials predicts at once;
-# shorter chunks spend their time handing the interpreter lock between workers
+# Gram entries (trials x n x 2 n_test) that set the trials of one chunk, the
+# unit of the KRR trial streams; shorter chunks spend their time handing the
+# interpreter lock between workers
 _CHUNK_ENTRIES = 1 << 18
+# entries of one stacked Gram of a chunk's fits (trials x n x n), and of the
+# gathered group matrices (trials x n_test x d x d) and the Gram
+# (trials x n x 2 n_test) of one block of its predictions
+_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +299,9 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(a)
 
 
-def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> KrrModel:
+def fit_krr(
+    kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float, gram: np.ndarray | None = None
+) -> KrrModel:
     """Solve (K + rho I) alpha = Y by Cholesky with jitter escalation.
 
     X is one sample (n, d) with targets Y (n,), or a stack (..., n, d) of
@@ -297,14 +310,21 @@ def fit_krr(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray, rho: float) -> Krr
     K + rho I is positive definite; when any factorization of a stack
     fails, all are retried with each diagonal raised by 1, 2 and 3 times
     1e-12 * trace(K_t) / n.  A NaN in X or Y raises np.linalg.LinAlgError,
-    from the factorization or from the residual check.
+    from the factorization or from the residual check.  gram is
+    K = kernel.gram(X, X) when the caller has it already, read and not
+    written, or None to compute it here.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     n = X.shape[-2]
-    K = kernel.gram(X, X)
+    if gram is None:
+        K = kernel.gram(X, X)
+    elif gram.shape == X.shape[:-1] + (n,):
+        K = gram
+    else:
+        raise ValueError(f"gram has shape {gram.shape}, expected {X.shape[:-1] + (n,)}")
     # K + rho * I: equal values, but only the diagonals are touched
     base = K.copy()
     _diagonals(base)[...] += rho
@@ -380,24 +400,46 @@ class KrrGapConfig:
 
 def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndarray:
     """`size` trials drawn from rng: fit KRR on fresh samples labelled by f_star,
-    plus sigma-scaled noise when noisy, one fit_krr call per trial; estimate
-    each fit's mean square anti-symmetric part as half the mean square change
-    of the fit from fresh points t to g t, with one Haar-drawn g per point,
-    predicting all of the chunk's fits with one stacked Gram."""
+    plus sigma-scaled noise when noisy, one fit_krr call per trial on its slice
+    of a stacked Gram; estimate each fit's mean square anti-symmetric part as
+    half the mean square change of the fit from fresh points t to g t, with one
+    Haar-drawn g per point, predicting a block of fits at a time.  _blocks
+    sizes the fits' stacked Grams and the prediction blocks."""
     n, n_test, d = config.n, config.n_test, config.kernel.dim
     X = config.mu.sample(size * n, rng)
     y = np.asarray(config.f_star(X)).reshape(size, n)
     if noisy:
         y = y + config.sigma * rng.standard_normal((size, n))
     X = X.reshape(size, n, d)
-    alpha = np.stack([fit_krr(config.kernel, X[t], y[t], config.rho).alpha for t in range(size)])
-    model = KrrModel(kernel=config.kernel, X=X, alpha=alpha)
+    alpha = np.empty((size, n))
+    for block in _blocks(size, n * n):
+        K = config.kernel.gram(X[block], X[block])
+        for t, K_t in zip(range(block.start, block.stop), K):
+            alpha[t] = fit_krr(config.kernel, X[t], y[t], config.rho, gram=K_t).alpha
     X_test = config.mu.sample(size * n_test, rng).reshape(size, n_test, d)
     action = config.kernel.action
     g = rng.integers(action.group.order, size=(size, n_test))
-    moved = np.einsum("btij,btj->bti", action.matrices[g], X_test)
-    f = model.predict(np.concatenate([X_test, moved], axis=1))
-    return 0.5 * ((f[:, :n_test] - f[:, n_test:]) ** 2).mean(axis=1)
+    blocks = _blocks(size, n_test * max(d * d, 2 * n))
+    # each block's test points, then their moved copies g t; einsum writes the
+    # copies about twice as fast into a contiguous buffer as into points' half
+    points = np.empty((blocks[0].stop, 2 * n_test, d))
+    moved = np.empty((blocks[0].stop, n_test, d))
+    per_trial = np.empty(size)
+    for block in blocks:
+        b = block.stop - block.start
+        T = points[:b]
+        T[:, :n_test] = X_test[block]
+        T[:, n_test:] = np.einsum("btij,btj->bti", action.matrices[g[block]], X_test[block], out=moved[:b])
+        f = KrrModel(kernel=config.kernel, X=X[block], alpha=alpha[block]).predict(T)
+        per_trial[block] = 0.5 * ((f[:, :n_test] - f[:, n_test:]) ** 2).mean(axis=1)
+    return per_trial
+
+
+def _blocks(size: int, entries: int) -> list[slice]:
+    """`size` trials in slices of as many trials of `entries` entries each as
+    _BLOCK_ENTRIES holds, and at least one."""
+    step = max(1, _BLOCK_ENTRIES // entries)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
 def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: str, noisy: bool) -> np.ndarray:

@@ -39,6 +39,10 @@ ACTIVATIONS = {
 }
 # the activations whose Lipschitz constant C = 1 the regularisation bound assumes
 BOUND_ACTIVATIONS = ("relu", "identity")
+# the largest product over a stack's layers of (largest |weight|) * (input width).
+# It bounds |F(x)|_inf / |x|_inf, since every activation is 1-Lipschitz and fixes 0,
+# and each layer's group mean and squared norm; at 1e100 none of them overflows
+MAX_LAYER_GAIN = 1e100
 
 
 def _is_permutation_type(rep: Representation) -> bool:
@@ -54,6 +58,8 @@ class LayerSpec:
     reps has length L+1 (input space first); weights[i] maps space i to
     space i+1.  A nonlinear activation requires the intermediate reps to be
     permutation-type, since elementwise maps commute with exactly those.
+    Weights that are not finite, or whose gain bound exceeds MAX_LAYER_GAIN,
+    are refused before any product is taken.
     """
 
     reps: tuple
@@ -70,6 +76,7 @@ class LayerSpec:
         structure = reps[0].group.structure
         if any(rep.group.structure != structure for rep in reps[1:]):
             raise ValueError("all representations must be of the same group")
+        gain = 1.0
         for i, w in enumerate(weights):
             if w.shape != (reps[i + 1].dim, reps[i].dim):
                 raise ValueError(
@@ -78,6 +85,14 @@ class LayerSpec:
                 )
             if not np.all(np.isfinite(w)):
                 raise ValueError(f"weights[{i}] has an entry that is not finite")
+            # a Python float: past the float range the product is inf, with no warning
+            size = float(np.max(np.abs(w), initial=0.0))
+            gain *= size * w.shape[1]
+            if not gain <= MAX_LAYER_GAIN:
+                raise ValueError(
+                    f"weights[{i}] has an entry of size {size:.3e}, and the stack's gain bound "
+                    f"reaches {gain:.3e}, above {MAX_LAYER_GAIN:.0e}"
+                )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation != "identity" and len(weights) > 1:
@@ -110,8 +125,9 @@ def project_layer(W: np.ndarray, psi_in: Representation, psi_out: Representation
 
     W_bar = (1/|G|) sum_g psi_out(g^{-1}) W psi_in(g) satisfies
     W_bar psi_in(g) = psi_out(g) W_bar for every g; W = W_bar + W_perp.
-    A W_bar that does not intertwine to 1e-9, as when W is so large that its
-    group mean overflows, raises ValueError.
+    A W_bar that does not intertwine to 1e-9 raises ValueError.  That
+    tolerance is absolute, so rounding alone can exceed it once W's entries
+    near 1e7; a W whose group mean overflows fails it too.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (psi_out.dim, psi_in.dim):

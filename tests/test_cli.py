@@ -151,7 +151,7 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
     ({"kind": "gap-equivariant", "group": "symmetric 3", "rep_in": "natural_permutation",
       "rep_out": "natural_permutation", "n": 12, "sigma_x": 0}, "sigma_x must be > 0"),
     ({"kind": "covering", "eps": 0}, "eps must be > 0"),
-    ({"kind": "covering", "eps": 0.5, "n": -1}, "negative dimensions are not allowed"),
+    ({"kind": "covering", "eps": 0.5, "n": -1}, "n is -1, below 1"),
     ({"kind": "covering", "eps": 0.5, "points": []}, "points must be a non-empty finite (n, d) array"),
     ({"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate", "dim": 2,
       "learner": "invariant_least_squares", "n": 8}, "need n >= 16"),
@@ -652,19 +652,22 @@ def test_a_nan_layer_weight_exits_2_before_any_verdict(tmp_path, capsys):
 
 def test_huge_layer_weights_exit_2_naming_the_projection(tmp_path, capsys):
     # finite weights whose group mean overflows used to fail only at run time, after
-    # vc-bound's verdict, as a non-finite weight; the projection is now made in prepare
+    # vc-bound's verdict, then in prepare with an overflow RuntimeWarning, which a warnings
+    # filter of "error" turned into a traceback; LayerSpec now refuses them before any product
     (tmp_path / "w0.txt").write_text("1e308 1e308 1e308\n" * 3)
     cfg = _write_config(tmp_path / "cfg.json", {"seed": 0, "experiments": [
         {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 2},
         {"kind": "layer-project", "group": "symmetric 3",
          "reps": ["natural_permutation"] * 2, "weights_files": [str(tmp_path / "w0.txt")]},
     ]})
-    with pytest.warns(RuntimeWarning):  # the overflow of the mean, and inf - inf after it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert "verdict=" not in captured.out
     assert captured.err.strip() == (
-        "config error: experiments[1]: projected layer fails to intertwine: deviation nan"
+        "config error: experiments[1]: weights[0] has an entry of size 1.000e+308, "
+        "and the stack's gain bound reaches inf, above 1e+100"
     )
     assert not (tmp_path / "out").exists()
 
@@ -1003,10 +1006,15 @@ def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
             out = tmp_path / str(i)
             cfg = _write_config(tmp_path / "cfg.json", {"seed": 1, "experiments": [FUZZ_FIRST, exp]})
             code = cli.main(["run", cfg, "--out", str(out)])
-            printed = capsys.readouterr().out
+            captured = capsys.readouterr()
+            printed = captured.out
             where = (base["kind"], path, value)
             if not path:
                 assert code == 0, where
+            if base["kind"] == "covering" and path in (("n",), ("dim",)) and value in (0, -1):
+                # numpy's "negative dimensions are not allowed" used to name no key
+                assert code == 2, where
+                assert captured.err.strip() == f"config error: experiments[1]: {path[0]} is {value}, below 1"
             if code == 2:
                 assert "verdict=" not in printed and not out.exists(), where
             else:

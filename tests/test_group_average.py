@@ -292,21 +292,33 @@ def _reference_perp_sq_trials(config, trials, purpose):
         draws = rng.integers(group.order, size=(b, n_test))
         for t in range(b):
             model = fit_krr(config.kernel, X[t], y[t], config.rho)
-            moved = np.stack([mats[g] @ x for g, x in zip(draws[t], X_test[t])])
+            # each g t as the sum over j of column j of phi(g) times t_j, in order: a matmul
+            # may fuse the multiply and add, and moves the last bit of a rotation's image
+            columns = mats[draws[t]]
+            moved = columns[:, :, 0] * X_test[t][:, :1]
+            for j in range(1, d):
+                moved = moved + columns[:, :, j] * X_test[t][:, j:j + 1]
             diff = model.predict(X_test[t]) - model.predict(moved)
             out.append(float(0.5 * (diff ** 2).mean()))
     return np.array(out)
 
 
 def _gap_config(d, ktype, n=16, rho=0.1):
-    rep = _rep(f"cyclic {d}")
+    # d an int: C_d permuting coordinates, with the invariant target x . 1 / sqrt(d);
+    # d "6-rotation": C6 rotating the plane by 60 degrees, with the invariant Re (x1 + i x2)^6
+    if d == "6-rotation":
+        rep, d = _rep("cyclic 6", "rotation_block 1"), 2
+        f_star = lambda X: ((X[..., 0] + 1j * X[..., 1]) ** 6).real
+    else:
+        rep = _rep(f"cyclic {d}")
+        theta = np.ones(d) / math.sqrt(d)
+        f_star = lambda X: X @ theta
     kernel = (
         linear_kernel(rep, Mk=float(d)) if ktype == "linear"
         else gaussian_kernel(rep, bandwidth=math.sqrt(d))
     )
-    theta = np.ones(d) / math.sqrt(d)
     return KrrGapConfig(
-        kernel=kernel, f_star=lambda X: X @ theta, mu=sphere(d),
+        kernel=kernel, f_star=f_star, mu=sphere(d),
         n=n, sigma=1.0, rho=rho, trials=1, seed=3, n_test=256,
     )
 
@@ -341,16 +353,22 @@ def test_pair_values_is_bitwise_the_one_shot_diagonal(ktype):
     assert np.array_equal(_pair_values(gram_perp, X, Y), np.diagonal(gram_perp(X, Y)))
 
 
-@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("d", [4, 8, "6-rotation"])
 @pytest.mark.parametrize("ktype", ["linear", "gaussian"])
-def test_paired_trial_is_bitwise_the_definition(d, ktype):
-    # every (n, rho) of the quick suite's gap-kernel grid, over three chunks, the last one short
-    for n, rho in ((16, 0.1), (16, 1.0), (64, 0.1), (64, 1.0)):
+def test_paired_trial_is_bitwise_the_definition(monkeypatch, d, ktype):
+    # every (n, rho) of the quick suite's gap-kernel grid, over three chunks, the last one
+    # short, and at n = 600 three chunks of one trial each; the predictions' blocks are the
+    # memory unit, not the stream unit, so a budget of one trial per block reads the same bits
+    for n, rho in ((16, 0.1), (16, 1.0), (64, 0.1), (64, 1.0), (600, 0.1)):
         config = _gap_config(d, ktype, n=n, rho=rho)
-        size = kernel_gap._CHUNK_ENTRIES // (n * 2 * config.n_test)
-        trials = 2 * size + 3
+        size = max(1, kernel_gap._CHUNK_ENTRIES // (n * 2 * config.n_test))
+        trials = 2 * size + 3 if size > 1 else 3
         expected = _reference_perp_sq_trials(config, trials, purpose="krr_trials")
         assert np.array_equal(_perp_sq_trials(config, trials, "krr_trials", noisy=True), expected)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_gap, "_BLOCK_ENTRIES", 1)
+            assert np.array_equal(_perp_sq_trials(config, trials, "krr_trials", noisy=True), expected)
+    d = config.kernel.dim
     averaged = build_averaged_kernel(config.kernel)
     A, B = np.random.default_rng(23).standard_normal((2, 40, d))
     expected = config.kernel.gram(A, B) - _reference_gram_bar(config.kernel, A, B)

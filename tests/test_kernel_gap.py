@@ -10,6 +10,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -275,6 +276,24 @@ def test_stacked_fit_and_predict_match_per_sample_calls(ktype):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("ktype", ["linear", "gaussian"])
+def test_fit_krr_on_a_given_gram_is_bitwise_the_fit_that_computes_it(ktype):
+    rep = _perm_rep("cyclic 8")
+    kernel = linear_kernel(rep) if ktype == "linear" else gaussian_kernel(rep, bandwidth=math.sqrt(8))
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((4, 16, 8))
+    y = rng.standard_normal((4, 16))
+    K = kernel.gram(X, X)
+    K0 = K.copy()
+    for t in range(4):  # each sample's slice of the stacked Gram, as the trial loop fits it
+        given = fit_krr(kernel, X[t], y[t], 0.1, gram=K[t])
+        assert np.array_equal(given.alpha, fit_krr(kernel, X[t], y[t], 0.1).alpha)
+    assert np.array_equal(fit_krr(kernel, X, y, 0.1, gram=K).alpha, fit_krr(kernel, X, y, 0.1).alpha)
+    assert np.array_equal(K, K0)  # the given Gram is read, not written
+    with pytest.raises(ValueError, match=r"gram has shape \(16, 16\), expected \(4, 16, 16\)"):
+        fit_krr(kernel, X, y, 0.1, gram=K[0])
+
+
 # ---------------------------------------------------------- gap experiment
 
 
@@ -426,6 +445,28 @@ def test_each_trial_is_its_own_fit_and_a_retry_moves_that_trial_alone(monkeypatc
     # trial 2 is factored twice, every other trial once, one (n, n) matrix each time
     assert factored == [(config.n, config.n)] * (config.trials + 1)
     assert np.flatnonzero(retried != plain).tolist() == [2]
+
+
+def test_a_chunk_predicts_in_blocks_of_bounded_memory():
+    # a C8 Gaussian chunk at n = 16 is 32 trials; predicted at once, its gathered
+    # (32, 256, 8, 8) matrices and two (32, 16, 512) Gram buffers peaked at 6.7 MB
+    rep = _perm_rep("cyclic 8")
+    theta = np.ones(8) / math.sqrt(8)
+    config = KrrGapConfig(
+        kernel=gaussian_kernel(rep, bandwidth=math.sqrt(8)), f_star=lambda X: X @ theta, mu=sphere(8),
+        n=16, sigma=1.0, rho=0.1, trials=32, seed=3, n_test=256,
+    )
+    size = kernel_gap._CHUNK_ENTRIES // (config.n * 2 * config.n_test)
+    assert size == 32
+    first = kernel_gap._chunk_perp_sq(config, size, stream(3, "krr_trials", 0), True)
+    tracemalloc.start()
+    try:
+        again = kernel_gap._chunk_perp_sq(config, size, stream(3, "krr_trials", 0), True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("failing", [2, 3])  # a chunk of the caller's, one of the helper's

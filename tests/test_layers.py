@@ -8,6 +8,7 @@ bound, and hand-evaluated VC arithmetic.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_layer_spec_refuses_a_non_finite_weight():
         W[0, 0] = bad
         with pytest.raises(ValueError, match=r"weights\[1\] has an entry that is not finite"):
             LayerSpec(reps=(rep3,) * 3, weights=(np.eye(3), W), activation="relu")
+
+
+def test_layer_spec_refuses_a_gain_past_the_overflow_bound():
+    # each layer alone is far from overflow, but two of them take a unit input to 9e120
+    rep3 = _natural("symmetric 3")
+    with pytest.raises(ValueError, match=r"weights\[1\] has an entry of size 1\.000e\+60, and the "
+                                         r"stack's gain bound reaches 9\.000e\+120, above 1e\+100"):
+        LayerSpec(reps=(rep3,) * 3, weights=(1e60 * np.eye(3), 1e60 * np.eye(3)), activation="relu")
+    # within the bound, projecting and checking the stack raise no RuntimeWarning
+    spec = LayerSpec(reps=(rep3,) * 3, weights=(1e40 * np.ones((3, 3)),) * 2, activation="relu")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = equivariance_report(project_spec(spec), n_samples=10)
+    assert math.isfinite(report.violation)
 
 
 def test_equivariance_report_keeps_a_nan_deviation(monkeypatch):
