@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gates
 from .groups import Representation, build_representation, character_inner
-from .sampling import standard_error, stream
+from .sampling import blocks, standard_error, stream
 
 __all__ = [
     "MAX_TENSOR_SIDE",
@@ -284,16 +284,12 @@ def empirical_rademacher(
         raise ValueError(f"enumerating sign vectors caps at 20 points, got {n}; pass m_samples")
     total = 0.0
     bit = np.arange(n)
-    block = 4096
-    for start in range(0, 1 << n, block):
-        idx = np.arange(start, min(start + block, 1 << n))
+    # a block's sign vectors and their products with the function values
+    for block in blocks(1 << n, n + len(funcs)):
+        idx = np.arange(block.start, block.stop)
         signs = 2.0 * ((idx[:, None] >> bit) & 1) - 1.0
         total += np.abs(signs @ values.T).max(axis=1).sum()
     return total / (1 << n) / n
-
-
-# rows of the sample whose f_bar, f_perp and inner products are held at once
-_INNER_BLOCK_ROWS = 8192
 
 
 def _check_verify_operator_identities(
@@ -360,11 +356,14 @@ def verify_operator_identities(
     op = apply_Q(pred, rep_in, rep_out)
     X = rng.standard_normal((n_samples, d))
     inner = np.empty(n_samples)
-    for start in range(0, n_samples, _INNER_BLOCK_ROWS):
-        rows = X[start:start + _INNER_BLOCK_ROWS]
+    # live per row: up to two d-wide arrays, its moved copies, and up to eight
+    # k-wide ones: the predictor's temporaries, the running average, f_bar,
+    # f_perp and their product
+    for block in blocks(n_samples, 2 * d + 8 * k):
+        rows = X[block]
         f_bar = op.symmetric_part(rows)
         f_perp = pred(rows) - f_bar  # antisym_part(rows) without a second average
-        inner[start:start + len(rows)] = (
+        inner[block] = (
             np.asarray(f_bar).reshape(len(rows), -1) * np.asarray(f_perp).reshape(len(rows), -1)
         ).sum(axis=1)
     small = X[:1000]

@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sampling import blocks
+
 __all__ = [
     "MAX_GROUP_ORDER",
     "MAX_REP_ENTRIES",
@@ -276,16 +278,13 @@ class Representation:
         return f"Representation({self.name!r}, group={self.group.name!r}, dim={self.dim})"
 
 
-# the matrix entries one block of elements holds while a representation is checked
-_CHECK_BLOCK_ENTRIES = 1 << 16
-
-
 def _validate_representation(rep: Representation) -> None:
     """Check the identity, each generator's homomorphism property and orthogonality.
 
     A non-finite entry, or one above 1 in absolute value, is refused first.
-    Every check runs over blocks of elements, so no temporary is larger than
-    one block or one element's matrix, whichever is larger.
+    Every check runs over blocks of elements from sampling.blocks, each
+    element counted as two matrices: a block's products and its gathered
+    targets are live at once, and a one-element block gathers none.
     """
     group, mats = rep.group, rep.matrices
     m, d = group.order, rep.dim
@@ -293,11 +292,11 @@ def _validate_representation(rep: Representation) -> None:
         raise ValueError(f"representation dim must be >= 1, got {d}")
     if mats.shape != (m, d, d):
         raise ValueError(f"matrices have shape {mats.shape}, expected {(m, d, d)} for {group.name}")
-    step = min(m, max(1, _CHECK_BLOCK_ENTRIES // (d * d)))
+    element_blocks = blocks(m, 2 * d * d)
     # before any product: inf - inf or a huge entry in one would warn where it
     # should refuse; an orthogonal matrix has no entry above 1 in absolute value
-    for start in range(0, m, step):
-        peak = np.max(np.abs(mats[start:start + step]))
+    for block in element_blocks:
+        peak = np.max(np.abs(mats[block]))
         if not np.isfinite(peak):
             raise ValueError("matrices are not a homomorphism: an entry is not finite")
         if peak > 1.0 + HOMOMORPHISM_TOL:
@@ -312,9 +311,9 @@ def _validate_representation(rep: Representation) -> None:
 
     # with rho(e) = I, rho(s*g) = rho(s) rho(g) for each generator s gives it for all of G
     dev = orth_dev = 0.0
+    step = element_blocks[0].stop
     buffer = np.empty((step, d, d))
-    for start in range(0, m, step):
-        block = slice(start, min(start + step, m))
+    for block in element_blocks:
         ids = np.arange(block.start, block.stop)
         prod = np.matmul(mats[block], mats[block].transpose(0, 2, 1), out=buffer[:len(ids)])
         prod.reshape(len(ids), -1)[:, ::d + 1] -= 1.0

@@ -25,13 +25,16 @@ The trial loop runs in chunks of trials, and the chunk is the stream unit.
 A chunk takes one stacked Gram of its samples, and fits each trial by its
 own fit_krr call on that trial's slice of it, so that one fit is one trial
 and its jitter retry depends on no other trial.  It predicts its fits in
-blocks of trials, the memory unit: the fits' Gram, and a block's gathered
-group matrices and its Gram, each hold at most _BLOCK_ENTRIES entries, or
-one trial's when a trial needs more.  So the fits' Gram too is taken in
-blocks when the samples outnumber the test points (n above n_test), and
-no value depends on where the blocks fall.  The Gram callables, fit_krr
-and KrrModel.predict take a stack (..., n, d) of samples as well as one
-sample.  Each chunk draws from its own stream,
+blocks of trials from sampling.blocks, the memory unit: the fits' Gram, and
+a block's gathered group matrices and its Gram, each hold at most
+sampling.BLOCK_ENTRIES entries, or one trial's when a trial needs more.  So
+the fits' Gram too is taken in blocks when the samples outnumber the test
+points (n above n_test), and no value depends on where the blocks fall.
+The Gram callables, fit_krr and KrrModel.predict take a stack (..., n, d)
+of samples as well as one sample; k(x_i, y_i) for aligned rows is the Gram
+of the (n, 1, d) stacks, so no Gram entry off that diagonal is computed,
+and _validate_kernel refuses a Gram callable that does not take stacks.
+Each chunk draws from its own stream,
 sampling.stream(seed, purpose, chunk), with the purpose "krr_trials" for
 the gap's noisy trials and "krr_bias" for the bias estimate's noiseless
 ones; the N estimate, the Mk probe and the check of
@@ -59,7 +62,7 @@ from . import gates
 from .averaging import build_phi, group_average
 from .groups import Representation
 from .linear_gap import GapReport
-from .sampling import Distribution, standard_error, stream
+from .sampling import Distribution, blocks, standard_error, stream
 
 __all__ = [
     "KernelSpec",
@@ -86,10 +89,6 @@ MIN_PAIRS = 1000  # estimate_N's least number of pairs
 # unit of the KRR trial streams; shorter chunks spend their time handing the
 # interpreter lock between workers
 _CHUNK_ENTRIES = 1 << 18
-# entries of one stacked Gram of a chunk's fits (trials x n x n), and of the
-# gathered group matrices (trials x n_test x d x d) and the Gram
-# (trials x n x 2 n_test) of one block of its predictions
-_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +113,15 @@ def _validate_kernel(spec: KernelSpec) -> KernelSpec:
     rng = np.random.default_rng(20)
     d = spec.dim
     X, Y = rng.standard_normal((2, 8, d))
-    if np.max(np.abs(spec.gram(X, Y) - spec.gram(Y, X).T)) > 1e-12:
+    K = spec.gram(X, Y)
+    if np.max(np.abs(K - spec.gram(Y, X).T)) > 1e-12:
         raise ValueError(f"kernel {spec.name!r} is not symmetric")
+    try:  # the stack contract: the Gram of (8, 1, d) stacks is the (8, 8) Gram's diagonal
+        pairs = _pair_values(spec.gram, X, Y)
+    except (ValueError, IndexError):  # a shape mismatch, or a Gram of the wrong rank
+        pairs = np.full(8, np.nan)
+    if not np.max(np.abs(pairs - np.diagonal(K))) <= 1e-12:
+        raise ValueError(f"kernel {spec.name!r} does not take stacks (..., m, d)")
     P = rng.standard_normal((30, d))
     K = spec.gram(P, P)
     if float(np.linalg.eigvalsh((K + K.T) / 2).min()) < -1e-8:
@@ -160,14 +166,8 @@ def explicit_bilinear_kernel(
 
 
 def _pair_values(gram, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """k(x_i, y_i) for aligned rows, computed in blocks of 64 off the Gram
-    diagonal; only the diagonal is kept, so small blocks waste less of each Gram."""
-    n, block = X.shape[0], 64
-    out = np.empty(n)
-    for start in range(0, n, block):
-        sl = slice(start, min(start + block, n))
-        out[sl] = np.diagonal(gram(X[sl], Y[sl]))
-    return out
+    """k(x_i, y_i) for aligned rows: the (n, 1, 1) Gram of their (n, 1, d) stacks."""
+    return gram(X[:, None], Y[:, None])[:, 0, 0]
 
 
 def check_switch_condition(
@@ -251,7 +251,9 @@ def estimate_N(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of N[j] = E[j(X, Y)^2] over independent X, Y ~ mu,
-    drawn from rng, e.g. ``sampling.stream(seed, "pairs")``."""
+    drawn from rng, e.g. ``sampling.stream(seed, "pairs")``.  The Gram
+    callable takes stacks (..., m, d), as every kernel's does: each pair's
+    value is the Gram of its two (1, d) rows."""
     if pairs < MIN_PAIRS:
         raise ValueError(f"estimate_N needs pairs >= {MIN_PAIRS}")
     X = mu.sample(pairs, rng)
@@ -403,8 +405,8 @@ def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndar
     plus sigma-scaled noise when noisy, one fit_krr call per trial on its slice
     of a stacked Gram; estimate each fit's mean square anti-symmetric part as
     half the mean square change of the fit from fresh points t to g t, with one
-    Haar-drawn g per point, predicting a block of fits at a time.  _blocks
-    sizes the fits' stacked Grams and the prediction blocks."""
+    Haar-drawn g per point, predicting a block of fits at a time.
+    sampling.blocks sizes the fits' stacked Grams and the prediction blocks."""
     n, n_test, d = config.n, config.n_test, config.kernel.dim
     X = config.mu.sample(size * n, rng)
     y = np.asarray(config.f_star(X)).reshape(size, n)
@@ -412,20 +414,20 @@ def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndar
         y = y + config.sigma * rng.standard_normal((size, n))
     X = X.reshape(size, n, d)
     alpha = np.empty((size, n))
-    for block in _blocks(size, n * n):
+    for block in blocks(size, n * n):
         K = config.kernel.gram(X[block], X[block])
         for t, K_t in zip(range(block.start, block.stop), K):
             alpha[t] = fit_krr(config.kernel, X[t], y[t], config.rho, gram=K_t).alpha
     X_test = config.mu.sample(size * n_test, rng).reshape(size, n_test, d)
     action = config.kernel.action
     g = rng.integers(action.group.order, size=(size, n_test))
-    blocks = _blocks(size, n_test * max(d * d, 2 * n))
+    predict_blocks = blocks(size, n_test * max(d * d, 2 * n))
     # each block's test points, then their moved copies g t; einsum writes the
     # copies about twice as fast into a contiguous buffer as into points' half
-    points = np.empty((blocks[0].stop, 2 * n_test, d))
-    moved = np.empty((blocks[0].stop, n_test, d))
+    points = np.empty((predict_blocks[0].stop, 2 * n_test, d))
+    moved = np.empty((predict_blocks[0].stop, n_test, d))
     per_trial = np.empty(size)
-    for block in blocks:
+    for block in predict_blocks:
         b = block.stop - block.start
         T = points[:b]
         T[:, :n_test] = X_test[block]
@@ -433,13 +435,6 @@ def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndar
         f = KrrModel(kernel=config.kernel, X=X[block], alpha=alpha[block]).predict(T)
         per_trial[block] = 0.5 * ((f[:, :n_test] - f[:, n_test:]) ** 2).mean(axis=1)
     return per_trial
-
-
-def _blocks(size: int, entries: int) -> list[slice]:
-    """`size` trials in slices of as many trials of `entries` entries each as
-    _BLOCK_ENTRIES holds, and at least one."""
-    step = max(1, _BLOCK_ENTRIES // entries)
-    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
 def _perp_sq_trials(config: KrrGapConfig, trials: int, purpose: str, noisy: bool) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import gates
 from .averaging import build_phi, group_average
 from .groups import Representation, build_group, build_representation
 from .kernel_gap import KernelSpec, build_averaged_kernel, fit_krr, gaussian_kernel
-from .sampling import gaussian, stream
+from .sampling import blocks, gaussian, stream
 
 __all__ = [
     "CrossSection",
@@ -319,9 +319,10 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
 
     def distances_to(self, centers: np.ndarray) -> np.ndarray:
-        """(n, k) distances from every point to each of k centers."""
+        """(n, k) distances from every point to each of k centers, in blocks of
+        rows; each row is reduced on its own, so no value depends on the blocks."""
         out = np.empty((self.points.shape[0], centers.shape[0]))
-        for rows in _row_blocks(out.shape[0], centers.size):
+        for rows in blocks(out.shape[0], centers.size):
             out[rows] = self._distances(self.points[rows], centers)
         return out
 
@@ -329,7 +330,7 @@ class PointCloud:
         """Index of the point whose distances to all points sum least."""
         pts = self.points
         sums = np.empty(pts.shape[0])
-        for rows in _row_blocks(pts.shape[0], pts.size):
+        for rows in blocks(pts.shape[0], pts.size):
             sums[rows] = self._distances(pts[rows], pts).sum(axis=1)
         return int(np.argmin(sums))
 
@@ -338,20 +339,6 @@ class PointCloud:
         if self.metric == "sup":
             return np.abs(diff).max(axis=2)
         return np.sqrt(np.square(diff, out=diff).sum(axis=2))
-
-
-# float64 entries in one block of per-point differences (2 MB)
-_BLOCK_ENTRIES = 1 << 18
-
-
-def _row_blocks(n_rows: int, row_entries: int) -> list:
-    """Row slices whose (rows, k, d) difference arrays hold about _BLOCK_ENTRIES.
-
-    Each row is reduced on its own, so the blocking leaves every value as
-    an unblocked computation gives it.
-    """
-    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _farthest_first_size(cloud: PointCloud, eps: float, start: int) -> int:

@@ -1,11 +1,16 @@
 """Input distributions for Monte-Carlo estimates of mu-inner products, the
-standard error every Monte-Carlo estimate reports, and the random streams
-an experiment draws from its seed.
+standard error every Monte-Carlo estimate reports, the random streams
+an experiment draws from its seed, and the blocks that bound the memory of
+a loop over many items.
 
 Only distributions invariant under orthogonal actions are constructed
 here: the isotropic Gaussian and the uniform sphere.  Every draw an
 experiment makes from its seed goes through stream(seed, purpose, index),
 so each purpose has its own stream and no two purposes share one.
+
+A stream unit sets which draws go together, so changing one moves bytes;
+a block, from blocks(count, each), is a memory unit only, and no value
+depends on where the blocks fall.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Distribution", "STREAMS", "gaussian", "sphere", "standard_error", "stream"]
+__all__ = ["BLOCK_ENTRIES", "Distribution", "STREAMS", "blocks", "gaussian", "sphere", "standard_error", "stream"]
+
+# float64 entries that one block of a memory-blocked loop keeps live (1 MB)
+BLOCK_ENTRIES = 1 << 17
 
 # purpose -> the code that keys its streams (seed, code, index); no code is used twice,
 # and a seed below 2**32 is one word of the key, so no two keys draw the same stream.
@@ -66,6 +74,13 @@ def sphere(dim: int, radius: float | None = None) -> Distribution:
 def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     """The generator of the index-th stream of `purpose` under an experiment's seed."""
     return np.random.default_rng((seed, STREAMS[purpose], index))
+
+
+def blocks(count: int, each: int) -> list[slice]:
+    """`count` items in order, in slices of as many items of `each` live
+    entries as BLOCK_ENTRIES holds, and at least one item."""
+    step = max(1, BLOCK_ENTRIES // max(1, each))
+    return [slice(start, min(start + step, count)) for start in range(count)[::step]]
 
 
 def standard_error(values: np.ndarray) -> float:

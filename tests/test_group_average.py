@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from symlab import kernel_gap
+from symlab import kernel_gap, sampling
 from symlab.averaging import apply_Q, build_phi, build_psi, group_average, haar_sample, tta_average
 from symlab.groups import build_group, build_representation, character, character_inner
 from symlab.kernel_gap import (
@@ -345,7 +345,7 @@ def test_pair_values_is_bitwise_the_one_shot_diagonal(ktype):
     rep = _rep("cyclic 8")
     spec = linear_kernel(rep) if ktype == "linear" else gaussian_kernel(rep, bandwidth=math.sqrt(8))
     rng = np.random.default_rng(22)
-    # 1000 rows: fifteen full 64-row blocks and a ragged one
+    # the (1000, 1, 1) Gram of the stacked rows against the diagonal of the (1000, 1000) one
     X, Y = rng.standard_normal((2, 1000, 8))
     assert np.array_equal(_pair_values(spec.gram, X, Y), np.diagonal(spec.gram(X, Y)))
     assert np.array_equal(_pair_values(spec.gram, X, X), np.diagonal(spec.gram(X, X)))
@@ -366,7 +366,7 @@ def test_paired_trial_is_bitwise_the_definition(monkeypatch, d, ktype):
         expected = _reference_perp_sq_trials(config, trials, purpose="krr_trials")
         assert np.array_equal(_perp_sq_trials(config, trials, "krr_trials", noisy=True), expected)
         with monkeypatch.context() as patch:
-            patch.setattr(kernel_gap, "_BLOCK_ENTRIES", 1)
+            patch.setattr(sampling, "BLOCK_ENTRIES", 1)
             assert np.array_equal(_perp_sq_trials(config, trials, "krr_trials", noisy=True), expected)
     d = config.kernel.dim
     averaged = build_averaged_kernel(config.kernel)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from symlab import sampling
 from symlab.averaging import build_phi, build_psi
 from symlab.linear_gap import LinearGapConfig, closed_form_gap_equivariant, random_equivariant_target
 
@@ -322,6 +323,37 @@ def test_large_symmetric_group_never_builds_its_table():
     a, b = rng.integers(0, g.order, size=(2, 200))
     composed = perms[g.compose(a, b)]
     assert np.array_equal(composed, np.take_along_axis(perms[a], perms[b], axis=1))
+
+
+def test_representation_checks_read_the_same_at_any_block_budget(monkeypatch):
+    # the checks' blocks are a memory unit: one element per block accepts S7, and refuses
+    # a planted non-homomorphism of S5 with the same message, as the default budget does
+    s7, s5 = build_group("symmetric 7"), build_group("symmetric 5")
+    planted = np.array(build_representation(s5, "natural_permutation").matrices)
+    planted[[1, 2]] = planted[[2, 1]]
+    outcomes = []
+    for block_entries in (sampling.BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", block_entries)
+        rep = build_representation(s7, "natural_permutation")
+        with pytest.raises(ValueError) as refused:
+            build_representation(s5, "explicit", matrices=planted.copy())
+        outcomes.append((rep.matrices, str(refused.value)))
+    (first, message), (again, message_again) = outcomes
+    assert np.array_equal(first, again)
+    assert message == message_again and message.startswith("matrices are not a homomorphism")
+
+
+def test_s7_natural_build_peaks_under_its_block_budget():
+    # a check's block holds two matrices per element, its products and its gathered
+    # targets: sizing the blocks by one matrix per element peaked at 4.38 MiB
+    g = build_group("symmetric 7")
+    tracemalloc.start()
+    try:
+        build_representation(g, "natural_permutation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.9 * 2 ** 20
 
 
 def _equivariant_config(rep, n):

@@ -155,8 +155,17 @@ def test_estimate_N_averaged_linear_is_dim_s():
     assert abs(mean - dim_s) <= 4.0 * se
 
 
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_a_gram_that_takes_no_stacks_is_refused_naming_the_kernel(d):
+    # _pair_values reads k(x_i, y_i) as the Gram of (n, 1, d) stacks; A @ B.T
+    # transposes a stack's every axis, so it raises or returns the wrong shape
+    flat = kernel_gap.KernelSpec("flat-linear", _perm_rep(f"cyclic {d}"), lambda A, B: A @ B.T)
+    with pytest.raises(ValueError, match="kernel 'flat-linear' does not take stacks"):
+        kernel_gap._validate_kernel(flat)
+
+
 def test_estimate_N_zero_kernel():
-    zero = lambda A, B: np.zeros((A.shape[0], B.shape[0]))
+    zero = lambda A, B: np.zeros(A.shape[:-1] + B.shape[-2:-1])  # a Gram of stacks, as the contract asks
     mean, se = estimate_N(zero, gaussian(3), pairs=1000, rng=stream(0, "main"))
     assert mean == 0.0 and se == 0.0
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlab import orbits
+from symlab import sampling
 from symlab.groups import build_group, build_representation
 from symlab.orbits import (
     PointCloud,
@@ -250,8 +250,8 @@ def test_blockwise_distances_match_one_shot_arrays(monkeypatch):
     pts = rng.standard_normal((700, 4))  # several row blocks against all 700 centers
     diff = pts[:, None, :] - pts[None, :, :]
     # 64 entries: one-row blocks against all centers, ragged 3-row blocks against five
-    for block_entries in (orbits._BLOCK_ENTRIES, 64):
-        monkeypatch.setattr(orbits, "_BLOCK_ENTRIES", block_entries)
+    for block_entries in (sampling.BLOCK_ENTRIES, 64):
+        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", block_entries)
         for metric, full in (("euclidean", np.sqrt((diff ** 2).sum(axis=2))),
                              ("sup", np.abs(diff).max(axis=2))):
             cloud = PointCloud(pts, metric=metric)
