@@ -23,7 +23,7 @@ import numpy as np
 from . import gates
 from .averaging import IntertwinerTensor, build_psi
 from .groups import Representation, build_representation, character, character_inner
-from .sampling import standard_error, stream
+from .sampling import RunningMoments, standard_error, stream
 
 __all__ = [
     "LinearGapConfig",
@@ -305,15 +305,17 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     Carlo spread; the three contractions tr(P)^2, tr(P^T P), tr(P^2) are
     constants n^2, n, n for every sample, so the triple fitted from them
     pins (alpha, beta, gamma) exactly and only rounding is allowed.
+
+    Only alpha's column is kept per trial: its mean and standard error are
+    the row's printed mc_mean and mc_se, taken over the whole column.  The
+    other five statistics feed only the gates and the report, so their
+    chunks merge into RunningMoments and the memory holds one column of
+    trials, not six.
     """
     _check_verify_projection_tensor(n, d, trials)
     rng = stream(seed, "main")
     a_t = np.empty(trials)
-    b_t = np.empty(trials)
-    g_t = np.empty(trials)
-    tr2_t = np.empty(trials)
-    trptp_t = np.empty(trials)
-    trp2_t = np.empty(trials)
+    moments = b_m, g_m, tr2_m, trptp_m, trp2_m = tuple(RunningMoments() for _ in range(5))
     off = d * (d - 1)
 
     def work(Z):
@@ -328,24 +330,24 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
             (s1 ** 2 - s2) / off, (frob - s2) / off, (cross - s2) / off, s1 ** 2, frob, cross
         )
 
-    columns = (a_t, b_t, g_t, tr2_t, trptp_t, trp2_t)
-    for start, values in _chunked(trials, lambda b: (rng.standard_normal((b, d, n)),), work):
-        for column, value in zip(columns, values):
-            column[start:start + len(value)] = value
+    for start, (a, *rest) in _chunked(trials, lambda b: (rng.standard_normal((b, d, n)),), work):
+        a_t[start:start + len(a)] = a
+        for moment, values in zip(moments, rest):
+            moment.add(values)
 
     beta = n * (d - n) / (d * (d - 1) * (d + 2))
     alpha = beta + n * (n - 1) / (d * (d - 1))
     gamma = beta
 
-    def stat(x):
-        return float(x.mean()), standard_error(x)
+    def stat(m):
+        return m.mean, m.standard_error()
 
-    alpha_hat, alpha_se = stat(a_t)
-    beta_hat, beta_se = stat(b_t)
-    gamma_hat, gamma_se = stat(g_t)
-    tr2_mean, tr2_se = stat(tr2_t)
-    trptp_mean, trptp_se = stat(trptp_t)
-    trp2_mean, trp2_se = stat(trp2_t)
+    alpha_hat, alpha_se = float(a_t.mean()), standard_error(a_t)
+    beta_hat, beta_se = stat(b_m)
+    gamma_hat, gamma_se = stat(g_m)
+    tr2_mean, tr2_se = stat(tr2_m)
+    trptp_mean, trptp_se = stat(trptp_m)
+    trp2_mean, trp2_se = stat(trp2_m)
 
     # invert the contraction system for (alpha, beta, gamma)
     system = np.array(
@@ -433,7 +435,7 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
         gaps[start:start + len(chunk_gaps)] = chunk_gaps
         fallbacks += redone
         failed += dropped
-    valid = gaps[~np.isnan(gaps)]
+    valid = gaps[~np.isnan(gaps)] if failed else gaps  # a dropped trial's gap is NaN
     mean = float(valid.mean())
     se = standard_error(valid)
     closed = closed_form_gap_equivariant(config)

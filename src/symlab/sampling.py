@@ -1,7 +1,7 @@
-"""Input distributions for Monte-Carlo estimates of mu-inner products, the
-standard error every Monte-Carlo estimate reports, the random streams
-an experiment draws from its seed, and the blocks that bound the memory of
-a loop over many items.
+"""Input distributions for Monte-Carlo estimates of mu-inner products; the
+standard error every Monte-Carlo estimate reports, over a whole column or
+merged chunk by chunk; the random streams an experiment draws from its
+seed; and the blocks that bound the memory of a loop over many items.
 
 Only distributions invariant under orthogonal actions are constructed
 here: the isotropic Gaussian and the uniform sphere.  Every draw an
@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BLOCK_ENTRIES", "Distribution", "STREAMS", "blocks", "gaussian", "sphere", "standard_error", "stream"]
+__all__ = [
+    "BLOCK_ENTRIES", "Distribution", "RunningMoments", "STREAMS", "blocks", "gaussian", "sphere",
+    "standard_error", "stream",
+]
 
 # float64 entries that one block of a memory-blocked loop keeps live (1 MB)
 BLOCK_ENTRIES = 1 << 17
@@ -88,3 +91,37 @@ def standard_error(values: np.ndarray) -> float:
     undefined, so a k-SE verdict on it fails."""
     n = len(values)
     return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+
+
+class RunningMoments:
+    """The count, mean and M2 (the sum of squared deviations from the mean) of
+    the chunks of values added so far, so that no column of them is kept.
+
+    Each chunk takes two passes, as standard_error does, and the chunks merge
+    in order by the pairwise update of Chan et al.: with delta = m_b - m_a,
+    mean = m_a + delta n_b / n and M2 = M2_a + M2_b + delta^2 n_a n_b / n.
+    Running sums of x and x^2 would cancel on values that are equal up to
+    rounding; M2 keeps their spread.  Over a single chunk the mean and the
+    standard error are standard_error's bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        n_b = len(values)
+        m_b = float(values.mean())
+        m2_b = float(np.square(values - m_b).sum())
+        n = self.count + n_b
+        delta = m_b - self.mean
+        share = n_b / n  # 1.0 for the first chunk, which is then taken as it is
+        self.mean += delta * share
+        self.m2 += m2_b + delta * delta * self.count * share
+        self.count = n
+
+    def standard_error(self) -> float:
+        """sqrt(M2 / (n - 1)) / sqrt(n); NaN below two values, as standard_error gives."""
+        n = self.count
+        return math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan

@@ -2,9 +2,11 @@
 
 Oracles: the switch condition for linear/Gaussian kernels, kbar = x'Phi y
 for the linear kernel, N[k] = d and N[kbar] = dim S for isotropic Gaussian
-inputs, the scalar KRR solve, and the ridgeless limits of the zeta moments.
+inputs, the scalar KRR solve, each linear-kernel fit's exact |f_perp|^2 =
+w'(I - Phi)w on the sphere, and the ridgeless limits of the zeta moments.
 """
 
+import copy
 import math
 import os
 import signal
@@ -33,7 +35,7 @@ from symlab.kernel_gap import (
     linear_kernel,
     linear_kernel_bound,
 )
-from symlab.sampling import gaussian, sphere, stream
+from symlab.sampling import gaussian, sphere, standard_error, stream
 
 
 def _perm_rep(descriptor, d=None):
@@ -476,6 +478,47 @@ def test_a_chunk_predicts_in_blocks_of_bounded_memory():
         tracemalloc.stop()
     assert np.array_equal(again, first)
     assert peak < 4_000_000
+
+
+def _exact_perp_sq(config, size, rng, noisy):
+    """Each of a chunk's fits' exact |f_perp|^2 for the linear kernel, from the
+    chunk's own draws: f(t) = w^T t with w = X^T alpha, and on the sphere of
+    radius sqrt(d) E[t t^T] = I, so |f - Qf|^2 = w^T (I - Phi) w."""
+    n, d = config.n, config.kernel.dim
+    X = config.mu.sample(size * n, rng)
+    y = np.asarray(config.f_star(X)).reshape(size, n)
+    if noisy:
+        y = y + config.sigma * rng.standard_normal((size, n))
+    X = X.reshape(size, n, d)
+    Xt = X.transpose(0, 2, 1)
+    # w = X^T (X X^T + rho I)^-1 y = (X^T X + rho I)^-1 X^T y
+    w = np.linalg.solve(Xt @ X + config.rho * np.eye(d), Xt @ y[..., None])[..., 0]
+    phi = config.kernel.action.matrices.mean(axis=0)
+    return np.einsum("ti,ij,tj->t", w, np.eye(d) - phi, w)
+
+
+# the linear-kernel gap-kernel cells of the quick grid; trials and seed were fixed
+# before the first run
+@pytest.mark.parametrize("rho", [0.1, 1.0])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("d", [4, 8])
+def test_krr_perp_estimate_matches_the_exact_value_trial_by_trial(monkeypatch, d, n, rho):
+    rep = _perm_rep(f"cyclic {d}")
+    theta = np.ones(d) / math.sqrt(d)
+    config = KrrGapConfig(
+        kernel=linear_kernel(rep, Mk=float(d)), f_star=lambda X: X @ theta, mu=sphere(d),
+        n=n, sigma=1.0, rho=rho, trials=400, seed=20240,
+    )
+    chunk = kernel_gap._chunk_perp_sq
+
+    def paired(config, size, rng, noisy):
+        exact = _exact_perp_sq(config, size, copy.deepcopy(rng), noisy)
+        return chunk(config, size, rng, noisy) - exact
+
+    monkeypatch.setattr(kernel_gap, "_chunk_perp_sq", paired)
+    diff = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
+    # two-sided: the estimate is unbiased for the exact value, on the same fits
+    assert abs(diff.mean()) <= 4 * standard_error(diff)
 
 
 @pytest.mark.parametrize("failing", [2, 3])  # a chunk of the caller's, one of the helper's

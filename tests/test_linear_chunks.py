@@ -4,6 +4,9 @@ Each ``_reference_*`` function below is the whole function with its
 ``while done < trials`` loop written out, and ``_reference_min_norm`` is the
 Gram-inverse solve and its condition gate written out.  Every report
 field must carry the same bits as the reference's, not merely close values.
+The projection tensor's reference merges its five gate-only columns chunk
+by chunk, as the function does; a separate test holds that merge to the
+whole column's mean and standard error.
 Separate tests hold the Gram solve to ``pinv`` within a tolerance, and
 check that the gate sends an ill-conditioned or rank-deficient trial to
 ``pinv``.
@@ -11,6 +14,7 @@ check that the gate sends an ill-conditioned or rank-deficient trial to
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from symlab.linear_gap import (
     verify_wishart,
     wishart_coefficient,
 )
+from symlab.sampling import RunningMoments, standard_error
 
 KAPPA_MAX = 1.0 / math.sqrt(np.finfo(float).eps)
 
@@ -154,15 +159,13 @@ def _reference_verify_wishart(n, d, trials, seed, plant=None):
     )
 
 
-def _reference_verify_projection_tensor(n, d, trials, seed):
+def _projection_columns(n, d, trials, seed):
+    """The six per-trial columns of verify_projection_tensor, alpha's first, and the
+    chunk bounds they were drawn in."""
     rng = np.random.default_rng(seed)
-    a_t = np.empty(trials)
-    b_t = np.empty(trials)
-    g_t = np.empty(trials)
-    tr2_t = np.empty(trials)
-    trptp_t = np.empty(trials)
-    trp2_t = np.empty(trials)
+    columns = np.empty((6, trials))
     off = d * (d - 1)
+    bounds = []
     done = 0
     while done < trials:
         b = min(_CHUNK, trials - done)
@@ -172,30 +175,51 @@ def _reference_verify_projection_tensor(n, d, trials, seed):
         diag = np.einsum("tii->ti", P)
         s1 = diag.sum(axis=1)
         s2 = (diag ** 2).sum(axis=1)
-        sl = slice(done, done + b)
-        a_t[sl] = (s1 ** 2 - s2) / off
         frob = (P ** 2).sum(axis=(1, 2))
-        b_t[sl] = (frob - s2) / off
         cross = np.einsum("tij,tji->t", P, P)
-        g_t[sl] = (cross - s2) / off
-        tr2_t[sl] = s1 ** 2
-        trptp_t[sl] = frob
-        trp2_t[sl] = cross
+        sl = slice(done, done + b)
+        columns[:, sl] = (s1 ** 2 - s2) / off, (frob - s2) / off, (cross - s2) / off, s1 ** 2, frob, cross
+        bounds.append(sl)
         done += b
+    return columns, bounds
 
+
+def _merged_stat(column, bounds):
+    """Mean and SE of a column, merged chunk by chunk, written out: each chunk's
+    count, mean and sum of squared deviations, merged in order by Chan et al."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for sl in bounds:
+        x = column[sl]
+        n_b = len(x)
+        m_b = float(x.mean())
+        m2_b = float(((x - m_b) ** 2).sum())
+        total = count + n_b
+        delta = m_b - mean
+        mean += delta * (n_b / total)
+        m2 += m2_b + delta * delta * count * (n_b / total)
+        count = total
+    return mean, (math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else math.nan)
+
+
+def _full_stat(column):
+    """Mean and SE of a whole column, two passes over it."""
+    return float(column.mean()), float(column.std(ddof=1) / math.sqrt(len(column)))
+
+
+def _reference_verify_projection_tensor(n, d, trials, seed):
+    """alpha, the printed column, over the whole column; the five gate-only
+    statistics merged chunk by chunk."""
+    columns, bounds = _projection_columns(n, d, trials, seed)
     beta = n * (d - n) / (d * (d - 1) * (d + 2))
     alpha = beta + n * (n - 1) / (d * (d - 1))
     gamma = beta
 
-    def stat(x):
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(trials))
-
-    alpha_hat, alpha_se = stat(a_t)
-    beta_hat, beta_se = stat(b_t)
-    gamma_hat, gamma_se = stat(g_t)
-    tr2_mean, tr2_se = stat(tr2_t)
-    trptp_mean, trptp_se = stat(trptp_t)
-    trp2_mean, trp2_se = stat(trp2_t)
+    alpha_hat, alpha_se = _full_stat(columns[0])
+    beta_hat, beta_se = _merged_stat(columns[1], bounds)
+    gamma_hat, gamma_se = _merged_stat(columns[2], bounds)
+    tr2_mean, tr2_se = _merged_stat(columns[3], bounds)
+    trptp_mean, trptp_se = _merged_stat(columns[4], bounds)
+    trp2_mean, trp2_se = _merged_stat(columns[5], bounds)
     system = np.array([[d ** 2, d, d], [d, d ** 2, d], [d, d, d ** 2]], dtype=np.float64)
     fit = np.linalg.solve(system, np.array([tr2_mean, trptp_mean, trp2_mean]))
     jitter = 64 * np.finfo(float).eps
@@ -264,6 +288,36 @@ def test_verify_wishart_matches_serial_loop(trials):
 def test_verify_projection_tensor_matches_serial_loop(trials):
     _assert_same_report(verify_projection_tensor(2, 5, trials, seed=6),
                         _reference_verify_projection_tensor(2, 5, trials, seed=6))
+
+
+@pytest.mark.parametrize("trials", [2, 511, 512, 513, 1537])
+@pytest.mark.parametrize("n, d", [(2, 5), (1, 2)])
+def test_merged_moments_agree_with_the_whole_column(n, d, trials):
+    columns, bounds = _projection_columns(n, d, trials, seed=6)
+    for column in columns[1:]:  # the five gate-only statistics
+        merged = RunningMoments()
+        for sl in bounds:
+            merged.add(column[sl])
+        mean, se = float(column.mean()), standard_error(column)
+        assert merged.count == trials
+        assert merged.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        # The three contractions are constant up to rounding, so an SE over them is
+        # rounding dust: a mean off by its rounding, eps |mean|, moves each deviation
+        # by about as much as the spread, and the SE by up to eps |mean| / sqrt(n - 1).
+        floor = np.finfo(float).eps * abs(mean) / math.sqrt(trials - 1)
+        assert abs(merged.standard_error() - se) <= 1e-12 * se + floor
+
+
+def test_verify_projection_tensor_peaks_at_one_column_of_trials():
+    verify_projection_tensor(2, 5, 2, seed=6)  # the first call's one-time costs
+    tracemalloc.start()
+    try:
+        verify_projection_tensor(2, 5, 200_000, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # alpha's column and the temporary of its SE take 3.2 MB; six columns took 10.7 MiB
+    assert peak < 4 * 2 ** 20
 
 
 def _planting(monkeypatch, plant):
@@ -426,6 +480,21 @@ def test_svd_failure_drops_one_trial_and_keeps_the_rest(monkeypatch, chunk):
     assert np.flatnonzero(np.isnan(gaps)).tolist() == [chunk * _CHUNK + 7]
     assert np.array_equal(gaps, reference_gaps, equal_nan=True)
     _assert_same_report(report, reference)
+
+
+def test_a_nan_gap_that_no_dropped_trial_explains_fails_the_gate(monkeypatch):
+    min_norm = linear_gap._min_norm
+
+    def nan_trial(X, Y, rcond):
+        W, redone, dropped = min_norm(X, Y, rcond)
+        W[3] = np.nan  # not counted as dropped
+        return W, redone, dropped
+
+    monkeypatch.setattr(linear_gap, "_min_norm", nan_trial)
+    report = monte_carlo_gap(_config("invariant", 600))
+    assert report.metadata["failed_trials"] == 0
+    assert math.isnan(report.mc_gap_mean) and math.isnan(report.mc_gap_se)
+    assert report.verdict == "fail"
 
 
 def test_wishart_svd_failure_in_the_fallback_raises(monkeypatch):

@@ -1,11 +1,14 @@
 """Tests for the stream table: the padding identities that keep each purpose's
-statistical bytes, and the table's codes; and for the memory blocks."""
+statistical bytes, and the table's codes; for the memory blocks; and for the
+moments merged chunk by chunk."""
+
+import math
 
 import numpy as np
 import pytest
 
 from symlab import sampling
-from symlab.sampling import STREAMS, blocks, stream
+from symlab.sampling import STREAMS, RunningMoments, blocks, standard_error, stream
 
 SEEDS = [0, 1, 7, 20240, 2 ** 32 - 1]
 
@@ -47,3 +50,23 @@ def test_blocks_read_the_budget_when_called(monkeypatch):
     monkeypatch.setattr(sampling, "BLOCK_ENTRIES", 10)
     assert blocks(7, 3) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     assert blocks(3, 11) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 512])
+def test_one_chunk_of_moments_is_standard_error_bit_for_bit(count):
+    values = np.random.default_rng(count).standard_normal(count) + 3.0
+    moments = RunningMoments()
+    moments.add(values)
+    assert moments.mean == float(values.mean())
+    se = standard_error(values)
+    assert moments.standard_error() == se or math.isnan(se) and math.isnan(moments.standard_error())
+
+
+def test_merged_moments_are_the_pooled_mean_and_spread():
+    values = np.random.default_rng(5).standard_normal(1000) * 2.0 + 7.0
+    moments = RunningMoments()
+    for sl in (slice(0, 1), slice(1, 300), slice(300, 1000)):
+        moments.add(values[sl])
+    assert moments.count == 1000
+    assert moments.mean == pytest.approx(values.mean(), rel=1e-14)
+    assert moments.standard_error() == pytest.approx(standard_error(values), rel=1e-12)
