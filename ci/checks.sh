@@ -14,7 +14,7 @@ read -ra symlab <<< "${SYMLAB:-python3 -m symlab.cli}"
 
 CHECKS=(
     tier1 suite-twice suite-vmem suite-seed7 s7-operators overcap prepare nan-weights
-    nonfinite large-group-seed7 traced-large-group traced-suite-quick linear-mc-seed7
+    nonfinite overflow large-group-seed7 traced-large-group traced-suite-quick linear-mc-seed7
     traced-linear-mc
 )
 
@@ -105,6 +105,18 @@ check_nan-weights() {
 # a float key that is not finite is refused when the config is read
 check_nonfinite() {
     exits_2_before_any_verdict ci/nonfinite.json nonfinite
+}
+
+# a float key whose square overflows, or underflows to 0, used to end in a traceback: a
+# Gaussian bandwidth's or a sphere radius's while the config was checked, rho's only after
+# every trial had run, and a tiny bandwidth's as a NaN Gram; each is refused where it is
+# squared, so the config exits 2 before any verdict, with a RuntimeWarning an error too
+check_overflow() {
+    export PYTHONWARNINGS=error::RuntimeWarning
+    local name
+    for name in overflow-bandwidth overflow-bandwidth-tiny overflow-radius overflow-rho; do
+        exits_2_before_any_verdict "ci/$name.json" "$name"
+    done
 }
 
 # symlab-csv v3 moved the S7, product-group and S4 kernel bytes: every verdict of

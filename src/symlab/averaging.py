@@ -384,9 +384,6 @@ def verify_operator_identities(
         gates.holds("orthogonality", inner_mean, 0.0, inner_se),
     )
     return {
-        "group": rep_in.group.name,
-        "rep_in": rep_in.name,
-        "rep_out": rep_out.name,
         "dev_phi_idempotent": dev_phi_idem,
         "dev_phi_symmetric": dev_phi_sym,
         "dev_psi_idempotent": dev_psi_idem,

@@ -26,7 +26,7 @@ import numpy as np
 from . import gates
 from .averaging import _check_verify_operator_identities, build_phi, build_psi, verify_operator_identities
 from .groups import FiniteGroup, Representation, build_group, build_representation
-from .kernel_gap import KrrGapConfig, gaussian_kernel, krr_gap_experiment, linear_kernel
+from .kernel_gap import KrrGapConfig, _square, gaussian_kernel, krr_gap_experiment, linear_kernel
 from .layers import (
     ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, _check_equivariance_report, _check_regularisation_bound,
     check_regularisation_bound, equivariance_report, project_spec, vc_bound,
@@ -107,7 +107,7 @@ def _mu_from(spec: dict, dim: int):
 def _kernel_from(spec: dict, rep, mu):
     if spec["type"] == "linear":
         # sup k(x,x) on the support: radius^2 on a sphere, estimated otherwise
-        return linear_kernel(rep, Mk=float(mu.scale) ** 2 if mu.kind == "sphere" else None)
+        return linear_kernel(rep, Mk=_square("mu.radius", mu.scale) if mu.kind == "sphere" else None)
     bandwidth = spec["bandwidth"]
     return gaussian_kernel(rep, bandwidth=math.sqrt(rep.dim) if bandwidth is None else bandwidth)
 
@@ -165,8 +165,8 @@ def _run_gap_kernel(
     def run() -> dict:
         report = krr_gap_experiment(config)
         meta = report.metadata
-        bound = {key: meta[key] for key in ("rho", "Mk", "N_kperp", "bound_bias", "bound_variance")}
-        return _gap_row(report, rep, 1, n, trials, sigma_xi=sigma, **bound)
+        bound = {key: meta[key] for key in ("Mk", "N_kperp", "bound_bias", "bound_variance")}
+        return _gap_row(report, rep, 1, n, trials, sigma_xi=sigma, rho=rho, **bound)
     return run
 
 

@@ -133,11 +133,25 @@ def linear_kernel(action: Representation, Mk: float | None = None) -> KernelSpec
     return _validate_kernel(KernelSpec("linear", action, lambda A, B: A @ np.swapaxes(B, -1, -2), Mk))
 
 
-def gaussian_kernel(action: Representation, bandwidth: float, Mk: float = 1.0) -> KernelSpec:
+def _square(key: str, value: float) -> float:
+    """value ** 2, refused with a ValueError that names key when it overflows or
+    underflows to 0: a Python float's square raises OverflowError past the range,
+    and a square of 0 from a nonzero value divides 0 by 0 or zeroes a bound."""
+    try:
+        square = float(value) ** 2
+    except OverflowError:
+        raise ValueError(f"{key} is {value!r}: its square overflows") from None
+    if square == 0.0 and value != 0.0:
+        raise ValueError(f"{key} is {value!r}: its square underflows to 0")
+    return square
+
+
+def gaussian_kernel(action: Representation, bandwidth: float) -> KernelSpec:
+    """exp(-|a - b|^2 / 2 bandwidth^2); k(x, x) = 1, so Mk is 1."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
 
-    minus_two_h2 = -2.0 * bandwidth ** 2
+    minus_two_h2 = -2.0 * _square("bandwidth", bandwidth)
 
     def gram(A, B):
         # exp(-max((|a|^2 + |b|^2) - 2ab, 0) / 2h^2) in two buffers, with the
@@ -153,16 +167,14 @@ def gaussian_kernel(action: Representation, bandwidth: float, Mk: float = 1.0) -
         np.divide(sq, minus_two_h2, out=sq)
         return np.exp(sq, out=sq)
 
-    return _validate_kernel(KernelSpec(f"gaussian({bandwidth!r})", action, gram, Mk))
+    return _validate_kernel(KernelSpec(f"gaussian({bandwidth!r})", action, gram, Mk=1.0))
 
 
-def explicit_bilinear_kernel(
-    action: Representation, matrix: np.ndarray, Mk: float | None = None
-) -> KernelSpec:
+def explicit_bilinear_kernel(action: Representation, matrix: np.ndarray) -> KernelSpec:
     A = np.asarray(matrix, dtype=np.float64)
     if A.shape != (action.dim, action.dim) or np.max(np.abs(A - A.T)) > 1e-12:
         raise ValueError("bilinear kernel matrix must be symmetric (d, d)")
-    return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ np.swapaxes(Y, -1, -2), Mk))
+    return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ np.swapaxes(Y, -1, -2)))
 
 
 def _pair_values(gram, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -390,6 +402,8 @@ class KrrGapConfig:
         for key, least in sizes.items():
             if getattr(self, key) < least:
                 raise ValueError(f"{key} is {getattr(self, key)}, below {least}")
+        # the variance term's denominator, with the declared Mk, or 0 when it is estimated
+        _variance_denominator(self.n, self.kernel.Mk or 0.0, self.rho)
         rng = stream(self.seed, "f_star_check")
         X = self.mu.sample(32, rng)
         vals = np.asarray(self.f_star(X)).reshape(-1)
@@ -398,6 +412,17 @@ class KrrGapConfig:
             dev = np.max(np.abs(np.asarray(self.f_star(X @ mats[g].T)).reshape(-1) - vals))
             if not dev <= 1e-9:  # NaN fails too
                 raise ValueError(f"f_star is not invariant under the action: deviation {dev:.3e}")
+
+
+def _variance_denominator(n: int, mk: float, rho: float) -> float:
+    """(sqrt(n) Mk + rho / sqrt(n))^2, the denominator of the bound's variance term,
+    refused with a ValueError that names rho when it overflows."""
+    try:
+        return (math.sqrt(n) * mk + rho / math.sqrt(n)) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"rho is {rho!r} and Mk {mk!r}: the variance term's (sqrt(n) Mk + rho / sqrt(n))^2 overflows"
+        ) from None
 
 
 def _chunk_perp_sq(config: KrrGapConfig, size: int, rng, noisy: bool) -> np.ndarray:
@@ -490,7 +515,7 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
         mk = float(_pair_values(config.kernel.gram, probe, probe).max())
     pairs = stream(config.seed, "pairs")
     n_perp, n_perp_se = estimate_N(averaged.gram_perp, config.mu, config.n_pairs, pairs)
-    variance_term = config.sigma ** 2 * n_perp / (math.sqrt(config.n) * mk + config.rho / math.sqrt(config.n)) ** 2
+    variance_term = config.sigma ** 2 * n_perp / _variance_denominator(config.n, mk, config.rho)
     bias_term, bias_se = estimate_bias_term(config)
     bound = bias_term + variance_term
 
@@ -503,14 +528,6 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
         dim_A=float(config.kernel.dim - phi.dim_invariant),
         verdict=verdict,
         metadata={
-            "group": config.kernel.action.group.name,
-            "kernel": config.kernel.name,
-            "d": config.kernel.dim,
-            "n": config.n,
-            "rho": config.rho,
-            "sigma": config.sigma,
-            "trials": config.trials,
-            "seed": config.seed,
             "Mk": mk,
             "N_kperp": n_perp,
             "N_kperp_se": n_perp_se,
@@ -530,12 +547,11 @@ def linear_kernel_bound(
     phi_matrix: np.ndarray,
     trials: int,
     seed: int,
-    sigma: float = 1.0,
 ) -> dict:
     """Closed-ish form of the invariance bound for the linear kernel on the
-    sphere of radius sqrt(d): zeta moments of the Gram eigenvalues give the
-    bias term, and N[k_perp] = d - |Phi|_F^2 gives the variance term
-    exactly.  The stated arithmetic assumes sigma = 1."""
+    sphere of radius sqrt(d), with unit-variance noise: zeta moments of the
+    Gram eigenvalues give the bias term, and N[k_perp] = d - |Phi|_F^2 gives
+    the variance term exactly."""
     if d <= 1:
         raise ValueError("linear kernel bound needs d > 1")
     phi = np.asarray(phi_matrix, dtype=np.float64)
@@ -552,7 +568,7 @@ def linear_kernel_bound(
     zeta1 = float(z1.mean())
     zeta2 = float(z2.mean())
     bias = theta_norm ** 2 * (d * zeta1 - zeta2) * (d - fro2) / (d * (d + 2) * (d - 1))
-    variance = sigma ** 2 * (d - fro2) / (math.sqrt(n) * d + rho / math.sqrt(n)) ** 2
+    variance = (d - fro2) / (math.sqrt(n) * d + rho / math.sqrt(n)) ** 2
     return {
         "zeta1": zeta1,
         "zeta2": zeta2,

@@ -214,8 +214,6 @@ def wishart_coefficient(n: int, d: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WishartReport:
-    n: int
-    d: int
     trials: int
     coefficient: float
     entry_mean: np.ndarray
@@ -263,15 +261,13 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     max_abs_z = float(np.max(np.abs(mean - expected) / np.maximum(se, 1e-300)))
     verdict = gates.verdict(gates.holds("closed_form", mean, expected, se))
     return WishartReport(
-        n=n, d=d, trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
+        trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
         max_abs_z=max_abs_z, verdict=verdict, pinv_fallbacks=fallbacks,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionTensorReport:
-    n: int
-    d: int
     trials: int
     alpha: float
     beta: float
@@ -366,7 +362,7 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
         gates.holds("contraction_fit", fit, [alpha, beta, gamma]),
     )
     return ProjectionTensorReport(
-        n=n, d=d, trials=trials,
+        trials=trials,
         alpha=alpha, beta=beta, gamma=gamma,
         alpha_hat=alpha_hat, alpha_se=alpha_se,
         beta_hat=beta_hat, beta_se=beta_se,
@@ -446,16 +442,5 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
         closed_form=closed,
         dim_A=d * k - character_inner(config.psi, config.phi),
         verdict=verdict,
-        metadata={
-            "group": config.phi.group.name,
-            "d": d,
-            "k": k,
-            "n": n,
-            "sigma_x": config.sigma_x,
-            "sigma_xi": config.sigma_xi,
-            "trials": config.trials,
-            "seed": config.seed,
-            "failed_trials": failed,
-            "pinv_fallbacks": fallbacks,
-        },
+        metadata={"trials": config.trials, "failed_trials": failed, "pinv_fallbacks": fallbacks},
     )

@@ -151,15 +151,18 @@ def averaged_loss(
 # ------------------------------------------------------------- equivalence
 
 
+AVERAGED_KRR_RHO = 0.1  # the averaged-KRR learner's ridge
+
+
 # Each learner's prepare(action) builds what its fits share once and returns
-# fit(X, Y, rho), which returns the fitted predictor: a callable on (m, d) points.
+# fit(X, Y), which returns the fitted predictor: a callable on (m, d) points.
 def _prepare_averaged_krr(action: Representation):
     # fit in the invariant RKHS: both the training Gram and the representers
     # use kbar, so the fitted function ignores where points sit on their orbit
     base = gaussian_kernel(action, bandwidth=math.sqrt(action.dim))
     ak = build_averaged_kernel(base)
     bar = KernelSpec(name="averaged_" + base.name, action=action, gram=ak.gram_bar, Mk=base.Mk)
-    return lambda X, Y, rho: fit_krr(bar, X, Y, rho).predict
+    return lambda X, Y: fit_krr(bar, X, Y, AVERAGED_KRR_RHO).predict
 
 
 def _prepare_invariant_ls(action: Representation):
@@ -168,7 +171,7 @@ def _prepare_invariant_ls(action: Representation):
     # zero predictor instead of amplified noise in the least-squares solve
     phi[np.abs(phi) < 1e-12] = 0.0
 
-    def fit(X, Y, rho: float) -> Callable[[np.ndarray], np.ndarray]:
+    def fit(X, Y) -> Callable[[np.ndarray], np.ndarray]:
         coef, *_ = np.linalg.lstsq(X @ phi.T, Y, rcond=None)
         return lambda T: (T @ phi.T) @ coef
 
@@ -176,7 +179,7 @@ def _prepare_invariant_ls(action: Representation):
 
 
 def _prepare_raw_ls(action: Representation):
-    def fit(X, Y, rho: float) -> Callable[[np.ndarray], np.ndarray]:
+    def fit(X, Y) -> Callable[[np.ndarray], np.ndarray]:
         coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
         return lambda T: T @ coef
 
@@ -192,13 +195,14 @@ _LEARNERS = {
 LEARNER_NAMES = tuple(_LEARNERS)
 
 
-def fit_learner(
-    name: str, action: Representation, X, Y, rho: float = 0.1
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Fit the named learner to (X, Y) and return its predictor, a callable on (m, d) points."""
+def fit_learner(name: str, action: Representation, X, Y) -> Callable[[np.ndarray], np.ndarray]:
+    """Fit the named learner to (X, Y) and return its predictor, a callable on (m, d) points.
+
+    averaged_krr fits with the ridge AVERAGED_KRR_RHO; the least-squares
+    learners are unregularised."""
     if name not in _LEARNERS:
         raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_NAMES}")
-    return _LEARNERS[name][1](action)(np.asarray(X, float), np.asarray(Y, float), rho)
+    return _LEARNERS[name][1](action)(np.asarray(X, float), np.asarray(Y, float))
 
 
 def default_invariant_target(action: Representation) -> Callable[[np.ndarray], np.ndarray]:
@@ -214,7 +218,6 @@ def default_invariant_target(action: Representation) -> Callable[[np.ndarray], n
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    learner: str
     invariant_expected: bool
     risk_original: float
     risk_projected: float
@@ -239,20 +242,21 @@ def equivalence_demo(
     trials: int = 4,
     sigma: float = 0.1,
     seed: int = 0,
-    rho: float = 0.1,
-    f_star: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> EquivalenceReport:
     """Train on the sample and on its projection; invariant learners must
     produce float-identical risk estimates, and a group-perturbed retrain
-    (the metamorphic test) must leave their predictions unchanged."""
+    (the metamorphic test) must leave their predictions unchanged.
+
+    The target is default_invariant_target of the cross-section's action,
+    observed with Gaussian noise of standard deviation sigma; averaged_krr
+    fits with the ridge AVERAGED_KRR_RHO."""
     _check_equivalence_demo(learner, n, trials)
     invariant_expected, prepare = _LEARNERS[learner]
     action = cross_section.action
     fit = prepare(action)
     d = action.dim
     mu = gaussian(d)
-    if f_star is None:
-        f_star = default_invariant_target(action)
+    f_star = default_invariant_target(action)
 
     risk1_acc = np.zeros(trials)
     risk2_acc = np.zeros(trials)
@@ -265,19 +269,19 @@ def equivalence_demo(
         Y = f_star(X) + sigma * rng.standard_normal(n)
         T = mu.sample(512, rng)
         truth = f_star(T)
-        p1 = fit(X, Y, rho)
-        p2 = fit(cross_section.project_batch(X), Y, rho)
-        r1 = float(np.mean((p1(T) - truth) ** 2))
-        r2 = float(np.mean((p2(T) - truth) ** 2))
+        y1 = fit(X, Y)(T)
+        y2 = fit(cross_section.project_batch(X), Y)(T)
+        r1 = float(np.mean((y1 - truth) ** 2))
+        r2 = float(np.mean((y2 - truth) ** 2))
         risk1_acc[t], risk2_acc[t] = r1, r2
         # np.maximum keeps a NaN deviation, which builtin max(0.0, nan) would drop
         risk_dev = float(np.maximum(risk_dev, abs(r1 - r2)))
-        pred_dev = float(np.maximum(pred_dev, np.max(np.abs(p1(T) - p2(T)))))
+        pred_dev = float(np.maximum(pred_dev, np.max(np.abs(y1 - y2))))
         # metamorphic: move each training point along its orbit
         gs = rng.integers(0, action.group.order, size=n)
         Xg = np.einsum("nij,nj->ni", action.matrices[gs], X)
-        p3 = fit(Xg, Y, rho)
-        meta_dev = float(np.maximum(meta_dev, np.max(np.abs(p1(T) - p3(T)))))
+        y3 = fit(Xg, Y)(T)
+        meta_dev = float(np.maximum(meta_dev, np.max(np.abs(y1 - y3))))
 
     flag = gates.holds("metamorphic", meta_dev)
     if invariant_expected:
@@ -285,7 +289,6 @@ def equivalence_demo(
     else:
         verdict = gates.verdict(flag)
     return EquivalenceReport(
-        learner=learner,
         invariant_expected=invariant_expected,
         risk_original=float(risk1_acc.mean()),
         risk_projected=float(risk2_acc.mean()),

@@ -672,6 +672,30 @@ def test_huge_layer_weights_exit_2_naming_the_projection(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_SQUARE_REFUSALS = {
+    "overflow-bandwidth": "bandwidth is 1e+200: its square overflows",
+    "overflow-bandwidth-tiny": "bandwidth is 1e-170: its square underflows to 0",
+    "overflow-radius": "mu.radius is 1e+200: its square overflows",
+    "overflow-rho": "rho is 1e+200 and Mk 1.0: the variance term's (sqrt(n) Mk + rho / sqrt(n))^2 overflows",
+}
+
+
+@pytest.mark.parametrize("name", _SQUARE_REFUSALS)
+def test_a_float_whose_square_overflows_exits_2_before_any_verdict(tmp_path, capsys, name):
+    # each square used to raise OverflowError as a traceback, the huge bandwidth's and
+    # radius's while the config was checked and rho's after every trial had run; the tiny
+    # bandwidth's square of 0 divided 0 by -0.0 into a NaN Gram.  The configs are the
+    # ones ci/checks.sh overflow runs
+    config = Path(__file__).resolve().parents[1] / "ci" / f"{name}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert captured.err.strip() == f"config error: experiments[0]: {_SQUARE_REFUSALS[name]}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_layer_project_reads_a_one_column_weights_file_as_a_column(tmp_path):
     # three lines of one number each: the (3, 1) map from natural_permutation to trivial 1
     (tmp_path / "w0.txt").write_text("1.0\n1.0\n1.0\n")

@@ -348,7 +348,7 @@ def test_krr_gap_bound_holds_and_metadata():
     assert report.verdict == "pass"
     assert report.mc_gap_mean + 4.0 * report.mc_gap_se >= report.closed_form
     assert report.mc_gap_mean >= 0.0
-    for key in ("rho", "Mk", "N_kperp", "bound_bias", "bound_variance", "switch"):
+    for key in ("Mk", "N_kperp", "bound_bias", "bound_variance", "switch"):
         assert key in report.metadata
     assert report.metadata["switch"] == "verified"
     assert report.closed_form == pytest.approx(

@@ -24,6 +24,7 @@ from symlab.layers import (
     regularizer_value,
     vc_bound,
 )
+from symlab.sampling import stream
 
 
 def _natural(descriptor):
@@ -257,6 +258,24 @@ def test_bound_identity_activation_closed_form():
     assert abs(out["lhs_mean"] - closed) <= 4.0 * out["lhs_se"]
     assert out["middle_bound"] == pytest.approx(2.0 * closed, rel=1e-12)
     assert out["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("group,kind", [
+    ("symmetric 3", "natural_permutation"),
+    ("cyclic 4", "rotation_block 1"),
+    ("dihedral 4", "natural_permutation"),
+    ("cyclic 5", "natural_permutation"),
+])
+def test_identity_layer_lhs_is_half_the_middle_bound_two_sided(group, kind, seed):
+    # with the identity activation f - Qf = W_perp x exactly, so E|f - Qf|^2 =
+    # |W_perp S|_F^2 = middle_bound / 2: the one-sided gate's lhs is held to it
+    # from both sides.  relu has no exact reference of this kind
+    rep = build_representation(build_group(group), kind)
+    W = stream(seed, "weights").standard_normal((rep.dim, rep.dim))
+    out = check_regularisation_bound(W, rep, rep, activation="identity", samples=4000, seed=seed)
+    z = (out["lhs_mean"] - out["middle_bound"] / 2.0) / out["lhs_se"]
+    assert abs(z) <= 4.0, z
 
 
 def test_bound_random_relu_layer():

@@ -118,12 +118,7 @@ def _reference_monte_carlo_gap(config, plant=None):
     report = GapReport(
         mc_gap_mean=mean, mc_gap_se=se, closed_form=closed,
         dim_A=float(dim_a), verdict=verdict,
-        metadata={
-            "group": config.phi.group.name, "d": d, "k": k, "n": n,
-            "sigma_x": config.sigma_x, "sigma_xi": config.sigma_xi,
-            "trials": config.trials, "seed": config.seed, "failed_trials": failed,
-            "pinv_fallbacks": fallbacks,
-        },
+        metadata={"trials": config.trials, "failed_trials": failed, "pinv_fallbacks": fallbacks},
     )
     return report, gaps
 
@@ -154,7 +149,7 @@ def _reference_verify_wishart(n, d, trials, seed, plant=None):
     max_abs_z = float(np.max(dev / np.maximum(se, 1e-300)))
     verdict = "pass" if np.all(dev <= 4.0 * se) else "fail"
     return WishartReport(
-        n=n, d=d, trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
+        trials=trials, coefficient=r, entry_mean=mean, entry_se=se,
         max_abs_z=max_abs_z, verdict=verdict, pinv_fallbacks=fallbacks,
     )
 
@@ -233,7 +228,7 @@ def _reference_verify_projection_tensor(n, d, trials, seed):
         and np.allclose(fit, [alpha, beta, gamma], rtol=1e-6, atol=1e-12)
     )
     return ProjectionTensorReport(
-        n=n, d=d, trials=trials, alpha=alpha, beta=beta, gamma=gamma,
+        trials=trials, alpha=alpha, beta=beta, gamma=gamma,
         alpha_hat=alpha_hat, alpha_se=alpha_se, beta_hat=beta_hat, beta_se=beta_se,
         gamma_hat=gamma_hat, gamma_se=gamma_se,
         contraction_fit=tuple(float(v) for v in fit),
