@@ -6,11 +6,13 @@
 #
 # SYMLAB is the symlab command: `symlab` where the package is installed, and by
 # default `python3 -m symlab.cli`.  src/ goes first on PYTHONPATH either way.  The
-# checks run from the root of the checkout and write their outputs there.
+# checks run from the root of the checkout and write every output under ci/out/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 read -ra symlab <<< "${SYMLAB:-python3 -m symlab.cli}"
+out=ci/out
+mkdir -p "$out"
 
 CHECKS=(
     tier1 suite-twice suite-vmem suite-seed7 s7-operators overcap prepare nan-weights
@@ -18,12 +20,12 @@ CHECKS=(
     traced-linear-mc
 )
 
-# `symlab run CONFIG --out OUT` must exit 2 and print no verdict
+# `symlab run CONFIG --out ci/out/NAME` must exit 2 and print no verdict
 exits_2_before_any_verdict() {
     local code=0
-    "${symlab[@]}" run "$1" --out "$2" > "$2-out.txt" || code=$?
+    "${symlab[@]}" run "$1" --out "$out/$2" > "$out/$2-out.txt" || code=$?
     test "$code" -eq 2
-    if grep -q "verdict=" "$2-out.txt"; then
+    if grep -q "verdict=" "$out/$2-out.txt"; then
         echo "$2: a verdict was printed before exit 2" >&2
         return 1
     fi
@@ -31,8 +33,8 @@ exits_2_before_any_verdict() {
 
 # one benchmark pass of WORKLOAD at SEED, traced or not, must read correct: true
 benchmark_correct() {
-    python3 perfbench/run.py --workload "$1" --seed "$2" --seconds 1 --trace "$3" | tee "$4"
-    tail -n 1 "$4" | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'
+    python3 perfbench/run.py --workload "$1" --seed "$2" --seconds 1 --trace "$3" | tee "$out/$4"
+    tail -n 1 "$out/$4" | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'
 }
 
 # results.csv md5s depend on the BLAS build, so none are pinned here.  A NaN, overflow
@@ -47,13 +49,13 @@ check_tier1() {
 # two workers share it; a RuntimeWarning is an error here too
 check_suite-twice() {
     export PYTHONWARNINGS=error::RuntimeWarning
-    "${symlab[@]}" suite quick --out suite-a
-    "${symlab[@]}" suite quick --out suite-b
-    cmp suite-a/results.csv suite-b/results.csv
-    OPENBLAS_NUM_THREADS=1 "${symlab[@]}" suite quick --out suite-c
-    cmp suite-a/results.csv suite-c/results.csv
-    taskset -c 0 "${symlab[@]}" suite quick --out suite-d
-    cmp suite-a/results.csv suite-d/results.csv
+    "${symlab[@]}" suite quick --out "$out/suite-a"
+    "${symlab[@]}" suite quick --out "$out/suite-b"
+    cmp "$out/suite-a/results.csv" "$out/suite-b/results.csv"
+    OPENBLAS_NUM_THREADS=1 "${symlab[@]}" suite quick --out "$out/suite-c"
+    cmp "$out/suite-a/results.csv" "$out/suite-c/results.csv"
+    taskset -c 0 "${symlab[@]}" suite quick --out "$out/suite-d"
+    cmp "$out/suite-a/results.csv" "$out/suite-d/results.csv"
 }
 
 # every memory-blocked loop runs in blocks of sampling.BLOCK_ENTRIES entries: a suite
@@ -61,9 +63,9 @@ check_suite-twice() {
 # 1 GB limit it must still write the same bytes as suite-twice's first run
 check_suite-vmem() {
     export PYTHONWARNINGS=error::RuntimeWarning
-    [ -f suite-a/results.csv ] || "${symlab[@]}" suite quick --out suite-a
-    (ulimit -v 1000000; "${symlab[@]}" suite quick --out suite-vmem)
-    cmp suite-a/results.csv suite-vmem/results.csv
+    [ -f "$out/suite-a/results.csv" ] || "${symlab[@]}" suite quick --out "$out/suite-a"
+    (ulimit -v 1000000; "${symlab[@]}" suite quick --out "$out/suite-vmem")
+    cmp "$out/suite-a/results.csv" "$out/suite-vmem/results.csv"
 }
 
 # the gap-kernel streams are drawn afresh in symlab-csv v2: every verdict of the quick
@@ -72,20 +74,20 @@ check_suite-vmem() {
 # verdicts do not depend on chance
 check_suite-seed7() {
     export PYTHONWARNINGS=error::RuntimeWarning
-    python3 -c 'import sys; from pathlib import Path; from symlab.cli import run_config, suite_config; c = suite_config("quick"); c["seed"] = 7; sys.exit(run_config(c, Path("suite-seed7")))'
+    python3 -c 'import sys; from pathlib import Path; from symlab.cli import run_config, suite_config; c = suite_config("quick"); c["seed"] = 7; sys.exit(run_config(c, Path(sys.argv[1])))' "$out/suite-seed7"
 }
 
 # the Q o Q check scales with the generators, so verify-operators runs on the
 # largest group the library builds
 check_s7-operators() {
-    timeout 120 "${symlab[@]}" run ci/s7.json --out s7
+    timeout 120 "${symlab[@]}" run ci/s7.json --out "$out/s7"
 }
 
 # a representation past MAX_REP_ENTRIES is refused before it is allocated: under a
 # 2 GB address-space limit the 26.8 GiB np.eye would otherwise fail with a traceback
 check_overcap() {
     local code=0
-    (ulimit -v 2000000; "${symlab[@]}" run ci/overcap.json --out overcap) || code=$?
+    (ulimit -v 2000000; "${symlab[@]}" run ci/overcap.json --out "$out/overcap") || code=$?
     test "$code" -eq 2
 }
 
@@ -109,12 +111,13 @@ check_nonfinite() {
 
 # a float key whose square overflows, or underflows to 0, used to end in a traceback: a
 # Gaussian bandwidth's or a sphere radius's while the config was checked, rho's only after
-# every trial had run, and a tiny bandwidth's as a NaN Gram; each is refused where it is
-# squared, so the config exits 2 before any verdict, with a RuntimeWarning an error too
+# every trial had run, a tiny bandwidth's as a NaN Gram, and regularisation-bound's sigma
+# after vc-bound's verdict; each is refused where it is squared, so the config exits 2
+# before any verdict, with a RuntimeWarning an error too
 check_overflow() {
     export PYTHONWARNINGS=error::RuntimeWarning
     local name
-    for name in overflow-bandwidth overflow-bandwidth-tiny overflow-radius overflow-rho; do
+    for name in overflow-bandwidth overflow-bandwidth-tiny overflow-radius overflow-rho overflow-sigma; do
         exits_2_before_any_verdict "ci/$name.json" "$name"
     done
 }

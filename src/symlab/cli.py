@@ -216,7 +216,7 @@ def _run_orbit_equivalence(
     seed: int, *, dim: int | None = None, cross_section: CrossSection,
     learner: Literal[LEARNER_NAMES], n: int = 64, trials: int = 4, sigma: float = 0.1,
 ) -> _Run:
-    _check_equivalence_demo(learner, n, trials)
+    _check_equivalence_demo(learner, n, trials, sigma)
 
     def run() -> dict:
         report = equivalence_demo(learner, cross_section, n=n, trials=trials, sigma=sigma, seed=seed)

@@ -32,8 +32,11 @@ the fits' Gram too is taken in blocks when the samples outnumber the test
 points (n above n_test), and no value depends on where the blocks fall.
 The Gram callables, fit_krr and KrrModel.predict take a stack (..., n, d)
 of samples as well as one sample; k(x_i, y_i) for aligned rows is the Gram
-of the (n, 1, d) stacks, so no Gram entry off that diagonal is computed,
-and _validate_kernel refuses a Gram callable that does not take stacks.
+of the (n, 1, d) stacks, so no Gram entry off that diagonal is computed.
+The linear and Gaussian Grams are the module's own and take stacks by
+construction, which the tests pin; _validate_kernel guards the one kernel
+whose matrix comes from outside, explicit_bilinear_kernel's, refusing it
+when it is not symmetric, positive definite or stack-taking.
 Each chunk draws from its own stream,
 sampling.stream(seed, purpose, chunk), with the purpose "krr_trials" for
 the gap's noisy trials and "krr_bias" for the bias estimate's noiseless
@@ -130,7 +133,7 @@ def _validate_kernel(spec: KernelSpec) -> KernelSpec:
 
 
 def linear_kernel(action: Representation, Mk: float | None = None) -> KernelSpec:
-    return _validate_kernel(KernelSpec("linear", action, lambda A, B: A @ np.swapaxes(B, -1, -2), Mk))
+    return KernelSpec("linear", action, lambda A, B: A @ np.swapaxes(B, -1, -2), Mk)
 
 
 def _square(key: str, value: float) -> float:
@@ -148,7 +151,7 @@ def _square(key: str, value: float) -> float:
 
 def gaussian_kernel(action: Representation, bandwidth: float) -> KernelSpec:
     """exp(-|a - b|^2 / 2 bandwidth^2); k(x, x) = 1, so Mk is 1."""
-    if bandwidth <= 0:
+    if not bandwidth > 0:  # NaN fails too
         raise ValueError("bandwidth must be > 0")
 
     minus_two_h2 = -2.0 * _square("bandwidth", bandwidth)
@@ -167,7 +170,7 @@ def gaussian_kernel(action: Representation, bandwidth: float) -> KernelSpec:
         np.divide(sq, minus_two_h2, out=sq)
         return np.exp(sq, out=sq)
 
-    return _validate_kernel(KernelSpec(f"gaussian({bandwidth!r})", action, gram, Mk=1.0))
+    return KernelSpec(f"gaussian({bandwidth!r})", action, gram, Mk=1.0)
 
 
 def explicit_bilinear_kernel(action: Representation, matrix: np.ndarray) -> KernelSpec:

@@ -19,6 +19,7 @@ import numpy as np
 from . import gates
 from .averaging import apply_Q
 from .groups import Representation, character_inner
+from .kernel_gap import _square
 from .sampling import standard_error, stream
 
 __all__ = [
@@ -95,20 +96,13 @@ class LayerSpec:
                 )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.activation != "identity" and len(weights) > 1:
-            act = ACTIVATIONS[self.activation]
-            rng = np.random.default_rng(60)
+        if self.activation != "identity":
             for rep in reps[1:-1]:
                 if not _is_permutation_type(rep):
                     raise ValueError(
                         "nonlinear activation requires permutation-type intermediate "
                         f"representations; {rep.name!r} is not"
                     )
-                V = rng.standard_normal((8, rep.dim))
-                for g in rep.group.generators:
-                    M = rep.matrices[g]
-                    if np.max(np.abs(act(V @ M.T) - act(V) @ M.T)) > 1e-9:
-                        raise ValueError("activation does not commute with an intermediate rep")
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         act = ACTIVATIONS[self.activation]
@@ -176,7 +170,9 @@ def _check_regularisation_bound(
         raise ValueError(f"samples must be >= 1, got {samples}")
     d = psi_in.dim
     if np.isscalar(sigma):
-        cov = float(sigma) ** 2 * np.eye(d)
+        if sigma < 0:
+            raise ValueError(f"sigma is {sigma!r}: a standard deviation must be >= 0")
+        cov = _square("sigma", sigma) * np.eye(d)
     else:
         cov = np.asarray(sigma, dtype=np.float64)
         if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-12:

@@ -18,7 +18,7 @@ import numpy as np
 from . import gates
 from .averaging import build_phi, group_average
 from .groups import Representation, build_group, build_representation
-from .kernel_gap import KernelSpec, build_averaged_kernel, fit_krr, gaussian_kernel
+from .kernel_gap import KernelSpec, _square, build_averaged_kernel, fit_krr, gaussian_kernel
 from .sampling import blocks, gaussian, stream
 
 __all__ = [
@@ -69,24 +69,6 @@ class CrossSection:
         return np.einsum("nij,nj->ni", mats, X)
 
 
-def _spot_check_cross_section(cs: CrossSection) -> CrossSection:
-    rng = np.random.default_rng(31)
-    X = rng.standard_normal((8, cs.dim))
-    P = cs.project_batch(X)
-    if np.max(np.abs(cs.project_batch(P) - P)) > 1e-12:
-        raise AssertionError(f"cross-section {cs.kind} is not idempotent")
-    group, mats = cs.action.group, cs.action.matrices
-    for g in group.generators:
-        if np.max(np.abs(cs.project_batch(X @ mats[g].T) - P)) > 1e-10:
-            raise AssertionError(f"cross-section {cs.kind} is not constant on orbits")
-    # membership: some group element maps the representative back to x
-    recon = np.einsum("gij,nj->gni", mats, P)
-    gaps = np.abs(recon - X[None, :, :]).max(axis=2).min(axis=0)
-    if np.max(gaps) > 1e-8:
-        raise AssertionError(f"cross-section {cs.kind} representatives leave their orbit")
-    return cs
-
-
 def build_cross_section(kind: str, dim: int | None = None) -> CrossSection:
     """Construct one of the named cross-sections with its canonical action."""
     if kind == "sort_descending":
@@ -111,7 +93,7 @@ def build_cross_section(kind: str, dim: int | None = None) -> CrossSection:
         rep = build_representation(build_group("cyclic 4"), "rotation_block 1")
     else:
         raise ValueError(f"unknown cross-section kind {kind!r}; choose from {CROSS_SECTION_KINDS}")
-    return _spot_check_cross_section(CrossSection(kind=kind, action=rep))
+    return CrossSection(kind=kind, action=rep)
 
 
 # ------------------------------------------------------------ averaged loss
@@ -228,9 +210,12 @@ class EquivalenceReport:
     verdict: str
 
 
-def _check_equivalence_demo(learner: str, n: int, trials: int) -> None:
+def _check_equivalence_demo(learner: str, n: int, trials: int, sigma: float) -> None:
     if n < 16 or trials < 1:
         raise ValueError("need n >= 16 and trials >= 1")
+    if sigma < 0:
+        raise ValueError(f"sigma is {sigma!r}: a standard deviation must be >= 0")
+    _square("sigma", sigma)  # the risks are squared errors of order sigma
     if learner not in _LEARNERS:
         raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
 
@@ -250,7 +235,7 @@ def equivalence_demo(
     The target is default_invariant_target of the cross-section's action,
     observed with Gaussian noise of standard deviation sigma; averaged_krr
     fits with the ridge AVERAGED_KRR_RHO."""
-    _check_equivalence_demo(learner, n, trials)
+    _check_equivalence_demo(learner, n, trials, sigma)
     invariant_expected, prepare = _LEARNERS[learner]
     action = cross_section.action
     fit = prepare(action)
@@ -367,15 +352,11 @@ def _check_covering_number(eps: float) -> None:
 
 
 def covering_number(cloud: PointCloud, eps: float) -> int:
-    """Greedy covering / packing size, traversed from the medoid; the sandwich
-    packing(2 eps) <= cover(eps) <= packing(eps) is asserted on every call."""
+    """Greedy covering / packing size, traversed from the medoid.  The traversal
+    order does not depend on eps, so the sandwich packing(2 eps) <= cover(eps)
+    <= packing(eps) holds by construction; the tests pin it rather than every call."""
     _check_covering_number(eps)
-    start = cloud.medoid()
-    size = _farthest_first_size(cloud, eps, start)
-    doubled = _farthest_first_size(cloud, 2.0 * eps, start)
-    if not doubled <= size:
-        raise AssertionError("covering/packing sandwich violated")
-    return size
+    return _farthest_first_size(cloud, eps, cloud.medoid())
 
 
 def sample_complexity_D(

@@ -696,6 +696,36 @@ def test_a_float_whose_square_overflows_exits_2_before_any_verdict(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+_SIGMA_KINDS = {
+    "regularisation-bound": {"kind": "regularisation-bound", "group": "symmetric 3",
+                             "rep_in": "natural_permutation", "rep_out": "natural_permutation",
+                             "samples": 20},
+    "orbit-equivalence": {"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate",
+                          "dim": 3, "learner": "invariant_least_squares", "n": 16, "trials": 3},
+}
+
+
+@pytest.mark.parametrize("kind", _SIGMA_KINDS)
+@pytest.mark.parametrize("sigma,message", [
+    (1e200, "sigma is 1e+200: its square overflows"),
+    (-1, "sigma is -1.0: a standard deviation must be >= 0"),
+], ids=["overflow", "negative"])
+def test_a_sigma_that_is_negative_or_whose_square_overflows_exits_2(tmp_path, capsys, kind, sigma, message):
+    # regularisation-bound's sigma 1e200 was an OverflowError traceback while the config was
+    # checked, and orbit-equivalence's overflowed in the risks; sigma -1 ran both to
+    # verdict=pass, the same experiment as sigma 1 under a second config hash
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 1, "experiments": [
+        FUZZ_FIRST, dict(_SIGMA_KINDS[kind], sigma=sigma),
+    ]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert captured.err.strip() == f"config error: experiments[1]: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_layer_project_reads_a_one_column_weights_file_as_a_column(tmp_path):
     # three lines of one number each: the (3, 1) map from natural_permutation to trivial 1
     (tmp_path / "w0.txt").write_text("1.0\n1.0\n1.0\n")
@@ -765,8 +795,6 @@ _FIXED_PROBES = {
     ("symlab.kernel_gap", "_validate_kernel"),
     ("symlab.kernel_gap", "check_switch_condition"),
     ("symlab.kernel_gap", "build_averaged_kernel"),
-    ("symlab.layers", "__post_init__"),
-    ("symlab.orbits", "_spot_check_cross_section"),
     ("symlab.orbits", "averaged_loss"),
 }
 # sizes at which each kind keys the same streams and draws few values from them

@@ -274,10 +274,14 @@ def _reference_perms(descriptor):
     kind, _, arg = descriptor.partition(" ")
     m = int(arg)
     v = np.arange(m)
-    if kind == "cyclic":
+    if kind in ("cyclic", "so2_quadrature"):  # the quadrature's nodes are a cyclic group
         return [tuple((v + j) % m) for j in range(m)]
     if kind == "dihedral":
-        return [tuple((v + j) % m) for j in range(m)] + [tuple(-(v + j) % m) for j in range(m)]
+        # r^j: x -> x + j and s r^j: x -> -(x + j) on Z_m, on the 2m points (x, sign) with
+        # the sign flipped by s, so that the action is faithful for m = 1 and 2 as well
+        turn = [np.concatenate([(v + j) % m, (v + j) % m + m]) for j in range(m)]
+        flip = [np.concatenate([-(v + j) % m + m, -(v + j) % m]) for j in range(m)]
+        return [tuple(p) for p in turn + flip]
     assert kind == "symmetric"
     return list(itertools.permutations(range(m)))
 
@@ -297,14 +301,21 @@ def _reference_table(descriptor):
     return table
 
 
-@pytest.mark.parametrize("descriptor", ["cyclic 5", "dihedral 4", "symmetric 4", "cyclic 2 * symmetric 3"])
+@pytest.mark.parametrize("descriptor", [
+    "cyclic 1", "cyclic 5", "dihedral 1", "dihedral 2", "dihedral 4", "symmetric 1", "symmetric 4",
+    "symmetric 5", "so2_quadrature 6", "cyclic 2 * symmetric 3", "cyclic 2 * dihedral 3 * symmetric 3",
+])
 def test_vectorised_compose_matches_reference_table(descriptor):
+    # a group's composition, identity and inverses all come from its structure and are
+    # not checked when it is built: this pins each against a table written out by hand
     g = build_group(descriptor)
     reference = _reference_table(descriptor)
     ids = np.arange(g.order)
+    e = np.full(g.order, g.identity)
     assert np.array_equal(g.compose(ids[:, None], ids[None, :]), reference)
     assert np.array_equal(g.compose(ids, ids), np.diagonal(reference))
-    assert np.array_equal(reference[g.inverse, ids], np.full(g.order, g.identity))
+    assert np.array_equal(reference[g.identity], ids) and np.array_equal(reference[:, g.identity], ids)
+    assert np.array_equal(reference[g.inverse, ids], e) and np.array_equal(reference[ids, g.inverse], e)
 
 
 def test_large_symmetric_group_never_builds_its_table():

@@ -166,6 +166,22 @@ def test_a_gram_that_takes_no_stacks_is_refused_naming_the_kernel(d):
         kernel_gap._validate_kernel(flat)
 
 
+@pytest.mark.parametrize("descriptor", ["cyclic 4", "cyclic 8", "symmetric 4"])
+def test_the_library_kernels_pass_the_check_kept_for_explicit_ones(descriptor):
+    # linear_kernel and gaussian_kernel are not validated when built, since their Grams are
+    # the module's own: each is symmetric, positive definite and takes stacks at any bandwidth
+    rep = _perm_rep(descriptor)
+    kernel_gap._validate_kernel(kernel_gap.linear_kernel(rep))
+    for h in (0.5, 2.0, math.sqrt(rep.dim), 100.0):
+        kernel_gap._validate_kernel(kernel_gap.gaussian_kernel(rep, h))
+
+
+def test_a_nan_bandwidth_is_refused_by_name():
+    # bandwidth <= 0 let NaN through, to be refused as a Gram that "does not take stacks"
+    with pytest.raises(ValueError, match="^bandwidth must be > 0$"):
+        kernel_gap.gaussian_kernel(_perm_rep("cyclic 4"), float("nan"))
+
+
 def test_estimate_N_zero_kernel():
     zero = lambda A, B: np.zeros(A.shape[:-1] + B.shape[-2:-1])  # a Gram of stacks, as the contract asks
     mean, se = estimate_N(zero, gaussian(3), pairs=1000, rng=stream(0, "main"))

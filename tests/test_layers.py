@@ -16,7 +16,9 @@ import pytest
 from symlab.averaging import build_psi
 from symlab.groups import build_group, build_representation, character_inner
 from symlab.layers import (
+    ACTIVATIONS,
     LayerSpec,
+    _is_permutation_type,
     check_regularisation_bound,
     equivariance_report,
     project_layer,
@@ -174,6 +176,24 @@ def test_layer_spec_validation():
         weights=(np.zeros((2, 4)), np.zeros((4, 2))),
         activation="identity",
     )
+
+
+@pytest.mark.parametrize("group,rep", [
+    ("symmetric 3", "natural_permutation"),
+    ("dihedral 4", "natural_permutation"),
+    ("cyclic 2 * symmetric 3", "natural_permutation"),
+    ("symmetric 3", "direct_sum natural_permutation + trivial 1"),
+])
+def test_every_activation_commutes_with_every_permutation_type_matrix(group, rep):
+    # LayerSpec checks only that an intermediate rep is permutation-type: every activation
+    # is elementwise, so it commutes with each element's matrix of such a rep, bit for bit
+    rep = build_representation(build_group(group), rep)
+    assert _is_permutation_type(rep)
+    V = 3.0 * np.random.default_rng(61).standard_normal((64, rep.dim))
+    for activation, act in ACTIVATIONS.items():
+        for M in rep.matrices:
+            assert np.array_equal(act(V @ M.T), act(V) @ M.T), activation
+        LayerSpec(reps=(rep,) * 3, weights=(np.eye(rep.dim),) * 2, activation=activation)
 
 
 def test_layer_spec_refuses_a_non_finite_weight():

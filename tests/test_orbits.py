@@ -50,11 +50,14 @@ def test_quadrant_fold_example():
     assert np.allclose(cs.project_batch(x[None])[0], x, atol=1e-15)
 
 
-@pytest.mark.parametrize(
-    "kind,dim",
-    [("sort_descending", 3), ("abs_first_coordinate", 2), ("polar_fold", 2), ("quadrant_fold", 2)],
-)
+@pytest.mark.parametrize("kind,dim", [
+    ("sort_descending", 2), ("sort_descending", 3), ("sort_descending", 5),
+    ("abs_first_coordinate", 1), ("abs_first_coordinate", 2), ("abs_first_coordinate", 4),
+    ("polar_fold", 2), ("quadrant_fold", 2),
+])
 def test_cross_section_triple_on_1000_points(kind, dim):
+    # build_cross_section does not check what it builds: this pins the three properties
+    # of a cross-section on every kind, at the least dim each accepts and at larger ones
     cs = build_cross_section(kind, dim=dim)
     rng = np.random.default_rng(40)
     X = rng.standard_normal((1000, dim)) * 2.0
