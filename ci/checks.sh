@@ -71,7 +71,8 @@ check_suite-vmem() {
 # the gap-kernel streams are drawn afresh in symlab-csv v2: every verdict of the quick
 # grid must also pass at a second seed, not only at the default one; symlab-csv v6
 # redraws only orbit-equivalence, layer-project and regularisation-bound, whose
-# verdicts do not depend on chance
+# verdicts do not depend on chance, and v7 moves only the linear kinds' mc_mean and
+# mc_se, by rounding, as each statistic merges chunk by chunk
 check_suite-seed7() {
     export PYTHONWARNINGS=error::RuntimeWarning
     python3 -c 'import sys; from pathlib import Path; from symlab.cli import run_config, suite_config; c = suite_config("quick"); c["seed"] = 7; sys.exit(run_config(c, Path(sys.argv[1])))' "$out/suite-seed7"
@@ -92,9 +93,12 @@ check_overcap() {
 }
 
 # each experiment is prepared before any runs, and the library's own checks refuse its
-# inputs then: gap-kernel's n_test 0 used to print vc-bound's verdict, then a traceback
+# inputs then: gap-kernel's n_test 0 used to print vc-bound's verdict, then a traceback;
+# a top-level key other than seed, experiments and out is refused too, where a misspelt
+# "out" used to be dropped and the run exited 0
 check_prepare() {
     exits_2_before_any_verdict ci/prepare.json prepare
+    exits_2_before_any_verdict ci/unknown-top-key.json unknown-top-key
 }
 
 # a NaN layer weight used to project to NaN and pass as a zero equivariance violation:
@@ -143,8 +147,9 @@ check_traced-suite-quick() {
 }
 
 # symlab-csv v4 solves linear-mc's least squares through the Gram inverse, with pinv
-# only for the trials its condition gate refuses: every verdict must also pass at a
-# second seed, not only at the default one
+# only for the trials its condition gate refuses, and v7 merges every statistic chunk
+# by chunk, which moves each row's mc_mean and mc_se by rounding: every verdict must
+# also pass at a second seed, not only at the default one
 check_linear-mc-seed7() {
     benchmark_correct linear-mc 7 0 linear-mc-seed7.txt
 }

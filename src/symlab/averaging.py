@@ -136,7 +136,7 @@ def _check_tensor_side(d: int, k: int) -> None:
 def build_psi(rep_in: Representation, rep_out: Representation) -> IntertwinerTensor:
     """Build the intertwiner tensor for input rep phi and output rep psi."""
     group = rep_in.group
-    if rep_out.group is not group:
+    if rep_out.group.structure != group.structure:
         raise ValueError("input and output representations live on different groups")
     d, k = rep_in.dim, rep_out.dim
     _check_tensor_side(d, k)
@@ -189,7 +189,7 @@ class DecomposedPredictor:
     _flat: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rep_in.group is not self.rep_out.group:
+        if self.rep_in.group.structure != self.rep_out.group.structure:
             raise ValueError("input and output representations live on different groups")
         if self.elements is None:
             object.__setattr__(self, "elements", self.rep_in.group.elements())

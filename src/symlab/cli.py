@@ -41,7 +41,7 @@ from .orbits import (
 )
 from .sampling import gaussian, sphere, stream
 
-CSV_VERSION = "# symlab-csv v6"
+CSV_VERSION = "# symlab-csv v7"
 CSV_COLUMNS = (
     "experiment", "d", "k", "n", "group", "dim_A", "sigma_x", "sigma_xi",
     "trials", "mc_mean", "mc_se", "closed_form", "verdict",
@@ -475,6 +475,7 @@ def _validate_config(config: dict) -> None:
     and prepared, and dropped, since holding it until its run would hold every experiment's."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown("config", config, ("seed", "experiments", "out"))
     if "seed" not in config:
         raise ConfigError("config error: missing required field 'seed'")
     if not isinstance(config["seed"], int) or isinstance(config["seed"], bool):

@@ -4,7 +4,9 @@ plus the random-matrix facts the formulas rest on.
 
 Trials run in fixed-size chunks, one after another on the calling thread,
 so every sum runs over the same operands in the same order for a given
-seed and results are byte-identical.  Each trial's minimum-norm least
+seed and results are byte-identical.  Every statistic merges chunk by
+chunk in a sampling.RunningMoments, so no loop keeps a column of trials
+and memory does not grow with their number.  Each trial's minimum-norm least
 squares goes through the inverse of its Gram matrix A, X^T X when n > d
 and X X^T otherwise, batched over the chunk.  A trial whose A has
 kappa_1(A) = |A|_1 |A^-1|_1 above 1/sqrt(eps) is recomputed with pinv, so a
@@ -23,7 +25,7 @@ import numpy as np
 from . import gates
 from .averaging import IntertwinerTensor, build_psi
 from .groups import Representation, build_representation, character, character_inner
-from .sampling import RunningMoments, standard_error, stream
+from .sampling import RunningMoments, stream
 
 __all__ = [
     "LinearGapConfig",
@@ -46,9 +48,9 @@ MIN_WISHART_TRIALS = 1000
 
 
 def _chunked(trials: int, draw, work):
-    """Yield ``(start, work(*draw(b)))`` for each chunk of ``b <= _CHUNK`` trials, in order."""
+    """Yield ``work(*draw(b))`` for each chunk of ``b <= _CHUNK`` trials, in order."""
     for start in range(0, trials, _CHUNK):
-        yield start, work(*draw(min(_CHUNK, trials - start)))
+        yield work(*draw(min(_CHUNK, trials - start)))
 
 
 def _norm_1(A: np.ndarray) -> np.ndarray:
@@ -238,25 +240,19 @@ def verify_wishart(n: int, d: int, trials: int, seed: int) -> WishartReport:
     r = _check_verify_wishart(n, d, trials)
     rng = stream(seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
-    total = np.zeros((d, d))
-    total_sq = np.zeros((d, d))
+    moments = RunningMoments()
     fallbacks = 0
 
     def work(X):
         G, redone, dropped = _min_norm(X, None, rcond)
         if dropped:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return G.sum(axis=0), np.square(G, out=G).sum(axis=0), redone
+        return G, redone
 
-    for _, (g_sum, g_sq_sum, redone) in _chunked(
-        trials, lambda b: (rng.standard_normal((b, n, d)),), work
-    ):
-        total += g_sum
-        total_sq += g_sq_sum
+    for G, redone in _chunked(trials, lambda b: (rng.standard_normal((b, n, d)),), work):
+        moments.add(G)
         fallbacks += redone
-    mean = total / trials
-    var = np.maximum(total_sq - trials * mean ** 2, 0.0) / (trials - 1)
-    se = np.sqrt(var / trials)
+    mean, se = moments.estimate()
     expected = r * np.eye(d)
     max_abs_z = float(np.max(np.abs(mean - expected) / np.maximum(se, 1e-300)))
     verdict = gates.verdict(gates.holds("closed_form", mean, expected, se))
@@ -301,17 +297,10 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
     Carlo spread; the three contractions tr(P)^2, tr(P^T P), tr(P^2) are
     constants n^2, n, n for every sample, so the triple fitted from them
     pins (alpha, beta, gamma) exactly and only rounding is allowed.
-
-    Only alpha's column is kept per trial: its mean and standard error are
-    the row's printed mc_mean and mc_se, taken over the whole column.  The
-    other five statistics feed only the gates and the report, so their
-    chunks merge into RunningMoments and the memory holds one column of
-    trials, not six.
     """
     _check_verify_projection_tensor(n, d, trials)
     rng = stream(seed, "main")
-    a_t = np.empty(trials)
-    moments = b_m, g_m, tr2_m, trptp_m, trp2_m = tuple(RunningMoments() for _ in range(5))
+    moments = tuple(RunningMoments() for _ in range(6))
     off = d * (d - 1)
 
     def work(Z):
@@ -326,24 +315,17 @@ def verify_projection_tensor(n: int, d: int, trials: int, seed: int) -> Projecti
             (s1 ** 2 - s2) / off, (frob - s2) / off, (cross - s2) / off, s1 ** 2, frob, cross
         )
 
-    for start, (a, *rest) in _chunked(trials, lambda b: (rng.standard_normal((b, d, n)),), work):
-        a_t[start:start + len(a)] = a
-        for moment, values in zip(moments, rest):
+    for chunk in _chunked(trials, lambda b: (rng.standard_normal((b, d, n)),), work):
+        for moment, values in zip(moments, chunk):
             moment.add(values)
 
     beta = n * (d - n) / (d * (d - 1) * (d + 2))
     alpha = beta + n * (n - 1) / (d * (d - 1))
     gamma = beta
-
-    def stat(m):
-        return m.mean, m.standard_error()
-
-    alpha_hat, alpha_se = float(a_t.mean()), standard_error(a_t)
-    beta_hat, beta_se = stat(b_m)
-    gamma_hat, gamma_se = stat(g_m)
-    tr2_mean, tr2_se = stat(tr2_m)
-    trptp_mean, trptp_se = stat(trptp_m)
-    trp2_mean, trp2_se = stat(trp2_m)
+    (
+        (alpha_hat, alpha_se), (beta_hat, beta_se), (gamma_hat, gamma_se),
+        (tr2_mean, tr2_se), (trptp_mean, trptp_se), (trp2_mean, trp2_se),
+    ) = (m.estimate() for m in moments)
 
     # invert the contraction system for (alpha, beta, gamma)
     system = np.array(
@@ -383,7 +365,6 @@ def closed_form_gap_equivariant(config: LinearGapConfig) -> float:
     d - tr(Phi) and J = tr(Phi) + 1.
     """
     d, k, n = config.d, config.k, config.n
-    _check_outside_band(n, d)
     inner = character_inner(config.psi, config.phi)
     codim = d * k - inner
     if n > d + 1:
@@ -412,7 +393,7 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
     d, k, n = config.d, config.k, config.n
     rng = stream(config.seed, "main")
     rcond = np.finfo(float).eps * max(n, d)
-    gaps = np.full(config.trials, np.nan)
+    moments = RunningMoments()
     failed = fallbacks = 0
 
     def draw(b):
@@ -427,13 +408,11 @@ def monte_carlo_gap(config: LinearGapConfig) -> GapReport:
         W_perp = config.tensor.complement_batch(W)
         return config.sigma_x ** 2 * np.square(W_perp, out=W_perp).sum(axis=(1, 2)), redone, dropped
 
-    for start, (chunk_gaps, redone, dropped) in _chunked(config.trials, draw, work):
-        gaps[start:start + len(chunk_gaps)] = chunk_gaps
+    for gaps, redone, dropped in _chunked(config.trials, draw, work):
+        moments.add(gaps[~np.isnan(gaps)] if dropped else gaps)  # a dropped trial's gap is NaN
         fallbacks += redone
         failed += dropped
-    valid = gaps[~np.isnan(gaps)] if failed else gaps  # a dropped trial's gap is NaN
-    mean = float(valid.mean())
-    se = standard_error(valid)
+    mean, se = moments.estimate()
     closed = closed_form_gap_equivariant(config)
     verdict = gates.verdict(gates.holds("closed_form", mean, closed, se))
     return GapReport(

@@ -101,8 +101,11 @@ class RunningMoments:
     in order by the pairwise update of Chan et al.: with delta = m_b - m_a,
     mean = m_a + delta n_b / n and M2 = M2_a + M2_b + delta^2 n_a n_b / n.
     Running sums of x and x^2 would cancel on values that are equal up to
-    rounding; M2 keeps their spread.  Over a single chunk the mean and the
-    standard error are standard_error's bit for bit.
+    rounding; M2 keeps their spread.  A chunk is an array whose leading axis
+    runs over its values, so a chunk of (t, d, d) matrices keeps the moments
+    of each of the d x d entries.  Over a single chunk the mean and the
+    standard error are standard_error's bit for bit.  Before any value is
+    added, the mean and the standard error are NaN.
     """
 
     def __init__(self) -> None:
@@ -111,9 +114,13 @@ class RunningMoments:
         self.m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
+        """Merge a chunk of values; an empty chunk changes nothing."""
         n_b = len(values)
-        m_b = float(values.mean())
-        m2_b = float(np.square(values - m_b).sum())
+        if not n_b:
+            return
+        m_b = values.mean(axis=0)
+        dev = values - m_b
+        m2_b = np.square(dev, out=dev).sum(axis=0)
         n = self.count + n_b
         delta = m_b - self.mean
         share = n_b / n  # 1.0 for the first chunk, which is then taken as it is
@@ -121,7 +128,9 @@ class RunningMoments:
         self.m2 += m2_b + delta * delta * self.count * share
         self.count = n
 
-    def standard_error(self) -> float:
-        """sqrt(M2 / (n - 1)) / sqrt(n); NaN below two values, as standard_error gives."""
+    def estimate(self) -> tuple:
+        """(mean, standard error): sqrt(M2 / (n - 1)) / sqrt(n), NaN below two values,
+        as standard_error gives; both NaN when no value was added."""
         n = self.count
-        return math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+        mean = self.mean if n else math.nan
+        return mean, np.sqrt(self.m2 / (n - 1)) / np.sqrt(n) if n > 1 else math.nan

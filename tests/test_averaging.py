@@ -224,6 +224,24 @@ def test_apply_q_dimension_mismatch():
         apply_Q(lambda X: X[:, :2], rep, rep)
 
 
+def test_reps_on_separately_built_groups_are_one_group_for_psi_and_q():
+    # character_inner and LayerSpec compare structures; Psi and Q take the same rule
+    a = _s3_natural()
+    b = _s3_natural()
+    assert a.group is not b.group
+    assert np.array_equal(build_psi(a, b).tensor, build_psi(a, a).tensor)
+    assert build_psi(a, b).trace == pytest.approx(character_inner(b, a), abs=1e-10)
+    X = np.random.default_rng(0).standard_normal((4, 3))
+    square = lambda X: X ** 2  # noqa: E731
+    assert np.array_equal(apply_Q(square, a, b).symmetric_part(X), apply_Q(square, a, a).symmetric_part(X))
+    # same order, other composition
+    c6 = build_representation(build_group("cyclic 6"), "natural_permutation")
+    with pytest.raises(ValueError, match="different groups"):
+        build_psi(a, c6)
+    with pytest.raises(ValueError, match="different groups"):
+        apply_Q(lambda X: np.zeros((len(X), 6)), a, c6)
+
+
 def test_l2_orthogonality_of_parts():
     # <f_bar, f_perp>_mu = 0 within 3 SE for invariant mu
     rep = _s3_natural()

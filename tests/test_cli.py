@@ -43,7 +43,7 @@ def test_run_writes_versioned_csv_and_json(tmp_path):
     assert code == 0
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     lines = csv_text.strip().split("\n")
-    assert lines[0] == "# symlab-csv v6"
+    assert lines[0] == "# symlab-csv v7"
     assert lines[1].split(",") == list(cli.CSV_COLUMNS)
     assert len(lines) == 2 + len(FAST_CONFIG["experiments"])
     rows = json.loads((tmp_path / "out" / "results.json").read_text())
@@ -452,6 +452,23 @@ def test_missing_required_key_exits_2_before_any_experiment_runs(tmp_path, capsy
     assert "experiments[1].n is missing" in captured.err
     assert "verdict" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_top_level_key_exits_2_before_any_experiment_runs(tmp_path, capsys):
+    # a misspelt "out" used to be dropped, and the run wrote elsewhere with exit 0
+    vc = {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 2}
+    payload = {"seed": 1, "experimnets": [], "experiments": [vc], "ouput": str(tmp_path / "there")}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: config has unknown key 'experimnets'; accepted: "
+                                   "['experiments', 'out', 'seed']")
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists() and not (tmp_path / "there").exists()
+    # the three accepted keys run
+    cfg = _write_config(tmp_path / "ok.json", {"seed": 1, "experiments": [vc], "out": str(tmp_path / "there")})
+    assert cli.main(["run", cfg]) == 0
+    assert (tmp_path / "there" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["quick", "full"])

@@ -4,9 +4,9 @@ Each ``_reference_*`` function below is the whole function with its
 ``while done < trials`` loop written out, and ``_reference_min_norm`` is the
 Gram-inverse solve and its condition gate written out.  Every report
 field must carry the same bits as the reference's, not merely close values.
-The projection tensor's reference merges its five gate-only columns chunk
-by chunk, as the function does; a separate test holds that merge to the
-whole column's mean and standard error.
+Each reference merges its statistics chunk by chunk, as the functions do,
+with the merge written out in ``_merged_stat``; a separate test holds that
+merge to the whole column's mean and standard error.
 Separate tests hold the Gram solve to ``pinv`` within a tolerance, and
 check that the gate sends an ill-conditioned or rank-deficient trial to
 ``pinv``.
@@ -15,6 +15,7 @@ check that the gate sends an ill-conditioned or rank-deficient trial to
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,12 +89,34 @@ def _reference_min_norm(X, Y, rcond):
     return out, fallbacks, dropped
 
 
+def _merged_stat(chunks):
+    """Mean and SE of chunks of values, elementwise over their leading axis, merged
+    chunk by chunk, written out: each chunk's count, mean and sum of squared
+    deviations, merged in order by Chan et al.; NaN for both over no values."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for x in chunks:
+        n_b = len(x)
+        if not n_b:
+            continue
+        m_b = x.mean(axis=0)
+        m2_b = ((x - m_b) ** 2).sum(axis=0)
+        total = count + n_b
+        delta = m_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + (m2_b + delta * delta * count * (n_b / total))
+        count = total
+    if not count:
+        return math.nan, math.nan
+    return mean, (np.sqrt(m2 / (count - 1)) / np.sqrt(count) if count > 1 else math.nan)
+
+
 def _reference_monte_carlo_gap(config, plant=None):
     """The report and the per-trial gaps; ``plant(chunk, X)`` may edit each chunk's draw."""
     d, k, n = config.d, config.k, config.n
     rng = np.random.default_rng(config.seed)
     rcond = np.finfo(float).eps * max(n, d)
     gaps = np.full(config.trials, np.nan)
+    kept = []  # each chunk's gaps, less its dropped trials' NaNs
     failed = fallbacks = 0
     done = 0
     while done < config.trials:
@@ -105,13 +128,13 @@ def _reference_monte_carlo_gap(config, plant=None):
         Y = X @ config.theta + xi
         W, redone, dropped = _reference_min_norm(X, Y, rcond)
         W_perp = W - config.tensor.apply_batch(W)  # complement_batch as it was
-        gaps[done:done + b] = config.sigma_x ** 2 * (W_perp ** 2).sum(axis=(1, 2))
+        chunk = gaps[done:done + b]
+        chunk[:] = config.sigma_x ** 2 * (W_perp ** 2).sum(axis=(1, 2))
+        kept.append(chunk[~np.isnan(chunk)] if dropped else chunk)
         fallbacks += redone
         failed += dropped
         done += b
-    valid = gaps[~np.isnan(gaps)]
-    mean = float(valid.mean())
-    se = float(valid.std(ddof=1) / math.sqrt(len(valid))) if len(valid) > 1 else math.nan
+    mean, se = _merged_stat(kept)
     closed = closed_form_gap_equivariant(config)
     dim_a = d * k - character_inner(config.psi, config.phi)
     verdict = "pass" if abs(mean - closed) <= 4.0 * se else "fail"
@@ -127,8 +150,7 @@ def _reference_verify_wishart(n, d, trials, seed, plant=None):
     r = wishart_coefficient(n, d)
     rng = np.random.default_rng(seed)
     rcond = np.finfo(float).eps * max(n, d)
-    total = np.zeros((d, d))
-    total_sq = np.zeros((d, d))
+    chunks = []
     fallbacks = 0
     done = 0
     while done < trials:
@@ -138,13 +160,10 @@ def _reference_verify_wishart(n, d, trials, seed, plant=None):
             plant(done // _CHUNK, X)
         G, redone, dropped = _reference_min_norm(X, None, rcond)
         assert dropped == 0
-        total += G.sum(axis=0)
-        total_sq += (G ** 2).sum(axis=0)
+        chunks.append(G)
         fallbacks += redone
         done += b
-    mean = total / trials
-    var = np.maximum(total_sq - trials * mean ** 2, 0.0) / (trials - 1)
-    se = np.sqrt(var / trials)
+    mean, se = _merged_stat(chunks)
     dev = np.abs(mean - r * np.eye(d))
     max_abs_z = float(np.max(dev / np.maximum(se, 1e-300)))
     verdict = "pass" if np.all(dev <= 4.0 * se) else "fail"
@@ -179,42 +198,17 @@ def _projection_columns(n, d, trials, seed):
     return columns, bounds
 
 
-def _merged_stat(column, bounds):
-    """Mean and SE of a column, merged chunk by chunk, written out: each chunk's
-    count, mean and sum of squared deviations, merged in order by Chan et al."""
-    count, mean, m2 = 0, 0.0, 0.0
-    for sl in bounds:
-        x = column[sl]
-        n_b = len(x)
-        m_b = float(x.mean())
-        m2_b = float(((x - m_b) ** 2).sum())
-        total = count + n_b
-        delta = m_b - mean
-        mean += delta * (n_b / total)
-        m2 += m2_b + delta * delta * count * (n_b / total)
-        count = total
-    return mean, (math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else math.nan)
-
-
-def _full_stat(column):
-    """Mean and SE of a whole column, two passes over it."""
-    return float(column.mean()), float(column.std(ddof=1) / math.sqrt(len(column)))
-
-
 def _reference_verify_projection_tensor(n, d, trials, seed):
-    """alpha, the printed column, over the whole column; the five gate-only
-    statistics merged chunk by chunk."""
+    """The six statistics, each merged chunk by chunk."""
     columns, bounds = _projection_columns(n, d, trials, seed)
     beta = n * (d - n) / (d * (d - 1) * (d + 2))
     alpha = beta + n * (n - 1) / (d * (d - 1))
     gamma = beta
 
-    alpha_hat, alpha_se = _full_stat(columns[0])
-    beta_hat, beta_se = _merged_stat(columns[1], bounds)
-    gamma_hat, gamma_se = _merged_stat(columns[2], bounds)
-    tr2_mean, tr2_se = _merged_stat(columns[3], bounds)
-    trptp_mean, trptp_se = _merged_stat(columns[4], bounds)
-    trp2_mean, trp2_se = _merged_stat(columns[5], bounds)
+    (
+        (alpha_hat, alpha_se), (beta_hat, beta_se), (gamma_hat, gamma_se),
+        (tr2_mean, tr2_se), (trptp_mean, trptp_se), (trp2_mean, trp2_se),
+    ) = (_merged_stat(column[sl] for sl in bounds) for column in columns)
     system = np.array([[d ** 2, d, d], [d, d ** 2, d], [d, d, d ** 2]], dtype=np.float64)
     fit = np.linalg.solve(system, np.array([tr2_mean, trptp_mean, trp2_mean]))
     jitter = 64 * np.finfo(float).eps
@@ -289,35 +283,50 @@ def test_verify_projection_tensor_matches_serial_loop(trials):
 @pytest.mark.parametrize("n, d", [(2, 5), (1, 2)])
 def test_merged_moments_agree_with_the_whole_column(n, d, trials):
     columns, bounds = _projection_columns(n, d, trials, seed=6)
-    for column in columns[1:]:  # the five gate-only statistics
+    for column in columns:
         merged = RunningMoments()
         for sl in bounds:
             merged.add(column[sl])
+        merged_mean, merged_se = merged.estimate()
         mean, se = float(column.mean()), standard_error(column)
         assert merged.count == trials
-        assert merged.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert merged_mean == pytest.approx(mean, rel=1e-12, abs=0)
         # The three contractions are constant up to rounding, so an SE over them is
         # rounding dust: a mean off by its rounding, eps |mean|, moves each deviation
         # by about as much as the spread, and the SE by up to eps |mean| / sqrt(n - 1).
         floor = np.finfo(float).eps * abs(mean) / math.sqrt(trials - 1)
-        assert abs(merged.standard_error() - se) <= 1e-12 * se + floor
+        assert abs(merged_se - se) <= 1e-12 * se + floor
 
 
-def test_verify_projection_tensor_peaks_at_one_column_of_trials():
-    verify_projection_tensor(2, 5, 2, seed=6)  # the first call's one-time costs
-    tracemalloc.start()
-    try:
-        verify_projection_tensor(2, 5, 200_000, seed=6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # alpha's column and the temporary of its SE take 3.2 MB; six columns took 10.7 MiB
-    assert peak < 4 * 2 ** 20
+@pytest.mark.parametrize("loop", ["monte_carlo_gap", "verify_wishart", "verify_projection_tensor"])
+def test_peak_memory_does_not_grow_with_trials(loop):
+    def call(trials):
+        if loop == "monte_carlo_gap":
+            config = dataclasses.replace(_config("invariant", 1), trials=trials)
+            return lambda: monte_carlo_gap(config)
+        if loop == "verify_wishart":
+            return lambda: verify_wishart(2, 6, trials, seed=5)
+        return lambda: verify_projection_tensor(2, 5, trials, seed=6)
+
+    call(1000)()  # the first call's one-time costs
+    peaks = []
+    for trials in (2000, 200_000):
+        run = call(trials)
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a few full chunks of 512 trials take 0.5 MB at most; a column of 200 000
+    # trials would take 1.6 MB
+    assert peaks[1] < 2 ** 20
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 16
 
 
 def _planting(monkeypatch, plant):
     """Make linear_gap's chunk loop pass each chunk's draw through ``plant(chunk, X)``
-    before its work runs; return the list it appends each ``(start, result)`` to."""
+    before its work runs; return the list it appends each chunk's result to."""
     seen = []
 
     def planted(trials, draw, work):
@@ -326,9 +335,9 @@ def _planting(monkeypatch, plant):
             plant(len(seen), drawn[0])
             return drawn
 
-        for start, result in _chunked(trials, planted_draw, work):
-            seen.append((start, result))
-            yield start, result
+        for result in _chunked(trials, planted_draw, work):
+            seen.append(result)
+            yield result
 
     monkeypatch.setattr(linear_gap, "_chunked", planted)
     return seen
@@ -375,7 +384,7 @@ def test_gram_solve_gaps_agree_with_pinv_on_the_workload_shapes(monkeypatch, n, 
     config = _shape_config(n, d, 4 * _CHUNK)
     seen = _planting(monkeypatch, lambda chunk, X: None)
     report = monte_carlo_gap(config)
-    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _, _) in seen])
+    gaps = np.concatenate([chunk_gaps for chunk_gaps, _, _ in seen])
     want = _pinv_gaps(config)
     assert report.metadata["pinv_fallbacks"] == 0
     np.testing.assert_allclose(gaps, want, rtol=1e-10, atol=0)
@@ -422,7 +431,7 @@ def test_gate_sends_a_singular_and_an_ill_conditioned_trial_to_pinv(monkeypatch,
     _assert_same_report(report, reference)
     assert report.metadata["pinv_fallbacks"] == 2
     assert report.metadata["failed_trials"] == 0
-    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _, _) in seen])
+    gaps = np.concatenate([chunk_gaps for chunk_gaps, _, _ in seen])
     assert np.array_equal(gaps, reference_gaps)
     # replay the draws: X then xi, chunk by chunk
     rng = np.random.default_rng(config.seed)
@@ -470,8 +479,8 @@ def test_svd_failure_drops_one_trial_and_keeps_the_rest(monkeypatch, chunk):
     reference, reference_gaps = _reference_monte_carlo_gap(config, plant)
     assert report.metadata["failed_trials"] == 1
     assert report.metadata["pinv_fallbacks"] == 1
-    gaps = np.concatenate([chunk_gaps for _, (chunk_gaps, _, _) in seen])
-    assert [start for start, _ in seen] == list(range(0, config.trials, _CHUNK))
+    gaps = np.concatenate([chunk_gaps for chunk_gaps, _, _ in seen])
+    assert [len(chunk_gaps) for chunk_gaps, _, _ in seen] == [_CHUNK] * 4
     assert np.flatnonzero(np.isnan(gaps)).tolist() == [chunk * _CHUNK + 7]
     assert np.array_equal(gaps, reference_gaps, equal_nan=True)
     _assert_same_report(report, reference)
@@ -488,6 +497,25 @@ def test_a_nan_gap_that_no_dropped_trial_explains_fails_the_gate(monkeypatch):
     monkeypatch.setattr(linear_gap, "_min_norm", nan_trial)
     report = monte_carlo_gap(_config("invariant", 600))
     assert report.metadata["failed_trials"] == 0
+    assert math.isnan(report.mc_gap_mean) and math.isnan(report.mc_gap_se)
+    assert report.verdict == "fail"
+
+
+def test_a_run_whose_every_trial_is_dropped_reports_nan_and_fails(monkeypatch):
+    config = _config("invariant", 100)  # one chunk
+
+    def plant(index, X):
+        X[:, :, -1] = X[:, :, 0]  # every Gram singular, so every trial goes to pinv
+
+    def failing_pinv(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    _planting(monkeypatch, plant)
+    monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a mean over no trials must not warn
+        report = monte_carlo_gap(config)
+    assert report.metadata["failed_trials"] == report.metadata["pinv_fallbacks"] == 100
     assert math.isnan(report.mc_gap_mean) and math.isnan(report.mc_gap_se)
     assert report.verdict == "fail"
 
@@ -511,9 +539,8 @@ def test_chunks_come_back_in_order_each_drawn_just_before_its_work():
         return len(drawn) - 1, b
 
     results = []
-    for start, result in _chunked(3 * _CHUNK + 1, draw, lambda index, b: (index, b)):
+    for result in _chunked(3 * _CHUNK + 1, draw, lambda index, b: (index, b)):
         assert len(drawn) == len(results) + 1  # drawn lazily, one chunk at a time
-        results.append((start, result))
+        results.append(result)
     assert drawn == [_CHUNK, _CHUNK, _CHUNK, 1]
-    assert results == [(0, (0, _CHUNK)), (_CHUNK, (1, _CHUNK)),
-                       (2 * _CHUNK, (2, _CHUNK)), (3 * _CHUNK, (3, 1))]
+    assert results == [(0, _CHUNK), (1, _CHUNK), (2, _CHUNK), (3, 1)]
