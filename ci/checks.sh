@@ -94,10 +94,12 @@ check_overcap() {
 
 # each experiment is prepared before any runs, and the library's own checks refuse its
 # inputs then: gap-kernel's n_test 0 used to print vc-bound's verdict, then a traceback;
-# a top-level key other than seed, experiments and out is refused too, where a misspelt
+# so did a covering points value that is not numbers, a TypeError from float(); a
+# top-level key other than seed, experiments and out is refused too, where a misspelt
 # "out" used to be dropped and the run exited 0
 check_prepare() {
     exits_2_before_any_verdict ci/prepare.json prepare
+    exits_2_before_any_verdict ci/points-object.json points-object
     exits_2_before_any_verdict ci/unknown-top-key.json unknown-top-key
 }
 
@@ -116,12 +118,14 @@ check_nonfinite() {
 # a float key whose square overflows, or underflows to 0, used to end in a traceback: a
 # Gaussian bandwidth's or a sphere radius's while the config was checked, rho's only after
 # every trial had run, a tiny bandwidth's as a NaN Gram, and regularisation-bound's sigma
-# after vc-bound's verdict; each is refused where it is squared, so the config exits 2
-# before any verdict, with a RuntimeWarning an error too
+# after vc-bound's verdict; so did covering points whose distances overflow, after
+# vc-bound's verdict too; each is refused where it is squared, or where the cloud is
+# built, so the config exits 2 before any verdict, with a RuntimeWarning an error too
 check_overflow() {
     export PYTHONWARNINGS=error::RuntimeWarning
     local name
-    for name in overflow-bandwidth overflow-bandwidth-tiny overflow-radius overflow-rho overflow-sigma; do
+    for name in overflow-bandwidth overflow-bandwidth-tiny overflow-radius overflow-rho overflow-sigma \
+        overflow-points; do
         exits_2_before_any_verdict "ci/$name.json" "$name"
     done
 }

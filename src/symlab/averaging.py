@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gates
 from .groups import Representation, build_representation, character_inner
-from .sampling import blocks, standard_error, stream
+from .sampling import RunningMoments, blocks, stream
 
 __all__ = [
     "MAX_TENSOR_SIDE",
@@ -66,10 +66,10 @@ def group_average(fn: Callable, elements):
 
 def haar_sample(group, n: int, seed: int = 0):
     """n ids for group_average, drawn uniformly, the Haar measure, by
-    default_rng(seed); the whole group is asked for as ``elements=None``."""
+    stream(seed, "haar"); the whole group is asked for as ``elements=None``."""
     if n < 1:
         raise ValueError(f"sampled averaging needs n >= 1 group elements, got {n}")
-    return np.random.default_rng(seed).integers(group.order, size=n)
+    return stream(seed, "haar").integers(group.order, size=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +261,7 @@ def empirical_rademacher(
 
     With m_samples None, the mean over all 2^n sign vectors, exactly
     (n <= 20); otherwise over m_samples sign vectors drawn by
-    default_rng(seed).
+    stream(seed, "signs").
     """
     if not funcs:
         raise ValueError("empty function class")
@@ -278,7 +278,7 @@ def empirical_rademacher(
     if m_samples is not None:
         if m_samples < 1:
             raise ValueError(f"sampled complexity needs m_samples >= 1, got {m_samples}")
-        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(m_samples, n))
+        signs = stream(seed, "signs").choice([-1.0, 1.0], size=(m_samples, n))
         return float(np.abs(signs @ values.T).max(axis=1).mean() / n)
     if n > 20:
         raise ValueError(f"enumerating sign vectors caps at 20 points, got {n}; pass m_samples")
@@ -372,8 +372,7 @@ def verify_operator_identities(
     dev_q_idem = float(np.max([np.max(np.abs(
         op.symmetric_part(small @ rep_in.matrices[s].T) - q_small @ rep_out.matrices[s].T
     )) for s in rep_in.group.generators], initial=0.0))
-    inner_mean = float(inner.mean())
-    inner_se = standard_error(inner)
+    inner_mean, inner_se = RunningMoments().add(inner).estimate()
 
     exact = (
         dev_phi_idem, dev_phi_sym, dev_psi_idem, dev_psi_sym,

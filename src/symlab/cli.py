@@ -235,7 +235,7 @@ def _run_covering(
     if points_file is not None:
         cloud = PointCloud(_load_matrix(points_file), metric=metric)
     elif points is not None:
-        cloud = PointCloud(np.asarray(points, dtype=np.float64), metric=metric)
+        cloud = PointCloud(points, metric=metric)
     else:
         for key, size in (("n", n), ("dim", dim)):
             if size < 1:

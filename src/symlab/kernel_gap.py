@@ -65,7 +65,7 @@ from . import gates
 from .averaging import build_phi, group_average
 from .groups import Representation
 from .linear_gap import GapReport
-from .sampling import Distribution, blocks, standard_error, stream
+from .sampling import Distribution, RunningMoments, blocks, stream
 
 __all__ = [
     "KernelSpec",
@@ -274,7 +274,7 @@ def estimate_N(
     X = mu.sample(pairs, rng)
     Y = mu.sample(pairs, rng)
     vals = _pair_values(gram, X, Y) ** 2
-    return float(vals.mean()), standard_error(vals)
+    return RunningMoments().add(vals).estimate()
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,7 +502,7 @@ def estimate_bias_term(config: KrrGapConfig) -> tuple[float, float]:
     """Noiseless sub-procedure: fit KRR on f_star(X_i) and Monte-Carlo the
     squared anti-symmetric part of the fit on fresh points."""
     per_trial = _perp_sq_trials(config, config.bias_trials, "krr_bias", noisy=False)
-    return float(per_trial.mean()), standard_error(per_trial)
+    return RunningMoments().add(per_trial).estimate()
 
 
 def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
@@ -510,7 +510,7 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     against the invariance lower bound (estimated bias + variance term)."""
     averaged = build_averaged_kernel(config.kernel)
     per_trial = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
-    mean, se = float(per_trial.mean()), standard_error(per_trial)
+    mean, se = RunningMoments().add(per_trial).estimate()
 
     mk = config.kernel.Mk
     if mk is None:
@@ -559,24 +559,22 @@ def linear_kernel_bound(
         raise ValueError("linear kernel bound needs d > 1")
     phi = np.asarray(phi_matrix, dtype=np.float64)
     fro2 = float((phi ** 2).sum())
-    Z = np.random.default_rng(seed).standard_normal((trials, n, d))
+    Z = stream(seed, "linear_bound").standard_normal((trials, n, d))
     X = math.sqrt(d) * Z / np.linalg.norm(Z, axis=2, keepdims=True)
     Xt = np.swapaxes(X, 1, 2)
     # X^T X and X X^T share their nonzero eigenvalues, and a zero one adds
     # nothing to either moment: take the smaller Gram
     gamma = np.linalg.eigvalsh(Xt @ X if n > d else X @ Xt)
     ratio = gamma / (gamma + rho)
-    z1 = (ratio ** 2).sum(axis=1)
-    z2 = ratio.sum(axis=1) ** 2
-    zeta1 = float(z1.mean())
-    zeta2 = float(z2.mean())
+    zeta1, zeta1_se = RunningMoments().add((ratio ** 2).sum(axis=1)).estimate()
+    zeta2, zeta2_se = RunningMoments().add(ratio.sum(axis=1) ** 2).estimate()
     bias = theta_norm ** 2 * (d * zeta1 - zeta2) * (d - fro2) / (d * (d + 2) * (d - 1))
     variance = (d - fro2) / (math.sqrt(n) * d + rho / math.sqrt(n)) ** 2
     return {
         "zeta1": zeta1,
         "zeta2": zeta2,
-        "zeta1_se": standard_error(z1),
-        "zeta2_se": standard_error(z2),
+        "zeta1_se": zeta1_se,
+        "zeta2_se": zeta2_se,
         "bias_bound": bias,
         "variance_bound": variance,
         "bound": bias + variance,

@@ -20,7 +20,7 @@ from . import gates
 from .averaging import apply_Q
 from .groups import Representation, character_inner
 from .kernel_gap import _square
-from .sampling import standard_error, stream
+from .sampling import RunningMoments, stream
 
 __all__ = [
     "LayerSpec",
@@ -214,9 +214,7 @@ def check_regularisation_bound(
     X = rng.standard_normal((samples, d)) @ sqrt_cov
     f_W = lambda Z: act(Z @ W.T)
     f_perp = apply_Q(f_W, psi_in, psi_out).antisym_part(X)
-    sq = (f_perp ** 2).sum(axis=1)
-    lhs = float(sq.mean())
-    lhs_se = standard_error(sq)
+    lhs, lhs_se = RunningMoments().add((f_perp ** 2).sum(axis=1)).estimate()
     middle = 2.0 * float(((W_perp @ sqrt_cov) ** 2).sum())
     right = 2.0 * float((sqrt_cov ** 2).sum()) * float((W_perp ** 2).sum())
     # f - Qf of an exactly intertwining W is rounding dust, not an exact zero

@@ -297,13 +297,22 @@ class PointCloud:
     metric: str = "euclidean"
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
+        try:
+            pts = np.asarray(self.points, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("points is not a list of numbers or of equal rows of them") from None
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or not np.all(np.isfinite(pts)):
             raise ValueError("points must be a non-empty finite (n, d) array")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        # the largest distance two points can have, its square, which _distances sums in
+        # the Euclidean metric, and n times it, a medoid's row sum, must each be finite
+        (n, d), reach = pts.shape, float(np.max(np.abs(pts)))
+        far = 2.0 * reach * (math.sqrt(d) if self.metric == "euclidean" else 1.0)
+        if not (math.isfinite(n * far) and (self.metric == "sup" or math.isfinite(far * far))):
+            raise ValueError(f"points reach |x| = {reach:.3e}, where their {self.metric} distances overflow")
         object.__setattr__(self, "points", pts)
 
     def distances_to(self, centers: np.ndarray) -> np.ndarray:

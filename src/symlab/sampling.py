@@ -1,6 +1,6 @@
 """Input distributions for Monte-Carlo estimates of mu-inner products; the
-standard error every Monte-Carlo estimate reports, over a whole column or
-merged chunk by chunk; the random streams an experiment draws from its
+mean and standard error of every Monte-Carlo estimate, over a whole column
+or merged chunk by chunk; the random streams an experiment draws from its
 seed; and the blocks that bound the memory of a loop over many items.
 
 Only distributions invariant under orthogonal actions are constructed
@@ -22,7 +22,7 @@ import numpy as np
 
 __all__ = [
     "BLOCK_ENTRIES", "Distribution", "RunningMoments", "STREAMS", "blocks", "gaussian", "sphere",
-    "standard_error", "stream",
+    "stream",
 ]
 
 # float64 entries that one block of a memory-blocked loop keeps live (1 MB)
@@ -41,6 +41,9 @@ STREAMS = {
     "weights": 14,  # the CLI's random layer weights
     "orbit_trial": 15,  # equivalence_demo's trials, one index per trial
     "kernel_check": 16,  # build_averaged_kernel's checks of the averaged kernel
+    "haar": 17,  # haar_sample's group ids
+    "signs": 18,  # empirical_rademacher's sampled sign vectors
+    "linear_bound": 19,  # linear_kernel_bound's sphere draws
     "mk_probe": 55,  # the points that estimate sup k(x, x)
     "f_star_check": 101,  # KrrGapConfig's invariance check of f_star
 }
@@ -86,26 +89,20 @@ def blocks(count: int, each: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(count)[::step]]
 
 
-def standard_error(values: np.ndarray) -> float:
-    """std(ddof=1) / sqrt(n) of n values; NaN below two values, where it is
-    undefined, so a k-SE verdict on it fails."""
-    n = len(values)
-    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-
-
 class RunningMoments:
     """The count, mean and M2 (the sum of squared deviations from the mean) of
     the chunks of values added so far, so that no column of them is kept.
 
-    Each chunk takes two passes, as standard_error does, and the chunks merge
-    in order by the pairwise update of Chan et al.: with delta = m_b - m_a,
-    mean = m_a + delta n_b / n and M2 = M2_a + M2_b + delta^2 n_a n_b / n.
-    Running sums of x and x^2 would cancel on values that are equal up to
-    rounding; M2 keeps their spread.  A chunk is an array whose leading axis
-    runs over its values, so a chunk of (t, d, d) matrices keeps the moments
-    of each of the d x d entries.  Over a single chunk the mean and the
-    standard error are standard_error's bit for bit.  Before any value is
-    added, the mean and the standard error are NaN.
+    Each chunk takes two passes, its mean, then its squared deviations, and
+    the chunks merge in order by the pairwise update of Chan et al.: with
+    delta = m_b - m_a, mean = m_a + delta n_b / n and M2 = M2_a + M2_b +
+    delta^2 n_a n_b / n.  Running sums of x and x^2 would cancel on values
+    that are equal up to rounding; M2 keeps their spread.  A chunk is an
+    array whose leading axis runs over its values, so a chunk of (t, d, d)
+    matrices keeps the moments of each of the d x d entries.  A whole column
+    is one chunk, RunningMoments().add(values).estimate(), whose SE is its
+    std(ddof=1) / sqrt(n) bit for bit.  Before any value is added, the mean
+    and the standard error are NaN.
     """
 
     def __init__(self) -> None:
@@ -113,11 +110,11 @@ class RunningMoments:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def add(self, values: np.ndarray) -> None:
-        """Merge a chunk of values; an empty chunk changes nothing."""
+    def add(self, values: np.ndarray) -> RunningMoments:
+        """Merge a chunk of values and return self; an empty chunk changes nothing."""
         n_b = len(values)
         if not n_b:
-            return
+            return self
         m_b = values.mean(axis=0)
         dev = values - m_b
         m2_b = np.square(dev, out=dev).sum(axis=0)
@@ -127,10 +124,11 @@ class RunningMoments:
         self.mean += delta * share
         self.m2 += m2_b + delta * delta * self.count * share
         self.count = n
+        return self
 
     def estimate(self) -> tuple:
         """(mean, standard error): sqrt(M2 / (n - 1)) / sqrt(n), NaN below two values,
-        as standard_error gives; both NaN when no value was added."""
+        where it is undefined; both NaN when no value was added."""
         n = self.count
         mean = self.mean if n else math.nan
         return mean, np.sqrt(self.m2 / (n - 1)) / np.sqrt(n) if n > 1 else math.nan

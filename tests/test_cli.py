@@ -153,6 +153,9 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
     ({"kind": "covering", "eps": 0}, "eps must be > 0"),
     ({"kind": "covering", "eps": 0.5, "n": -1}, "n is -1, below 1"),
     ({"kind": "covering", "eps": 0.5, "points": []}, "points must be a non-empty finite (n, d) array"),
+    # each used to end in a TypeError traceback from float(), exit 1, after covering's verdict
+    ({"kind": "covering", "eps": 0.5, "points": {"a": 1}}, "points is not a list of numbers"),
+    ({"kind": "covering", "eps": 0.5, "points": [{"a": 1}]}, "points is not a list of numbers"),
     ({"kind": "orbit-equivalence", "cross_section": "abs_first_coordinate", "dim": 2,
       "learner": "invariant_least_squares", "n": 8}, "need n >= 16"),
     ({"kind": "layer-project", "group": "symmetric 3", "reps": ["natural_permutation"]},
@@ -173,7 +176,8 @@ def test_below_minimum_exits_2_before_any_experiment_runs(tmp_path, capsys, exp,
         "gap-linear-theta-not-invariant", "gap-kernel-theta-shape", "gap-kernel-theta-not-invariant",
         "gap-kernel-theta-not-numbers", "gap-kernel-n_test", "gap-kernel-bias_trials", "gap-kernel-rho",
         "gap-linear-trials", "gap-equivariant-sigma_x", "covering-eps", "covering-n",
-        "covering-no-points", "orbit-equivalence-n", "layer-project-one-rep", "layer-project-n_samples",
+        "covering-no-points", "covering-points-object", "covering-points-objects",
+        "orbit-equivalence-n", "layer-project-one-rep", "layer-project-n_samples",
         "regularisation-bound-samples", "regularisation-bound-sign", "projection-tensor-n-is-d",
         "verify-operators-n_samples", "verify-operators-tensor-cap"])
 def test_run_time_refusals_exit_2_before_any_experiment_runs(tmp_path, capsys, exp, message):

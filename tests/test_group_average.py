@@ -3,11 +3,11 @@
 A Haar average over a finite group is the mean over its ids: each
 ``_reference_*`` average below sums its terms in element order and divides
 the sum by their count, and a sampled one draws its ids with
-``integers(order)`` from the seed's ``default_rng``.  The other references
-are the expressions the kernel trial path used before it shared its base
-Gram, built Gaussian Grams in place, stacked its trials into chunks and
-normalised sphere draws inline.  The library must return the same bits, not
-merely close values.  The KRR trial's paired estimate of |f_perp|^2 is
+``integers(order)`` from ``default_rng((seed, HAAR))``, the seed's ``haar``
+stream.  The other references are the expressions the kernel trial path
+used before it shared its base Gram, built Gaussian Grams in place, stacked
+its trials into chunks and normalised sphere draws inline.  The library must
+return the same bits, not merely close values.  The KRR trial's paired estimate of |f_perp|^2 is
 written from its definition, one trial and one fit at a time, and a closed
 orbit ties it exactly to the full-orbit estimate.
 """
@@ -75,6 +75,9 @@ def _reference_switch(kernel, n_pairs, seed):
     return "unchecked", violation
 
 
+HAAR = sampling.STREAMS["haar"]
+
+
 def _draw(group, mode, n, seed):
     # the ids a test's mode stands for: the whole group, or a seeded Haar draw
     return None if mode in ("exact_sum", "exact") else haar_sample(group, n, seed)
@@ -87,7 +90,7 @@ def _reference_symmetric_part(base, rep_in, rep_out, X, mode, n_samples, seed):
     if mode == "exact_sum":
         elements = np.arange(group.order)
     else:
-        elements = np.random.default_rng(seed).integers(group.order, size=n_samples)
+        elements = np.random.default_rng((seed, HAAR)).integers(group.order, size=n_samples)
     acc = None
     for g in elements:
         vals = np.asarray(base(X @ phi[g].T), dtype=np.float64)
@@ -107,7 +110,7 @@ def _reference_tta(pred, rep_in, n, seed, mode, X):
     if mode == "exact":
         elements = np.arange(group.order)
     else:
-        elements = np.random.default_rng(seed).integers(group.order, size=n)
+        elements = np.random.default_rng((seed, HAAR)).integers(group.order, size=n)
     phi = rep_in.matrices
     acc = None
     for g in elements:
@@ -223,7 +226,7 @@ def test_orbit_sums_are_bitwise_the_reference_sums():
 
 def test_sampled_draw_is_the_default_rng_integers_stream():
     group = build_group("dihedral 4")
-    expected = np.random.default_rng(12).integers(group.order, size=50)
+    expected = np.random.default_rng((12, HAAR)).integers(group.order, size=50)
     assert np.array_equal(haar_sample(group, 50, seed=12), expected)
 
 

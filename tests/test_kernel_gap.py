@@ -35,7 +35,7 @@ from symlab.kernel_gap import (
     linear_kernel,
     linear_kernel_bound,
 )
-from symlab.sampling import gaussian, sphere, standard_error, stream
+from symlab.sampling import STREAMS, RunningMoments, gaussian, sphere, stream
 
 
 def _perm_rep(descriptor, d=None):
@@ -534,7 +534,7 @@ def test_krr_perp_estimate_matches_the_exact_value_trial_by_trial(monkeypatch, d
     monkeypatch.setattr(kernel_gap, "_chunk_perp_sq", paired)
     diff = _perp_sq_trials(config, config.trials, "krr_trials", noisy=True)
     # two-sided: the estimate is unbiased for the exact value, on the same fits
-    assert abs(diff.mean()) <= 4 * standard_error(diff)
+    assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / math.sqrt(len(diff))
 
 
 @pytest.mark.parametrize("failing", [2, 3])  # a chunk of the caller's, one of the helper's
@@ -700,7 +700,7 @@ def test_linear_bound_zeta_inequality_and_variance_term():
 
 def _reference_linear_zetas(d, n, rho, trials, seed):
     # one (n, d) sphere draw and one n x n Gram per trial, in stream order
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng((seed, STREAMS["linear_bound"]))
     z1, z2 = np.empty(trials), np.empty(trials)
     for t in range(trials):
         Z = rng.standard_normal((n, d))
@@ -724,6 +724,32 @@ def test_linear_bound_zetas_match_the_per_trial_loop(d, n, rho):
     assert out["zeta2"] == pytest.approx(z2.mean(), rel=1e-12)
     assert out["zeta1_se"] == pytest.approx(z1.std(ddof=1) / math.sqrt(300), rel=1e-8)
     assert out["zeta2_se"] == pytest.approx(z2.std(ddof=1) / math.sqrt(300), rel=1e-8)
+
+
+def test_each_se_that_the_csv_does_not_carry_is_its_columns_sd_over_root_n(monkeypatch):
+    # results.csv's pinned bytes cover the SEs it carries; these reduce their columns in
+    # RunningMoments too, and each must be std(ddof=1) / sqrt(n) of its column bit for bit
+    columns = []
+
+    class Recording(RunningMoments):
+        def add(self, values):
+            columns.append(np.array(values))
+            return super().add(values)
+
+    monkeypatch.setattr(kernel_gap, "RunningMoments", Recording)
+    kernel = explicit_bilinear_kernel(_swap_rep(), np.diag([1.0, 0.0]))
+    config = KrrGapConfig(
+        kernel=kernel, f_star=lambda X: X.sum(axis=1), mu=gaussian(2), n=12,
+        sigma=0.0, rho=0.1, trials=2, seed=22, bias_trials=40,
+    )
+    n_est = estimate_N(kernel.gram, gaussian(2), pairs=1000, rng=stream(9, "pairs"))
+    bias = estimate_bias_term(config)
+    out = linear_kernel_bound(4, 6, 0.5, 1.0, np.ones((4, 4)) / 4, trials=300, seed=109)
+    got = [n_est, bias, (out["zeta1"], out["zeta1_se"]), (out["zeta2"], out["zeta2_se"])]
+    assert [len(column) for column in columns] == [1000, 40, 300, 300]
+    for (mean, se), column in zip(got, columns):
+        assert mean == column.mean()
+        assert se == column.std(ddof=1) / math.sqrt(len(column))
 
 
 def test_linear_bound_requires_d_above_one():

@@ -6,6 +6,7 @@ learners under orbit moves.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,22 @@ def test_covering_rejections():
         PointCloud(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 2)), metric="taxicab")
+
+
+@pytest.mark.parametrize("metric, limit, over", [
+    # with M the largest |x|: 4 d M^2 must be finite in the Euclidean metric, n 2 M in sup;
+    # each cloud over the limit used to overflow in _distances, in square and in subtract
+    ("euclidean", math.sqrt(np.finfo(float).max / 8), [[1e200, 0.0], [0.0, 1e200], [0.0, 0.0]]),
+    ("sup", np.finfo(float).max / 4, [[1e308], [-1e308]]),
+], ids=["euclidean", "sup"])
+def test_points_whose_distances_overflow_are_refused_and_those_just_under_run(metric, limit, over):
+    d = 2 if metric == "euclidean" else 1
+    under = PointCloud(0.99 * limit * np.array([[1.0] * d, [-1.0] * d]), metric=metric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert covering_number(under, 1.0) == 2
+    with pytest.raises(ValueError, match=f"their {metric} distances overflow"):
+        PointCloud(np.array(over), metric=metric)
 
 
 # -------------------------------------------------------- sample complexity

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from symlab import sampling
-from symlab.sampling import STREAMS, RunningMoments, blocks, standard_error, stream
+from symlab.sampling import STREAMS, RunningMoments, blocks, stream
 
 SEEDS = [0, 1, 7, 20240, 2 ** 32 - 1]
+
+
+def _standard_error(values):
+    # the reference: the sample standard deviation over sqrt(n), undefined below two values
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
 
 
 def _state(rng):
@@ -55,11 +61,9 @@ def test_blocks_read_the_budget_when_called(monkeypatch):
 @pytest.mark.parametrize("count", [1, 2, 7, 512])
 def test_one_chunk_of_moments_is_standard_error_bit_for_bit(count):
     values = np.random.default_rng(count).standard_normal(count) + 3.0
-    moments = RunningMoments()
-    moments.add(values)
-    mean, got = moments.estimate()
+    mean, got = RunningMoments().add(values).estimate()
     assert mean == float(values.mean())
-    se = standard_error(values)
+    se = _standard_error(values)
     assert got == se or math.isnan(se) and math.isnan(got)
 
 
@@ -71,7 +75,7 @@ def test_merged_moments_are_the_pooled_mean_and_spread():
     mean, se = moments.estimate()
     assert moments.count == 1000
     assert mean == pytest.approx(values.mean(), rel=1e-14)
-    assert se == pytest.approx(standard_error(values), rel=1e-12)
+    assert se == pytest.approx(_standard_error(values), rel=1e-12)
 
 
 def test_moments_of_matrices_are_each_entrys_moments():
@@ -86,7 +90,14 @@ def test_moments_of_matrices_are_each_entrys_moments():
     for i, j in np.ndindex(2, 3):
         column = values[:, i, j]
         assert mean[i, j] == pytest.approx(column.mean(), rel=1e-14)
-        assert se[i, j] == pytest.approx(standard_error(column), rel=1e-12)
+        assert se[i, j] == pytest.approx(_standard_error(column), rel=1e-12)
+
+
+def test_add_returns_the_moments_also_for_an_empty_chunk():
+    moments = RunningMoments()
+    assert moments.add(np.empty(0)) is moments
+    assert moments.add(np.array([1.0, 3.0])) is moments
+    assert moments.add(np.empty(0)) is moments
 
 
 def test_moments_of_no_values_are_nan_and_an_empty_chunk_changes_nothing():
