@@ -16,7 +16,7 @@ mkdir -p "$out"
 
 CHECKS=(
     tier1 suite-twice suite-vmem suite-seed7 s7-operators overcap prepare nan-weights
-    nonfinite overflow large-group-seed7 traced-large-group traced-suite-quick linear-mc-seed7
+    nonfinite overflow covering-large large-group-seed7 traced-large-group traced-suite-quick linear-mc-seed7
     traced-linear-mc
 )
 
@@ -128,6 +128,16 @@ check_overflow() {
         overflow-points; do
         exits_2_before_any_verdict "ci/$name.json" "$name"
     done
+}
+
+# covering takes its distances one coordinate at a time in two reused buffers of
+# sampling.BLOCK_ENTRIES entries between them: at n = 20000 the medoid's 4*10^8 pairs
+# must run under a 1 GB address-space limit and in 120 s, and the rows must read their
+# cover sizes, 706 (Euclidean) and 480 (sup), which a one-shot sum over d = 3 gives too
+check_covering-large() {
+    (ulimit -v 1000000; timeout 120 "${symlab[@]}" run ci/covering-large.json --out "$out/covering-large")
+    python3 -c 'import csv, sys; rows = list(csv.DictReader(l for l in open(sys.argv[1]) if l[0] != "#")); sys.exit([r["mc_mean"] for r in rows] != ["706.0", "480.0"])' \
+        "$out/covering-large/results.csv"
 }
 
 # symlab-csv v3 moved the S7, product-group and S4 kernel bytes: every verdict of

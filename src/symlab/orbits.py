@@ -293,6 +293,16 @@ METRICS = ("euclidean", "sup")
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
+    """n points of R^d under the Euclidean or the sup metric.
+
+    Distances are taken one coordinate at a time, in coordinate order: the
+    squared differences are added from the first coordinate on, then the
+    square root is taken (sup keeps the running max of |differences|).  Up
+    to d = 7 this is the order of numpy's sum over the coordinates, so each
+    distance is that of the one-shot formula bit for bit; from d = 8 numpy
+    sums pairwise, and a Euclidean distance may differ from it in its last
+    bits.  Sup distances are exact at every d."""
+
     points: np.ndarray
     metric: str = "euclidean"
 
@@ -307,8 +317,10 @@ class PointCloud:
             raise ValueError("points must be a non-empty finite (n, d) array")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        # the largest distance two points can have, its square, which _distances sums in
-        # the Euclidean metric, and n times it, a medoid's row sum, must each be finite
+        # the largest distance two points can have, 2M sqrt(d) (2M in sup) with M the
+        # largest |x|; its square, 4dM^2, which bounds every partial sum _distances
+        # adds up in the Euclidean metric; and n times it, a medoid's row sum, must
+        # each be finite
         (n, d), reach = pts.shape, float(np.max(np.abs(pts)))
         far = 2.0 * reach * (math.sqrt(d) if self.metric == "euclidean" else 1.0)
         if not (math.isfinite(n * far) and (self.metric == "sup" or math.isfinite(far * far))):
@@ -317,25 +329,50 @@ class PointCloud:
 
     def distances_to(self, centers: np.ndarray) -> np.ndarray:
         """(n, k) distances from every point to each of k centers, in blocks of
-        rows; each row is reduced on its own, so no value depends on the blocks."""
+        rows; each row is reduced on its own, so no value depends on the blocks.
+        The coordinates are taken in order, so up to d = 7 each distance is the
+        one-shot formula's bit for bit; from d = 8 a Euclidean one may differ
+        from it in its last bits."""
         out = np.empty((self.points.shape[0], centers.shape[0]))
-        for rows in blocks(out.shape[0], centers.size):
-            out[rows] = self._distances(self.points[rows], centers)
+        for rows, dist in self._distances(centers):
+            out[rows] = dist
         return out
 
     def medoid(self) -> int:
-        """Index of the point whose distances to all points sum least."""
-        pts = self.points
-        sums = np.empty(pts.shape[0])
-        for rows in blocks(pts.shape[0], pts.size):
-            sums[rows] = self._distances(pts[rows], pts).sum(axis=1)
+        """Index of the point whose distances to all points sum least.  The
+        distances are distances_to's: the one-shot formula's bit for bit up to
+        d = 7, and from d = 8 within the last bits of a Euclidean one."""
+        sums = np.empty(self.points.shape[0])
+        for rows, dist in self._distances(self.points):
+            sums[rows] = dist.sum(axis=1)
         return int(np.argmin(sums))
 
-    def _distances(self, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        diff = points[:, None, :] - centers[None, :, :]
-        if self.metric == "sup":
-            return np.abs(diff).max(axis=2)
-        return np.sqrt(np.square(diff, out=diff).sum(axis=2))
+    def _distances(self, centers: np.ndarray):
+        """Yield (rows, the (m, k) distances of those points to the k centers)
+        block by block, adding the coordinates' terms in order from the first
+        (the class docstring says what that rounds like from d = 8).  Each row
+        keeps 2k entries live, the accumulator and one coordinate's terms, in
+        one pair of buffers that every block reuses, so a yielded block is
+        valid only until the next is asked for.  The centers are copied once as
+        a (d, k) array, so that the subtraction reads each coordinate contiguously."""
+        pts, k = self.points, centers.shape[0]
+        columns = np.ascontiguousarray(centers.T)
+        row_blocks = blocks(pts.shape[0], 2 * k)
+        m = row_blocks[0].stop
+        acc_buf, term_buf = np.empty((m, k)), np.empty((m, k))
+        sup = self.metric == "sup"
+        size, join = (np.abs, np.maximum) if sup else (np.square, np.add)
+        for rows in row_blocks:
+            acc, term = acc_buf[: rows.stop - rows.start], term_buf[: rows.stop - rows.start]
+            block = pts[rows]
+            for j in range(pts.shape[1]):
+                # the first coordinate's terms start the accumulator, each later one's join it
+                terms = term if j else acc
+                np.subtract(block[:, j, None], columns[j], out=terms)
+                size(terms, out=terms)
+                if j:
+                    join(acc, terms, out=acc)
+            yield rows, acc if sup else np.sqrt(acc, out=acc)
 
 
 def _farthest_first_size(cloud: PointCloud, eps: float, start: int) -> int:

@@ -6,6 +6,7 @@ learners under orbit moves.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from symlab import sampling
 from symlab.groups import build_group, build_representation
 from symlab.orbits import (
+    METRICS,
     PointCloud,
     averaged_loss,
     build_cross_section,
@@ -249,19 +251,55 @@ def test_sup_metric_differs_from_euclidean():
     assert covering_number(cloud_euc, 1.0) == 2
 
 
-def test_blockwise_distances_match_one_shot_arrays(monkeypatch):
-    rng = np.random.default_rng(55)
-    pts = rng.standard_normal((700, 4))  # several row blocks against all 700 centers
+def _one_shot(pts, metric):
+    """The (n, n) distances as one array, numpy's sum or max over the coordinates."""
     diff = pts[:, None, :] - pts[None, :, :]
-    # 64 entries: one-row blocks against all centers, ragged 3-row blocks against five
-    for block_entries in (sampling.BLOCK_ENTRIES, 64):
-        monkeypatch.setattr(sampling, "BLOCK_ENTRIES", block_entries)
-        for metric, full in (("euclidean", np.sqrt((diff ** 2).sum(axis=2))),
-                             ("sup", np.abs(diff).max(axis=2))):
-            cloud = PointCloud(pts, metric=metric)
-            assert np.array_equal(cloud.distances_to(pts), full)
-            assert np.array_equal(cloud.distances_to(pts[:5]), full[:, :5])
-            assert cloud.medoid() == int(np.argmin(full.sum(axis=1)))
+    return np.sqrt((diff ** 2).sum(axis=2)) if metric == "euclidean" else np.abs(diff).max(axis=2)
+
+
+def _one_shot_covering(full, eps):
+    """The farthest-first traversal from the medoid, read off the one-shot distances."""
+    mindist = full[:, int(np.argmin(full.sum(axis=1)))]
+    size = 1
+    while mindist.max() > eps:
+        mindist = np.minimum(mindist, full[:, int(np.argmax(mindist))])
+        size += 1
+    return size
+
+
+# 64 entries: one-row blocks against all centers, ragged 6-row blocks against five
+@pytest.mark.parametrize("block_entries", [sampling.BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 16])
+def test_blockwise_distances_match_one_shot_arrays(monkeypatch, d, metric, block_entries):
+    monkeypatch.setattr(sampling, "BLOCK_ENTRIES", block_entries)
+    pts = np.random.default_rng(55).standard_normal((700, d))  # several row blocks
+    full = _one_shot(pts, metric)
+    cloud = PointCloud(pts, metric=metric)
+    dist = cloud.distances_to(pts)
+    if metric == "sup" or d < 8:
+        # below 8 terms numpy sums the coordinates in order from the first, as
+        # _distances does, and a max is exact in any order
+        assert np.array_equal(dist, full)
+    else:
+        # from 8 terms numpy sums pairwise, so a Euclidean distance may move in its last bits
+        assert np.all(np.abs(dist - full) <= 4 * np.spacing(full))
+    assert np.array_equal(cloud.distances_to(pts[:5]), dist[:, :5])
+    assert cloud.medoid() == int(np.argmin(full.sum(axis=1)))
+    assert covering_number(cloud, 0.5 * math.sqrt(d)) == _one_shot_covering(full, 0.5 * math.sqrt(d))
+
+
+def test_covering_number_keeps_one_block_of_entries_live():
+    # the two (m, k) buffers of _distances hold BLOCK_ENTRIES entries, 1 MiB, between
+    # them, and nothing else of a block's size may be live beside them
+    cloud = PointCloud(np.random.default_rng(56).standard_normal((3000, 3)))
+    tracemalloc.start()
+    try:
+        covering_number(cloud, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2 ** 20
 
 
 def test_covering_rejections():
