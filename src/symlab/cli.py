@@ -29,7 +29,7 @@ from .groups import FiniteGroup, Representation, build_group, build_representati
 from .kernel_gap import KrrGapConfig, _square, gaussian_kernel, krr_gap_experiment, linear_kernel
 from .layers import (
     ACTIVATIONS, BOUND_ACTIVATIONS, LayerSpec, _check_equivariance_report, _check_regularisation_bound,
-    check_regularisation_bound, equivariance_report, project_spec, vc_bound,
+    _check_vc_bound, check_regularisation_bound, equivariance_report, project_spec, vc_bound,
 )
 from .linear_gap import (
     LinearGapConfig, _check_verify_projection_tensor, _check_verify_wishart, invariant_config,
@@ -278,6 +278,7 @@ def _run_layer_project(
 
 
 def _run_vc_bound(seed: int, *, group: FiniteGroup, reps: tuple[Representation, ...]) -> _Run:
+    _check_vc_bound(reps)
     return lambda: {
         "d": reps[0].dim, "k": reps[-1].dim,
         "group": group.name, "mc_mean": vc_bound(reps), "verdict": gates.UNGATED,

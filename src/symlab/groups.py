@@ -6,11 +6,14 @@ the package is the plain mean over the ids, and no group stores a weight
 vector.  A group is its ``structure``: it composes ids arithmetically from
 the structure (index arithmetic for cyclic and dihedral groups, lex ranks
 of composed permutations for symmetric groups, factor-wise for products),
-takes its inverses from the same structure, and id 0 is its identity.  No
-dense composition table is ever held.  Continuous SO(2) is admitted
-through an equispaced angular quadrature, which is itself an exact cyclic
-group of rotations; rotation blocks of frequency below half the node
-count integrate exactly.
+takes its inverses from the same structure, and id 0 is its identity.  Each
+kind's law, its composition, inverses and generators, is defined once, and a
+product combines its factors'.  The order and the natural action's dimension
+are read first, by arithmetic, so that an over-cap group or representation is
+refused before anything of its size is built.  No dense composition table is
+ever held.  Continuous SO(2) is admitted through an equispaced angular
+quadrature, which is itself an exact cyclic group of rotations; rotation
+blocks of frequency below half the node count integrate exactly.
 
 Every "for each g in G" check (the homomorphism property of a
 representation, and the intertwining and invariance checks elsewhere in
@@ -73,25 +76,23 @@ class FiniteGroup:
     inverse: np.ndarray
     order: int
     structure: tuple
+    # non-identity ids generating the group: a property closed under
+    # composition holds for every element once it holds for each
+    generators: tuple
 
     def __init__(self, name: str, *, structure: tuple) -> None:
         order = _capped_order(name, structure)  # before anything order-sized is built
-        inverse = np.asarray(_structure_inverse(structure), dtype=np.int64)
+        compose, inverse, generators = _law(structure)
         inverse.setflags(write=False)
         for key, value in (
             ("name", name),
             ("order", order),
             ("structure", structure),
-            ("_compose", _composer(structure)),
+            ("_compose", compose),
             ("inverse", inverse),
+            ("generators", generators),
         ):
             object.__setattr__(self, key, value)
-
-    @functools.cached_property
-    def generators(self) -> tuple:
-        """Non-identity ids generating the group; a property closed under composition
-        holds for every element once it holds for each."""
-        return _structure_generators(self.structure)
 
     def elements(self) -> range:
         return range(self.order)
@@ -112,29 +113,39 @@ def _capped_order(name: str, structure: tuple) -> int:
     return order
 
 
+@functools.cache
 def _lex_permutations(m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """All permutations of 0..m-1 in lexicographic order, and their ranker.
+    """All permutations of 0..m-1 in lexicographic order, read-only, and their ranker.
 
     The ranker maps an (..., m) array of permutations to their row indices.
     Read as base-m numerals, lex order is numeric order, so a sorted search
-    over the numerals of the rows finds each rank.
+    over the numerals of the rows finds each rank.  Each m's table is built
+    once and shared; under the order cap m is at most 7.
     """
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64).reshape(-1, m)
+    perms.setflags(write=False)
     place = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
     numerals = perms @ place
     return perms, lambda p: np.searchsorted(numerals, p @ place)
 
 
-def _composer(structure: tuple) -> Callable:
-    """Vectorised (a, b) -> id of a*b for the group built from ``structure``."""
-    kind = structure[0]
+def _law(structure: tuple) -> tuple[Callable, np.ndarray, tuple]:
+    """(compose, inverse, generators) of the group built from ``structure``:
+    ``compose(a, b)`` is the id of a*b over broadcast id arrays, ``inverse[a]``
+    the id of a^-1, and ``generators`` non-identity ids that generate the group."""
+    kind, m = structure[0], structure[1]
+    if kind == "product":
+        (left, left_inverse, left_gens), (right, right_inverse, right_gens) = map(_law, structure[1:])
+        ob = len(right_inverse)
+        return (
+            lambda a, b: left(a // ob, b // ob) * ob + right(a % ob, b % ob),
+            (left_inverse[:, None] * ob + right_inverse[None, :]).reshape(-1),
+            tuple(s * ob for s in left_gens) + right_gens,
+        )
     if kind in ("cyclic", "so2_quadrature"):
-        m = structure[1]
-        return lambda a, b: (a + b) % m
-    if kind == "dihedral":
-        m = structure[1]
-
-        def dihedral(a, b):
+        compose, inverse, ids = (lambda a, b: (a + b) % m), (-np.arange(m)) % m, (1,)
+    elif kind == "dihedral":
+        def compose(a, b):
             # ids 0..m-1 are rotations r^j, ids m..2m-1 are reflections s*r^j;
             # a reflection on the right reverses the left factor's rotation
             a, b = np.asarray(a), np.asarray(b)
@@ -142,55 +153,23 @@ def _composer(structure: tuple) -> Callable:
             turn = np.where(reflect_b, -(a % m), a % m) + b % m
             return m * ((a >= m) != reflect_b) + turn % m
 
-        return dihedral
-    if kind == "symmetric":
-        perms, rank = _lex_permutations(structure[1])
+        j = np.arange(m)  # a reflection is its own inverse
+        inverse, ids = np.concatenate([(-j) % m, m + j]), (1 % m, m)  # the rotation r, the reflection s
+    elif kind == "symmetric":
+        perms, rank = _lex_permutations(m)
 
-        def symmetric(a, b):
+        def compose(a, b):
             a, b = np.broadcast_arrays(a, b)
             # (sigma*tau)(v) = sigma(tau(v))
             return rank(np.take_along_axis(perms[a], perms[b], axis=-1))
 
-        return symmetric
-    if kind == "product":
-        left, right = _composer(structure[1]), _composer(structure[2])
-        ob = _structure_order(structure[2])
-        return lambda a, b: left(a // ob, b // ob) * ob + right(a % ob, b % ob)
-    raise ValueError(f"no composition for group structure {structure!r}")
-
-
-def _structure_generators(structure: tuple) -> tuple:
-    """Generators of the group built from ``structure``, as ids of that group."""
-    kind, arg = structure[0], structure[1]
-    if kind == "product":
-        ob = _structure_order(structure[2])
-        return tuple(s * ob for s in _structure_generators(arg)) + _structure_generators(structure[2])
-    if kind == "dihedral":
-        ids = (1 % arg, arg)  # the rotation r and the reflection s
-    elif kind == "symmetric":
+        inverse = rank(np.argsort(perms, axis=1))
         # lex ranks of the transposition (0 1) and the cycle v -> v+1 mod m
-        ids = (math.factorial(arg - 1), sum(math.factorial(j) for j in range(1, arg)))
-    else:  # cyclic and so2_quadrature
-        ids = (1,)
-    order = _structure_order(structure)
-    return tuple(dict.fromkeys(s % order for s in ids if s % order))
-
-
-def _structure_inverse(structure: tuple) -> np.ndarray:
-    """Id of g^-1 for each id g of the group built from ``structure``."""
-    kind, m = structure[0], structure[1]
-    if kind == "product":
-        left, right = _structure_inverse(m), _structure_inverse(structure[2])
-        return (left[:, None] * len(right) + right[None, :]).reshape(-1)
-    if kind in ("cyclic", "so2_quadrature"):
-        return (-np.arange(m)) % m
-    if kind == "dihedral":
-        j = np.arange(m)  # a reflection is its own inverse
-        return np.concatenate([(-j) % m, m + j])
-    if kind == "symmetric":
-        perms, rank = _lex_permutations(m)
-        return rank(np.argsort(perms, axis=1))
-    raise ValueError(f"no inverses for group structure {structure!r}")
+        ids = (math.factorial(m - 1), sum(math.factorial(j) for j in range(1, m)))
+    else:
+        raise ValueError(f"no group law for structure {structure!r}")
+    order = len(inverse)
+    return compose, inverse, tuple(dict.fromkeys(s % order for s in ids if s % order))
 
 
 def _parse_int(token: str, what: str, least: int = 1) -> int:
@@ -352,25 +331,24 @@ def _natural_dim(structure: tuple) -> int:
     raise ValueError(f"no natural permutation action for group structure {structure!r}")
 
 
-def _natural_permutations(structure: tuple) -> list[np.ndarray]:
-    """Per-element coordinate permutations of the natural action of a group structure.
+def _natural_permutations(structure: tuple) -> np.ndarray:
+    """The (order, dim) coordinate permutations of the natural action of a group structure.
 
-    Element g acts on coordinates by v -> perm[v]; permutations are listed
-    in element-id order of the group built from the same structure.
+    Element g acts on coordinates by v -> perms[g, v]; the rows are in
+    element-id order of the group built from the same structure.
     """
     kind = structure[0]
     if kind == "product":
-        perms_b = _natural_permutations(structure[2])
-        return [np.concatenate([pa, len(pa) + pb])
-                for pa in _natural_permutations(structure[1]) for pb in perms_b]
+        left, right = _natural_permutations(structure[1]), _natural_permutations(structure[2])
+        return np.concatenate(
+            [np.repeat(left, len(right), axis=0), np.tile(left.shape[1] + right, (len(left), 1))], axis=1)
     m = structure[1]
-    v = np.arange(m)
     if kind == "symmetric":
-        return list(_lex_permutations(m)[0])
-    rotations = [(v + j) % m for j in range(m)]
+        return _lex_permutations(m)[0]
+    rotations = (np.arange(m)[:, None] + np.arange(m)) % m
     if kind == "cyclic":
         return rotations
-    return rotations + [(-(v + j)) % m for j in range(m)]  # dihedral
+    return np.concatenate([rotations, (-rotations) % m])  # dihedral
 
 
 def _rotation_block_matrices(group: FiniteGroup, freqs: list[int], descriptor: str) -> np.ndarray:
@@ -436,9 +414,7 @@ def build_representation(
             raise ValueError(f"natural_permutation takes no arguments, got {kind!r}")
         dim = _natural_dim(group.structure)
         mats = _zero_matrices(group, dim, text)
-        cols = np.arange(dim)
-        for g, p in enumerate(_natural_permutations(group.structure)):
-            mats[g, p, cols] = 1.0
+        mats[np.arange(group.order)[:, None], _natural_permutations(group.structure), np.arange(dim)] = 1.0
     elif head == "trivial":
         if len(tokens) > 2:
             raise ValueError(f"trivial takes at most one argument, got {kind!r}")

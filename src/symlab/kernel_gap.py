@@ -175,6 +175,8 @@ def gaussian_kernel(action: Representation, bandwidth: float) -> KernelSpec:
 
 def explicit_bilinear_kernel(action: Representation, matrix: np.ndarray) -> KernelSpec:
     A = np.asarray(matrix, dtype=np.float64)
+    if not np.isfinite(A).all():  # before A - A.T, which a NaN passes and where inf - inf warns
+        raise ValueError("bilinear kernel matrix is not finite")
     if A.shape != (action.dim, action.dim) or np.max(np.abs(A - A.T)) > 1e-12:
         raise ValueError("bilinear kernel matrix must be symmetric (d, d)")
     return _validate_kernel(KernelSpec("bilinear", action, lambda X, Y: X @ A @ np.swapaxes(Y, -1, -2)))
@@ -557,6 +559,7 @@ def linear_kernel_bound(
     the variance term exactly."""
     if d <= 1:
         raise ValueError("linear kernel bound needs d > 1")
+    denominator = _variance_denominator(n, d, rho)
     phi = np.asarray(phi_matrix, dtype=np.float64)
     fro2 = float((phi ** 2).sum())
     Z = stream(seed, "linear_bound").standard_normal((trials, n, d))
@@ -569,7 +572,7 @@ def linear_kernel_bound(
     zeta1, zeta1_se = RunningMoments().add((ratio ** 2).sum(axis=1)).estimate()
     zeta2, zeta2_se = RunningMoments().add(ratio.sum(axis=1) ** 2).estimate()
     bias = theta_norm ** 2 * (d * zeta1 - zeta2) * (d - fro2) / (d * (d + 2) * (d - 1))
-    variance = (d - fro2) / (math.sqrt(n) * d + rho / math.sqrt(n)) ** 2
+    variance = (d - fro2) / denominator
     return {
         "zeta1": zeta1,
         "zeta2": zeta2,

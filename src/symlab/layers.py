@@ -172,11 +172,13 @@ def _check_regularisation_bound(
     if np.isscalar(sigma):
         if sigma < 0:
             raise ValueError(f"sigma is {sigma!r}: a standard deviation must be >= 0")
-        cov = _square("sigma", sigma) * np.eye(d)
+        cov = np.diag(np.full(d, _square("sigma", sigma)))
     else:
         cov = np.asarray(sigma, dtype=np.float64)
-        if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("sigma must be a scalar or a symmetric (d, d) covariance")
+    if not np.isfinite(cov).all():  # before any product: a NaN passes the checks below, inf - inf warns
+        raise ValueError("sigma is not finite")
+    if cov.shape != (d, d) or np.max(np.abs(cov - cov.T)) > 1e-12:
+        raise ValueError("sigma must be a scalar or a symmetric (d, d) covariance")
     sqrt_cov = _sqrt_psd(cov)
     for g in psi_in.group.generators:
         M = psi_in.matrices[g]
@@ -232,6 +234,11 @@ def check_regularisation_bound(
     }
 
 
+def _check_vc_bound(reps: tuple) -> None:
+    if len(reps) < 2:
+        raise ValueError("need at least one layer (two representations)")
+
+
 def vc_bound(reps: tuple) -> float:
     """VC-dimension bound for an invariant MLP architecture:
 
@@ -241,8 +248,7 @@ def vc_bound(reps: tuple) -> float:
     with k_i the width of layer input i and the inner products taken in
     the group's character algebra."""
     reps = tuple(reps)
-    if len(reps) < 2:
-        raise ValueError("need at least one layer (two representations)")
+    _check_vc_bound(reps)
     L = len(reps) - 1
     widths = [rep.dim for rep in reps]
     max_inner = max(character_inner(reps[i], reps[i + 1]) for i in range(L))

@@ -998,7 +998,8 @@ def test_verify_operators_below_one_sample_exits_2_naming_it(tmp_path, capsys, n
 
 
 # a small experiment of each kind, every size key at 3 or more; gap-kernel twice, so that each
-# nested mu key is read: scale by the Gaussian, radius by the sphere
+# nested mu key is read: scale by the Gaussian, radius by the sphere; each reps list is fuzzed
+# by its length
 FUZZ_BASES = [
     {"kind": "gap-linear", "group": "symmetric 2", "rep": "direct_sum trivial 3 + sign", "n": 10,
      "trials": 20},
@@ -1019,6 +1020,7 @@ FUZZ_BASES = [
     {"kind": "covering", "n": 20, "dim": 3, "eps": 0.5},
     {"kind": "layer-project", "group": "symmetric 3", "reps": ["natural_permutation"] * 3,
      "n_samples": 20},
+    {"kind": "vc-bound", "group": "symmetric 3", "reps": ["natural_permutation"] * 3},
     {"kind": "regularisation-bound", "group": "symmetric 3", "rep_in": "natural_permutation",
      "rep_out": "natural_permutation", "samples": 20},
 ]
@@ -1071,6 +1073,8 @@ def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
     cases = [(exp, (), None) for exp in FUZZ_BASES]  # each base runs and passes
     cases += [(exp, path, value) for exp in FUZZ_BASES for path in _numeric_keys(exp["kind"])
               for value in FUZZ_VALUES]
+    cases += [(exp, ("reps",), exp["reps"][:1] * length) for exp in FUZZ_BASES if "reps" in exp
+              for length in (0, 1, 2, 4)]
     outcomes = Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1088,6 +1092,9 @@ def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
                 # numpy's "negative dimensions are not allowed" used to name no key
                 assert code == 2, where
                 assert captured.err.strip() == f"config error: experiments[1]: {path[0]} is {value}, below 1"
+            if path == ("reps",):
+                # vc-bound's one rep used to print its first verdict, then a run error, and none an IndexError
+                assert code == (2 if len(value) < 2 else 0), where
             if code == 2:
                 assert "verdict=" not in printed and not out.exists(), where
             else:

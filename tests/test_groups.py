@@ -17,6 +17,7 @@ from symlab.groups import (
     build_representation,
     character,
     character_inner,
+    _lex_permutations,
 )
 
 
@@ -304,6 +305,7 @@ def _reference_table(descriptor):
 @pytest.mark.parametrize("descriptor", [
     "cyclic 1", "cyclic 5", "dihedral 1", "dihedral 2", "dihedral 4", "symmetric 1", "symmetric 4",
     "symmetric 5", "so2_quadrature 6", "cyclic 2 * symmetric 3", "cyclic 2 * dihedral 3 * symmetric 3",
+    "cyclic 12", "dihedral 6", "so2_quadrature 8",
 ])
 def test_vectorised_compose_matches_reference_table(descriptor):
     # a group's composition, identity and inverses all come from its structure and are
@@ -316,6 +318,88 @@ def test_vectorised_compose_matches_reference_table(descriptor):
     assert np.array_equal(g.compose(ids, ids), np.diagonal(reference))
     assert np.array_equal(reference[g.identity], ids) and np.array_equal(reference[:, g.identity], ids)
     assert np.array_equal(reference[g.inverse, ids], e) and np.array_equal(reference[ids, g.inverse], e)
+
+
+def _reference_generators(descriptor):
+    """Each factor's named generators, looked up one permutation at a time: the rotation by 1
+    (and the reflection x -> -x for dihedral groups), or the transposition (0 1) and the cycle
+    v -> v+1 mod m; as product ids, each with the other factors at the identity."""
+    ids, size = [], 1
+    for part in reversed(descriptor.split("*")):
+        kind, arg = part.split()
+        m = int(arg)
+        perms = _reference_perms(part.strip())
+        index = {p: i for i, p in enumerate(perms)}
+        if kind == "symmetric":
+            swap = list(range(m))
+            swap[:2] = swap[1::-1]
+            named = [tuple(swap), tuple((v + 1) % m for v in range(m))]
+        else:
+            named = [perms[1 % m]] + ([perms[m]] if kind == "dihedral" else [])
+        ids = [index[p] * size for p in named] + ids
+        size *= len(perms)
+    return tuple(dict.fromkeys(i for i in ids if i))
+
+
+@pytest.mark.parametrize("descriptor", [
+    "cyclic 1", "cyclic 12", "dihedral 1", "dihedral 2", "dihedral 6", "symmetric 1", "symmetric 2",
+    "symmetric 5", "so2_quadrature 8", "cyclic 2 * dihedral 3 * symmetric 3", "dihedral 6 * cyclic 5",
+])
+def test_generators_and_inverses_match_per_element_references(descriptor):
+    # test_vectorised_compose_matches_reference_table pins the composition over all id pairs
+    g = build_group(descriptor)
+    inverse = [list(row).index(g.identity) for row in _reference_table(descriptor)]
+    assert g.inverse.dtype == np.int64 and g.inverse.tolist() == inverse
+    assert not g.inverse.flags.writeable
+    assert g.generators == _reference_generators(descriptor)
+    assert all(type(s) is int for s in g.generators)
+
+
+def _reference_natural(descriptor):
+    """Natural permutation matrices set one element at a time: element g sends coordinate v to
+    perms[g][v], and a product's elements list the left factor's outermost."""
+    perms = None
+    for part in reversed(descriptor.split("*")):
+        kind, arg = part.split()
+        m = int(arg)
+        v = np.arange(m)
+        if kind == "symmetric":
+            factor = [np.array(p) for p in itertools.permutations(range(m))]
+        else:
+            factor = [(v + j) % m for j in range(m)]
+            factor += [(-(v + j)) % m for j in range(m)] if kind == "dihedral" else []
+        perms = factor if perms is None else [np.concatenate([a, m + b]) for a in factor for b in perms]
+    dim = len(perms[0])
+    mats = np.zeros((len(perms), dim, dim))
+    for g, p in enumerate(perms):
+        mats[g, p, np.arange(dim)] = 1.0
+    return mats
+
+
+@pytest.mark.parametrize("descriptor", [
+    "cyclic 1", "cyclic 12", "dihedral 1", "dihedral 2", "dihedral 6", "symmetric 1", "symmetric 5",
+    "cyclic 2 * dihedral 3 * symmetric 3",
+])
+def test_natural_matrices_match_the_per_element_loop(descriptor):
+    rep = build_representation(build_group(descriptor), "natural_permutation")
+    reference = _reference_natural(descriptor)
+    assert rep.matrices.dtype == reference.dtype and rep.matrices.tobytes() == reference.tobytes()
+
+
+def test_a_group_with_no_natural_action_is_refused():
+    with pytest.raises(ValueError, match="no natural permutation action"):
+        build_representation(build_group("so2_quadrature 8"), "natural_permutation")
+
+
+def test_the_shared_permutation_table_refuses_writes():
+    # one table per m serves the composer, the inverses and the natural and sign matrices
+    perms, rank = _lex_permutations(4)
+    assert _lex_permutations(4)[0] is perms
+    with pytest.raises(ValueError, match="read-only"):
+        perms[0, 0] = 1
+    build_representation(build_group("symmetric 4"), "sign")
+    assert np.array_equal(perms, list(itertools.permutations(range(4))))
+    assert np.array_equal(rank(perms), np.arange(24))
 
 
 def test_large_symmetric_group_never_builds_its_table():

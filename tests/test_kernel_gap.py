@@ -13,6 +13,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -750,6 +751,24 @@ def test_each_se_that_the_csv_does_not_carry_is_its_columns_sd_over_root_n(monke
     for (mean, se), column in zip(got, columns):
         assert mean == column.mean()
         assert se == column.std(ddof=1) / math.sqrt(len(column))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_bilinear_matrix_is_refused_by_name(entry):
+    # a NaN used to pass the symmetry check and be refused as a kernel that takes no stacks,
+    # and an inf warned in A - A.T
+    A = np.eye(2)
+    A[0, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="bilinear kernel matrix is not finite"):
+            explicit_bilinear_kernel(_swap_rep(), A)
+
+
+def test_linear_bound_refuses_an_overflowing_rho_by_name():
+    # the variance term's denominator used to overflow into a bare OverflowError
+    with pytest.raises(ValueError, match=r"rho is 1e\+200 and Mk 4: .* overflows"):
+        linear_kernel_bound(d=4, n=2, rho=1e200, theta_norm=1.0, phi_matrix=np.eye(4), trials=10, seed=0)
 
 
 def test_linear_bound_requires_d_above_one():

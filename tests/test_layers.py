@@ -331,6 +331,18 @@ def test_bound_rejections():
         check_regularisation_bound(np.zeros((2, 2)), rot_in, rot_in, activation="relu")
 
 
+@pytest.mark.parametrize("sigma", [
+    np.nan, np.inf, np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.diag([1.0, -np.inf, 1.0]),
+], ids=["nan", "inf", "nan-covariance", "inf-covariance", "minus-inf-covariance"])
+def test_a_non_finite_sigma_is_refused_before_any_product(sigma):
+    # a NaN covariance used to run to a NaN fail, and an inf one warned in cov - cov.T
+    rep = _natural("symmetric 3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="sigma is not finite"):
+            check_regularisation_bound(np.eye(3), rep, rep, sigma=sigma, samples=10)
+
+
 # ------------------------------------------------------------------ VC bound
 
 
