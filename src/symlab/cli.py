@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Literal, get_args, get_origin
+from typing import Annotated, Callable, Literal, get_args, get_origin
 
 import numpy as np
 
@@ -88,27 +88,26 @@ def _invariant_theta(rep, theta) -> np.ndarray:
     return theta / norm
 
 
-# each nested object's keys with their defaults: a None bandwidth is sqrt(d),
-# a None radius the sampler's own; "type" and "kind" take only the listed values
-_NESTED = {
-    "kernel": {"type": "gaussian", "bandwidth": None},
-    "mu": {"kind": "gaussian", "scale": 1.0, "radius": None},
-}
-_CHOICES = {"type": ("linear", "gaussian"), "kind": ("gaussian", "sphere")}
 _Run = Callable[[], dict]  # a prepared experiment: calling it runs it and returns its row
 
 
-def _mu_from(spec: dict, dim: int):
-    if spec["kind"] == "sphere":
-        return sphere(dim, radius=spec["radius"])
-    return gaussian(dim, scale=spec["scale"])
+# gap-kernel's nested objects: each one's keys are its maker's keyword-only parameters, typed as a
+# runner's are; a None radius is the sampler's own, a None bandwidth sqrt(d)
+def _mu_from(
+    dim: int, *, kind: Literal["gaussian", "sphere"] = "gaussian", scale: float = 1.0,
+    radius: float | None = None,
+):
+    if kind == "sphere":
+        return sphere(dim, radius=radius)
+    return gaussian(dim, scale=scale)
 
 
-def _kernel_from(spec: dict, rep, mu):
-    if spec["type"] == "linear":
+def _kernel_from(
+    rep, mu, *, type: Literal["linear", "gaussian"] = "gaussian", bandwidth: float | None = None,
+):
+    if type == "linear":
         # sup k(x,x) on the support: radius^2 on a sphere, estimated otherwise
         return linear_kernel(rep, Mk=_square("mu.radius", mu.scale) if mu.kind == "sphere" else None)
-    bandwidth = spec["bandwidth"]
     return gaussian_kernel(rep, bandwidth=math.sqrt(rep.dim) if bandwidth is None else bandwidth)
 
 
@@ -151,11 +150,11 @@ def _run_gap_equivariant(
 
 def _run_gap_kernel(
     seed: int, *, group: FiniteGroup, rep: Representation, n: int, rho: float,
-    mu: dict = _NESTED["mu"], kernel: dict = _NESTED["kernel"], theta=None, sigma: float = 1.0,
-    trials: int = 2000, n_test: int = 256, n_pairs: int = 4000, bias_trials: int = 200,
+    mu: Annotated[dict, _mu_from] = {}, kernel: Annotated[dict, _kernel_from] = {}, theta=None,
+    sigma: float = 1.0, trials: int = 2000, n_test: int = 256, n_pairs: int = 4000, bias_trials: int = 200,
 ) -> _Run:
-    mu = _mu_from(mu, rep.dim)
-    kernel = _kernel_from(kernel, rep, mu)
+    mu = _mu_from(rep.dim, **mu)  # the {} defaults are only read
+    kernel = _kernel_from(rep, mu, **kernel)
     theta = _invariant_theta(rep, theta)
     config = KrrGapConfig(
         kernel=kernel, f_star=lambda X: X @ theta, mu=mu, n=n, sigma=sigma, rho=rho,
@@ -350,19 +349,10 @@ def _choice(where: str, value, choices: tuple):
     return value
 
 
-def _nested(where: str, spec, schema: dict) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"config error: {where} must be a JSON object")
-    _reject_unknown(where, spec, schema)
-    resolved = {}
-    for key, default in schema.items():
-        value = spec.get(key, default)
-        if key in _CHOICES:
-            value = _choice(f"{where}.{key}", value, _CHOICES[key])
-        elif value is not None or default is not None:
-            value = _cast(f"{where}.{key}", value, float)
-        resolved[key] = value
-    return resolved
+def _keyword_params(maker) -> dict:
+    """A runner's or a nested object's maker's keyword-only parameters, by name: its config keys."""
+    params = inspect.signature(maker, eval_str=True).parameters
+    return {name: param for name, param in params.items() if param.kind is param.KEYWORD_ONLY}
 
 
 def _resolved(key: str, annotation, value, builders: dict):
@@ -372,6 +362,15 @@ def _resolved(key: str, annotation, value, builders: dict):
             return None
         annotation = get_args(annotation)[0]
     origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Annotated:  # Annotated[dict, maker]
+        if not isinstance(value, dict):
+            raise ConfigError(f"config error: {key} must be a JSON object")
+        accepted = _keyword_params(args[1])
+        _reject_unknown(key, value, accepted)
+        return {
+            name: _resolved(f"{key}.{name}", param.annotation, value[name], builders)
+            for name, param in accepted.items() if name in value
+        }
     if origin is tuple:  # tuple[T, ...]
         if not isinstance(value, (list, tuple)):
             noun = "file paths" if args[0] is Path else "descriptor strings"
@@ -400,19 +399,15 @@ def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
 
     A parameter without a default is a required key; absent keys keep their
     defaults.  By annotation, ``int``/``float`` cast, a ``Literal`` lists the
-    allowed values, a ``dict`` is a nested object whose ``_NESTED`` default
-    lists its keys, a ``Path`` names an existing file, ``tuple[T, ...]`` is a
-    list of T, ``T | None`` also takes null, and ``FiniteGroup``,
-    ``CrossSection`` (at ``dim``) and ``Representation`` (on ``group``) are
-    built, each distinct descriptor once.  _validate_config calls this and the
-    prepare step for every experiment before any runs; run_experiment calls
-    both again for its own.
+    allowed values, ``Annotated[dict, maker]`` is a nested object whose keys are
+    the maker's keyword-only parameters, resolved by these same rules, a ``Path``
+    names an existing file, ``tuple[T, ...]`` is a list of T, ``T | None`` also
+    takes null, and ``FiniteGroup``, ``CrossSection`` (at ``dim``) and
+    ``Representation`` (on ``group``) are built, each distinct descriptor once.
+    _validate_config calls this and the prepare step for every experiment before
+    any runs; run_experiment calls both again for its own.
     """
-    accepted = {
-        name: param
-        for name, param in inspect.signature(_RUNNERS[kind], eval_str=True).parameters.items()
-        if param.kind is param.KEYWORD_ONLY
-    }
+    accepted = _keyword_params(_RUNNERS[kind])
     _reject_unknown(f"{where} ({kind})", params, accepted)
     kwargs: dict = {}
     builders = {
@@ -422,13 +417,10 @@ def _runner_kwargs(kind: str, params: dict, where: str) -> dict:
     }
     for name, param in accepted.items():
         key = f"{where}.{name}"
-        if name not in params:
-            if param.default is param.empty:
-                raise ConfigError(f"config error: {key} is missing; {kind} requires it")
-        elif param.annotation is dict:
-            kwargs[name] = _nested(key, params[name], param.default)
-        else:
+        if name in params:
             kwargs[name] = _resolved(key, param.annotation, params[name], builders)
+        elif param.default is param.empty:
+            raise ConfigError(f"config error: {key} is missing; {kind} requires it")
     return kwargs
 
 

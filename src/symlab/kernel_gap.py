@@ -333,7 +333,7 @@ def fit_krr(
     K = kernel.gram(X, X) when the caller has it already, read and not
     written, or None to compute it here.
     """
-    if rho <= 0:
+    if not rho > 0:  # NaN fails too
         raise ValueError("rho must be > 0")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

@@ -110,13 +110,13 @@ def averaged_loss(
     weights = None
     if nu is not None:
         weights = np.asarray(nu, dtype=np.float64)
-        if weights.shape != (group.order,) or np.any(weights < 0):
+        if weights.shape != (group.order,) or not np.all(weights >= 0):  # NaN fails too
             raise ValueError("nu must be a non-negative vector of length |G|")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("nu weights must sum to 1")
     rng = np.random.default_rng(32)
     for y, yp in rng.standard_normal((4, 2, rep.dim)):
-        if loss(y, yp) < 0:
+        if not loss(y, yp) >= 0:
             raise ValueError("loss must be non-negative")
 
     mats = rep.matrices
@@ -213,7 +213,7 @@ class EquivalenceReport:
 def _check_equivalence_demo(learner: str, n: int, trials: int, sigma: float) -> None:
     if n < 16 or trials < 1:
         raise ValueError("need n >= 16 and trials >= 1")
-    if sigma < 0:
+    if not sigma >= 0:  # NaN fails too
         raise ValueError(f"sigma is {sigma!r}: a standard deviation must be >= 0")
     _square("sigma", sigma)  # the risks are squared errors of order sigma
     if learner not in _LEARNERS:
@@ -413,7 +413,7 @@ def sample_complexity_D(
     t: float,
 ) -> float:
     """cover(X, t/(12 L C_ell)) * max_x log cover(F(x), t/(12 L^2 C_ell))."""
-    if L <= 0 or C_ell <= 0 or t <= 0:
+    if not (L > 0 and C_ell > 0 and t > 0):  # NaN fails too
         raise ValueError("L, C_ell, t must all be > 0")
     if not output_clouds:
         raise ValueError("need at least one output cloud")

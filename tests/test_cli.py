@@ -12,7 +12,7 @@ import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
-from typing import get_args
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -960,6 +960,22 @@ def test_readme_lists_each_kinds_keys_and_defaults():
                 assert f"`{param.name}` (" in optional, (kind, param.name)
             else:
                 assert f"`{param.name}` ({json.dumps(param.default)})" in optional, (kind, param.name)
+    # each nested object's keys, read from its maker, in README's sentence on them with their defaults
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    start = readme.index("Each nested object's keys")
+    clauses = readme[start:readme.index(". ", start)].split(";")
+    nested = {name: get_args(param.annotation)[1] for runner in cli._RUNNERS.values()
+              for name, param in cli._keyword_params(runner).items()
+              if get_origin(param.annotation) is Annotated}
+    assert set(nested) == {"kernel", "mu"}
+    for obj, maker in nested.items():
+        clause, = [clause for clause in clauses if f"nested `{obj}` object" in clause]
+        for name, param in cli._keyword_params(maker).items():
+            assert f"`{name}` (" in clause, (obj, name)
+            if param.default is not None:
+                described = clause.split(f"`{name}` (", 1)[1].split(")", 1)[0]
+                default = f"`{param.default}`" if isinstance(param.default, str) else repr(param.default)
+                assert f"default {default}" in described, (obj, name, described)
 
 
 @pytest.mark.parametrize("exp", [
@@ -1025,21 +1041,40 @@ FUZZ_BASES = [
      "rep_out": "natural_permutation", "samples": 20},
 ]
 FUZZ_VALUES = (0, -1, 1, 2, 3, 0.5, float("nan"), float("inf"), float("-inf"))
+FUZZ_MISSES = ("bogus", None)  # outside every choice key's values
 FUZZ_FIRST = {"kind": "vc-bound", "group": "cyclic 2", "reps": ["trivial 1"] * 2}
 
 
-def _numeric_keys(kind: str) -> list:
-    """Each int or float key of a kind as _runner_kwargs reads it from the runner's signature,
-    as a path: (key,), or (object, key) for a float key of a nested kernel or mu object."""
+def _config_keys(maker, path: tuple = ()) -> list:
+    """Each key of a runner or a nested object's maker as _runner_kwargs reads it from the
+    signatures, as (path, annotation): path is (key,), or (object, key) for a key of a nested
+    kernel or mu object."""
     keys = []
-    for name, param in inspect.signature(cli._RUNNERS[kind], eval_str=True).parameters.items():
-        if param.kind is not param.KEYWORD_ONLY:
-            continue
-        if param.annotation is dict:
-            keys += [(name, key) for key in param.default if key not in cli._CHOICES]
-        elif {int, float} & {param.annotation, *get_args(param.annotation)}:
-            keys.append((name,))
+    for name, param in cli._keyword_params(maker).items():
+        if get_origin(param.annotation) is Annotated:
+            keys += _config_keys(get_args(param.annotation)[1], path + (name,))
+        else:
+            keys.append((path + (name,), param.annotation))
     return keys
+
+
+def _numeric_keys(kind: str) -> list:
+    """Each int or float key of a kind, as a path."""
+    return [path for path, annotation in _config_keys(cli._RUNNERS[kind])
+            if {int, float} & {annotation, *get_args(annotation)}]
+
+
+def _choice_keys(kind: str) -> dict:
+    """Each choice key of a kind, as a path, with the values it lists."""
+    return {path: get_args(annotation) for path, annotation in _config_keys(cli._RUNNERS[kind])
+            if get_origin(annotation) is Literal}
+
+
+def _get(exp: dict, path: tuple):
+    """The value at path in exp, or {} where it is absent."""
+    for key in path:
+        exp = exp.get(key, {})
+    return exp
 
 
 def _set(exp: dict, path: tuple, value) -> dict:
@@ -1075,6 +1110,18 @@ def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
               for value in FUZZ_VALUES]
     cases += [(exp, ("reps",), exp["reps"][:1] * length) for exp in FUZZ_BASES if "reps" in exp
               for length in (0, 1, 2, 4)]
+    # each choice key takes each value it lists that its base does not already set, and two it does not
+    choice_cases = [(exp, path, value) for exp in FUZZ_BASES
+                    for path, listed in _choice_keys(exp["kind"]).items()
+                    for value in listed + FUZZ_MISSES if value != _get(exp, path)]
+    cases += choice_cases
+    # every choice key that the runners and the nested objects' makers declare is fuzzed, nested
+    # ones and a Literal under `| None` included
+    declared = {(kind, path) for kind, runner in cli._RUNNERS.items()
+                for path, annotation in _config_keys(runner)
+                if Literal in {get_origin(a) for a in (annotation, *get_args(annotation))}}
+    assert {(exp["kind"], path) for exp, path, _ in choice_cases} == declared
+    assert {("gap-kernel", ("mu", "kind")), ("gap-kernel", ("kernel", "type"))} <= declared
     outcomes = Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1092,6 +1139,11 @@ def test_fuzzed_keys_are_refused_up_front_or_run_to_a_row(tmp_path, capsys):
                 # numpy's "negative dimensions are not allowed" used to name no key
                 assert code == 2, where
                 assert captured.err.strip() == f"config error: experiments[1]: {path[0]} is {value}, below 1"
+            listed = _choice_keys(base["kind"]).get(path)
+            if listed is not None and value not in listed:
+                assert code == 2, where
+                refusal = f"config error: experiments[1].{'.'.join(path)} is {value!r}, not one of {listed}"
+                assert captured.err.strip() == refusal, where
             if path == ("reps",):
                 # vc-bound's one rep used to print its first verdict, then a run error, and none an IndexError
                 assert code == (2 if len(value) < 2 else 0), where

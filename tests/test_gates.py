@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symlab import cli, gates
+from symlab import cli, gates, orbits
 from symlab.orbits import build_cross_section, equivalence_demo
 
 NAN = float("nan")
@@ -117,8 +117,10 @@ def test_each_gate_decides_as_the_check_it_replaced():
             assert gates.holds(name, e, r, se, sc) == bool(reference(e, r, se, sc)), (name, e, r, se, sc)
 
 
-def test_an_invariant_learner_with_nan_noise_fails():
-    # builtin max(0.0, nan) kept the risk deviation at 0.0, and the verdict passed
+def test_an_invariant_learner_with_nan_noise_fails(monkeypatch):
+    # builtin max(0.0, nan) kept the risk deviation at 0.0, and the verdict passed; a NaN sigma
+    # is now refused by name up front, so that check is stubbed out here to reach the gate
+    monkeypatch.setattr(orbits, "_check_equivalence_demo", lambda *args: None)
     cs = build_cross_section("abs_first_coordinate", dim=3)
     report = equivalence_demo("invariant_least_squares", cs, n=16, trials=2, sigma=NAN, seed=1)
     assert math.isnan(report.risk_deviation)

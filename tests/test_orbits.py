@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from symlab import sampling
 from symlab.groups import build_group, build_representation
+from symlab.kernel_gap import fit_krr, linear_kernel
 from symlab.orbits import (
     METRICS,
     PointCloud,
@@ -191,6 +192,40 @@ def test_equivalence_demo_rejections():
         equivalence_demo("gradient_boosting", cs)
     with pytest.raises(ValueError):
         equivalence_demo("averaged_krr", cs, n=8)
+
+
+NAN = float("nan")
+
+
+def _c3():
+    return build_representation(build_group("cyclic 3"), "natural_permutation")
+
+
+def _demo_at_nan_sigma():
+    cs = build_cross_section("abs_first_coordinate", dim=3)
+    return equivalence_demo("invariant_least_squares", cs, n=16, trials=1, sigma=NAN)
+
+
+def _cover_at_nan_L():
+    cloud = PointCloud(np.zeros((2, 1)))
+    return sample_complexity_D(cloud, [cloud], L=NAN, C_ell=1.0, t=1.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    # each NaN used to pass a check written as `x < 0`: sigma ran to a verdict=fail with risk nan,
+    # rho to a LinAlgError on a nan residual, a nu entry to an lbar of nan, and L to the
+    # covering's "eps must be > 0"
+    (_demo_at_nan_sigma, "sigma is nan: a standard deviation must be >= 0"),
+    (lambda: fit_krr(linear_kernel(_c3()), np.eye(3), np.ones(3), rho=NAN), "rho must be > 0"),
+    (lambda: averaged_loss(lambda y, yp: 0.0, _c3(), nu=[0.5, NAN, 0.5]), "nu must be a non-negative"),
+    (lambda: averaged_loss(lambda y, yp: NAN, _c3()), "loss must be non-negative"),
+    (_cover_at_nan_L, "L, C_ell, t must all be > 0"),
+], ids=["equivalence_demo-sigma", "fit_krr-rho", "averaged_loss-nu", "averaged_loss-loss",
+        "sample_complexity_D-L"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_nan_library_input_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ------------------------------------------------------------------ covering
