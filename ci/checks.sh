@@ -97,12 +97,14 @@ check_overcap() {
 # so did a covering points value that is not numbers, a TypeError from float(); a
 # top-level key other than seed, experiments and out is refused too, where a misspelt
 # "out" used to be dropped and the run exited 0; a vc-bound with one rep used to print the
-# first vc-bound's verdict, then a run error, with no results.csv
+# first vc-bound's verdict, then a run error, with no results.csv; a gap-kernel mu.scale of 0
+# drew only the origin and printed a vacuous pass
 check_prepare() {
     exits_2_before_any_verdict ci/prepare.json prepare
     exits_2_before_any_verdict ci/points-object.json points-object
     exits_2_before_any_verdict ci/unknown-top-key.json unknown-top-key
     exits_2_before_any_verdict ci/vc-bound-short.json vc-bound-short
+    exits_2_before_any_verdict ci/mu-nonpositive.json mu-nonpositive
 }
 
 # a NaN layer weight used to project to NaN and pass as a zero equivariance violation:

@@ -67,7 +67,7 @@ def _invariant_theta(rep, theta) -> np.ndarray:
     """An explicit theta, refused unless it is a vector of rep.dim numbers, or a column
     of them, that every group element fixes; by default the all-ones direction
     projected onto the invariant subspace, normalised."""
-    phi = build_phi(rep).matrix
+    phi = build_phi(rep)
     if theta is not None:
         try:
             theta = np.asarray(theta, dtype=np.float64)

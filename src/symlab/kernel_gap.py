@@ -524,13 +524,12 @@ def krr_gap_experiment(config: KrrGapConfig) -> GapReport:
     bias_term, bias_se = estimate_bias_term(config)
     bound = bias_term + variance_term
 
-    phi = build_phi(config.kernel.action)
     verdict = gates.verdict(gates.holds("lower_bound", mean, bound, se))
     return GapReport(
         mc_gap_mean=mean,
         mc_gap_se=se,
         closed_form=bound,
-        dim_A=float(config.kernel.dim - phi.dim_invariant),
+        dim_A=float(config.kernel.dim - np.trace(build_phi(config.kernel.action))),
         verdict=verdict,
         metadata={
             "Mk": mk,

@@ -207,7 +207,9 @@ def check_regularisation_bound(
     left inequality is held to gates' upper_bound gate with a rounding
     allowance at the scale mean |f_W|^2, so that an exactly intertwining W,
     whose sides are both rounding dust, passes; the right one to its
-    bound_order gate."""
+    bound_order gate with a rounding allowance at the scale of the right
+    side, since the two closed forms are equal when |W_perp S|_F =
+    |S|_F |W_perp|_F and may then differ in their last bits."""
     sqrt_cov = _check_regularisation_bound(psi_in, psi_out, activation, sigma, samples)
     act = ACTIVATIONS[activation]
     d = psi_in.dim
@@ -223,7 +225,7 @@ def check_regularisation_bound(
     scale = float((f_W(X) ** 2).sum(axis=1).mean())
     verdict = gates.verdict(
         gates.holds("upper_bound", lhs, middle, lhs_se, scale),
-        gates.holds("bound_order", middle, right),
+        gates.holds("bound_order", middle, right, scale=right),
     )
     return {
         "lhs_mean": lhs,

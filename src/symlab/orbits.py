@@ -148,7 +148,7 @@ def _prepare_averaged_krr(action: Representation):
 
 
 def _prepare_invariant_ls(action: Representation):
-    phi = build_phi(action).matrix.copy()
+    phi = build_phi(action)
     # snap float dust to zero so a trivial invariant subspace yields the
     # zero predictor instead of amplified noise in the least-squares solve
     phi[np.abs(phi) < 1e-12] = 0.0

@@ -55,6 +55,12 @@ class Distribution:
     dim: int
     scale: float = 1.0  # std per coordinate for gaussian, radius for sphere
 
+    def __post_init__(self) -> None:
+        # a zero scale draws only the origin, a vacuous pass, and -s draws the law of +s
+        if not self.scale > 0:  # NaN fails too
+            name = "radius" if self.kind == "sphere" else "scale"
+            raise ValueError(f"{name} is {self.scale!r}, not > 0")
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
             return self.scale * rng.standard_normal((n, self.dim))

@@ -182,7 +182,7 @@ def test_kernel_switch_and_trace_decomposition():
     c6 = build_representation(build_group("cyclic 6"), "natural_permutation")
     lin = linear_kernel(c6)
     lin_avg = build_averaged_kernel(lin, seed=107)
-    dim_s = float(np.sum(build_phi(c6).matrix ** 2))
+    dim_s = float(np.sum(build_phi(c6) ** 2))
     n_lin, se_lin = estimate_N(lin.gram, gaussian(6), pairs=40_000, rng=stream(4, "main"))
     n_lin_bar, se_lin_bar = estimate_N(lin_avg.gram_bar, gaussian(6), pairs=40_000, rng=stream(5, "main"))
     assert abs(n_lin - 6.0) <= 4.0 * se_lin
@@ -200,7 +200,7 @@ def test_krr_gap_bound_holds_across_grid():
     for d in (4, 8):
         group = build_group(f"cyclic {d}")
         rep = build_representation(group, "natural_permutation")
-        phi = build_phi(rep).matrix
+        phi = build_phi(rep)
         dim_s = float(np.sum(phi * phi))
         theta, f_star = _invariant_target(d)
         for n in (16, 64):

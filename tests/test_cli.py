@@ -303,6 +303,27 @@ def test_unknown_nested_key_exits_2_before_any_experiment_runs(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mu,kernel,bad", [
+    # each used to run to verdict=pass: scale 0 on all-zero cells, radius -1 as the
+    # experiment of radius +1 under another config hash
+    ({"scale": 0.0}, {}, "scale is 0.0, not > 0"),
+    ({"scale": -2.0}, {}, "scale is -2.0, not > 0"),
+    ({"kind": "sphere", "radius": 0.0}, {"type": "linear"}, "radius is 0.0, not > 0"),
+    ({"kind": "sphere", "radius": -1.0}, {}, "radius is -1.0, not > 0"),
+])
+def test_a_mu_of_size_zero_or_less_exits_2_before_any_experiment_runs(tmp_path, capsys, mu, kernel, bad):
+    payload = {"seed": 1, "experiments": [
+        {"kind": "covering", "n": 30, "dim": 2, "eps": 0.5},
+        {**KEY_HOSTS["gap-kernel"], "mu": mu, "kernel": kernel},
+    ]}
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: experiments[1]: {bad}\n"
+    assert "verdict" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("group,reps", [
     # each used to fail with an _ArrayMemoryError traceback under a 3 GB address-space limit
     ("cyclic 2", ["trivial 1", "trivial 60000"]),  # 26.8 GiB for np.eye

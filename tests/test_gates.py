@@ -96,7 +96,7 @@ REFERENCES = {
     "upper_bound": (lambda e, r, se, sc: e <= r + 4.0 * se + EPS64 * sc, True, True, True),
     "identity": (lambda e, r, se, sc: e <= 1e-9, False, False, False),
     "equivariance": (lambda e, r, se, sc: e <= 1e-8, False, False, False),
-    "bound_order": (lambda e, r, se, sc: e <= r + 1e-12, True, False, False),
+    "bound_order": (lambda e, r, se, sc: e <= r + EPS64 * sc + 1e-12, True, False, True),
     "contraction_fit": (
         lambda e, r, se, sc: np.allclose(e, r, rtol=1e-6, atol=1e-12), True, False, False,
     ),

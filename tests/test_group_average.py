@@ -518,7 +518,7 @@ def test_group_means_equal_the_uniformly_weighted_sums(group, kind):
     grp, mats = rep.group, rep.matrices
     w = _uniform(grp)
     rng = np.random.default_rng(31)
-    assert np.allclose(build_phi(rep).matrix, np.einsum("g,gij->ij", w, mats), rtol=0, atol=1e-12)
+    assert np.allclose(build_phi(rep), np.einsum("g,gij->ij", w, mats), rtol=0, atol=1e-12)
     psi_inv_t = mats[grp.inverse].transpose(0, 2, 1)
     tensor = np.einsum("g,gac,gbe->abce", w, mats, psi_inv_t)
     assert np.allclose(build_psi(rep, rep).tensor, tensor, rtol=0, atol=1e-12)
@@ -537,7 +537,7 @@ def test_group_means_equal_the_uniformly_weighted_sums(group, kind):
     for n in (d + 4, max(d - 3, 1)):
         if d - 1 <= n <= d + 1:
             continue
-        inv = invariant_config(rep, build_phi(rep).matrix @ rng.standard_normal(d), n=n, trials=2)
+        inv = invariant_config(rep, build_phi(rep) @ rng.standard_normal(d), n=n, trials=2)
         tensor = build_psi(rep, rep)
         eqv = LinearGapConfig(
             tensor=tensor, n=n, trials=2, theta=random_equivariant_target(tensor, rng, fro_norm=1.0),

@@ -95,7 +95,7 @@ def test_trivial_group_kbar_equals_k():
 
 def test_linear_kernel_kbar_is_phi():
     rep = _perm_rep("cyclic 5")
-    phi = build_phi(rep).matrix
+    phi = build_phi(rep)
     ak = build_averaged_kernel(linear_kernel(rep))
     rng = np.random.default_rng(6)
     A, B = rng.standard_normal((2, 9, 5))
@@ -153,7 +153,7 @@ def test_estimate_N_linear_kernel_is_d():
 def test_estimate_N_averaged_linear_is_dim_s():
     rep = _perm_rep("cyclic 4")
     ak = build_averaged_kernel(linear_kernel(rep))
-    dim_s = build_phi(rep).dim_invariant
+    dim_s = float(np.trace(build_phi(rep)))
     mean, se = estimate_N(ak.gram_bar, gaussian(4), pairs=20_000, rng=stream(10, "main"))
     assert abs(mean - dim_s) <= 4.0 * se
 
@@ -284,7 +284,7 @@ def test_stacked_fit_and_predict_match_per_sample_calls(ktype):
     kernel = {
         "linear": lambda: linear_kernel(rep),
         "gaussian": lambda: gaussian_kernel(rep, bandwidth=2.0),
-        "bilinear": lambda: explicit_bilinear_kernel(rep, build_phi(rep).matrix + np.eye(4)),
+        "bilinear": lambda: explicit_bilinear_kernel(rep, build_phi(rep) + np.eye(4)),
     }[ktype]()
     rng = np.random.default_rng(29)
     X = rng.standard_normal((5, 16, 4))

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from symlab import gates
 from symlab.averaging import build_psi
 from symlab.groups import build_group, build_representation, character_inner
 from symlab.layers import (
@@ -306,6 +307,25 @@ def test_bound_random_relu_layer():
     assert out["verdict"] == "pass"
     assert out["lhs_mean"] <= out["middle_bound"] + 4.0 * out["lhs_se"]
     assert out["middle_bound"] <= out["right_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("seed", [4, 5, 8])
+def test_bound_order_passes_where_the_two_closed_forms_are_equal(monkeypatch, seed):
+    # one input coordinate makes |W_perp S|_F = |S|_F |W_perp|_F, so the middle and right
+    # sides are equal closed forms; at sigma 1e3 they read 1 ulp apart at these seeds, and
+    # the absolute 1e-12 alone failed them
+    rep_in = build_representation(build_group("symmetric 2"), "sign")
+    rep_out = build_representation(rep_in.group, "trivial 1")
+    W = stream(seed, "weights").standard_normal((1, 1))
+    args = (W, rep_in, rep_out, "identity", 1000.0, 1000, seed)
+    out = check_regularisation_bound(*args)
+    assert out["middle_bound"] == pytest.approx(out["right_bound"], rel=1e-15, abs=0.0)
+    assert out["verdict"] == "pass"
+    # the allowance is rounding only: a middle side planted 0.1% high still fails
+    holds = gates.holds
+    monkeypatch.setattr(gates, "holds", lambda name, estimate, *rest, **kw: holds(
+        name, 1.001 * estimate if name == "bound_order" else estimate, *rest, **kw))
+    assert check_regularisation_bound(*args)["verdict"] == "fail"
 
 
 def test_bound_anisotropic_invariant_covariance():

@@ -21,7 +21,7 @@ def _invariant_gap(config):
     from symlab.averaging import build_phi
 
     d, n = config.d, config.n
-    dim_a = d - float(np.trace(build_phi(config.phi).matrix))
+    dim_a = d - float(np.trace(build_phi(config.phi)))
     if n > d + 1:
         return config.sigma_xi ** 2 * dim_a / (n - d - 1)
     theta_sq = float(np.sum(config.theta ** 2))
@@ -138,7 +138,7 @@ def test_equivariant_reduces_to_invariant():
     for rep in reps:
         from symlab.averaging import build_phi
 
-        proj = build_phi(rep).matrix
+        proj = build_phi(rep)
         for n in range(1, 40):
             d = rep.dim
             if d - 1 <= n <= d + 1:

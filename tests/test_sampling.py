@@ -1,6 +1,6 @@
 """Tests for the stream table: the padding identities that keep each purpose's
-statistical bytes, and the table's codes; for the memory blocks; and for the
-moments merged chunk by chunk."""
+statistical bytes, and the table's codes; for the memory blocks; for the
+moments merged chunk by chunk; and for the input distributions' sizes."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symlab import sampling
-from symlab.sampling import STREAMS, RunningMoments, blocks, stream
+from symlab.sampling import STREAMS, RunningMoments, blocks, gaussian, sphere, stream
 
 SEEDS = [0, 1, 7, 20240, 2 ** 32 - 1]
 
@@ -109,3 +109,11 @@ def test_moments_of_no_values_are_nan_and_an_empty_chunk_changes_nothing():
     moments.add(np.empty(0))
     assert moments.count == 2
     assert moments.estimate() == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("make,name", [(gaussian, "scale"), (sphere, "radius")])
+@pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
+def test_a_distribution_of_size_zero_or_less_is_refused_by_name(make, name, size):
+    # size 0 draws only the origin, a vacuous pass, and -s draws the law of +s under another hash
+    with pytest.raises(ValueError, match=f"^{name} is {size!r}, not > 0$"):
+        make(3, size)
